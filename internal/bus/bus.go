@@ -365,6 +365,15 @@ func (s *System) Read(c arch.CPUID, a arch.PAddr, now arch.Cycles) Outcome {
 
 // Write performs a data store to the block containing a by CPU c.
 func (s *System) Write(c arch.CPUID, a arch.PAddr, now arch.Cycles) Outcome {
+	// Store to a block both levels already hold Modified: no line changes
+	// and no upgrade is due, so the full Access call is skipped. Returns
+	// false on the -reference oracle path.
+	if s.D[c].WriteHit(a) {
+		if s.Check != nil {
+			s.Check.OnData(c, a.Block(), true, check.LevelL1, now)
+		}
+		return Outcome{}
+	}
 	// The hierarchy reports the pre-access Shared state in WasShared, so
 	// the upgrade decision needs no separate L2 lookup before the write.
 	res := s.D[c].Access(a, true)

@@ -215,6 +215,9 @@ func (sp *Spec) Write(a arch.PAddr, now arch.Cycles) Outcome {
 	s := sp.sys
 	d := s.D[sp.cpu]
 	sp.note(a.Block())
+	if d.WriteHit(a) {
+		return Outcome{} // no line changes: nothing to journal or defer
+	}
 	sp.J.SaveData(d, a)
 	res := d.Access(a, true)
 	switch res.Result {

@@ -24,26 +24,56 @@ type Cache struct {
 	assoc int
 	sets  int
 
-	valid []bool
-	tag   []arch.PAddr // block address, valid only where valid[i]
-	dirty []bool
-	lru   []uint64 // per-line last-touch stamp
+	// line holds one packed word per cache line: the block address in the
+	// high bits and lineShared/lineValid/lineDirty in the low bits a
+	// 16-byte block never uses. Zero is an invalid line, so a hit probe
+	// is one load and one compare.
+	line []uint32
+	// lru is the per-line last-touch stamp of the way-loop path; nil for
+	// a direct-mapped cache until SetGeneric asks for that path.
+	lru   []uint64
 	clock uint64
 
-	// sharedBit is allocated lazily by SetShared; only coherence-level
-	// caches (the data L2) pay for it.
-	sharedBit []bool
-
-	// generic forces the way-loop/LRU access path even when assoc==1
-	// (the -reference oracle); the direct-mapped specialization is used
-	// otherwise. State layout is identical either way.
-	generic bool
+	// dm selects the direct-mapped specialization: assoc==1 and the
+	// generic way-loop/LRU path (the -reference oracle) not forced.
+	// State layout is identical either way.
+	dm bool
 
 	// residents counts valid lines, and frameRes counts valid lines per
 	// physical page frame, so ResidentBlocks and InvalidateFrame need no
 	// line scan. Both are maintained by every fill/invalidate.
 	residents int
 	frameRes  []uint16 // ≤ 256 blocks per 4 KB frame
+}
+
+// Line-word flag bits. The order makes StateHash's per-line word
+// block<<3 | flags, the value it has always folded.
+const (
+	lineShared = 1 << iota // coherence Shared state (data L2 only)
+	lineValid
+	lineDirty
+	lineFlags = arch.BlockSize - 1
+)
+
+// A block address must leave the three flag bits free.
+const _ = uint(arch.BlockShift - 3)
+
+// holds reports whether line word w is a valid copy of block b, in any
+// dirty/shared state.
+func holds(w uint32, b arch.PAddr) bool {
+	return w&^(lineDirty|lineShared) == uint32(b)|lineValid
+}
+
+// lineBlock returns the block address held in a valid line word.
+func lineBlock(w uint32) arch.PAddr { return arch.PAddr(w &^ lineFlags) }
+
+// fillWord is the line word of a freshly filled block: valid, not
+// Shared, dirty iff the fill was a write.
+func fillWord(b arch.PAddr, write bool) uint32 {
+	if write {
+		return uint32(b) | lineValid | lineDirty
+	}
+	return uint32(b) | lineValid
 }
 
 // New returns a cache of the given total size in bytes and associativity.
@@ -61,24 +91,31 @@ func New(name string, size, assoc int) *Cache {
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: %d sets is not a power of two", name, sets))
 	}
-	return &Cache{
+	c := &Cache{
 		name:     name,
 		size:     size,
 		assoc:    assoc,
 		sets:     sets,
-		valid:    make([]bool, lines),
-		tag:      make([]arch.PAddr, lines),
-		dirty:    make([]bool, lines),
-		lru:      make([]uint64, lines),
+		line:     make([]uint32, lines),
+		dm:       assoc == 1,
 		frameRes: make([]uint16, arch.MemFrames),
 	}
+	if !c.dm {
+		c.lru = make([]uint64, lines)
+	}
+	return c
 }
 
 // SetGeneric forces the generic set-associative access path even for
 // direct-mapped caches (the -reference oracle). Call it before any traffic;
 // both paths keep the same state layout, so results are identical either
 // way — that identity is exactly what the oracle exists to prove.
-func (c *Cache) SetGeneric(g bool) { c.generic = g }
+func (c *Cache) SetGeneric(g bool) {
+	c.dm = c.assoc == 1 && !g
+	if g && c.lru == nil {
+		c.lru = make([]uint64, len(c.line))
+	}
+}
 
 // Name returns the cache's identifying name.
 func (c *Cache) Name() string { return c.name }
@@ -97,9 +134,6 @@ func (c *Cache) SetOf(a arch.PAddr) int {
 	return int(uint32(a)>>arch.BlockShift) & (c.sets - 1)
 }
 
-// line index helpers
-func (c *Cache) lineIdx(set, way int) int { return set*c.assoc + way }
-
 // Lookup reports whether the block containing a is resident, without
 // changing any state.
 func (c *Cache) Lookup(a arch.PAddr) bool {
@@ -109,20 +143,11 @@ func (c *Cache) Lookup(a arch.PAddr) bool {
 
 func (c *Cache) find(a arch.PAddr) (idx int, ok bool) {
 	b := a.Block()
-	if c.assoc == 1 {
-		// Direct-mapped: the set IS the line; no way loop. This is a pure
-		// strength reduction (a one-iteration loop unrolled), so it is
-		// safe on the -reference oracle path too.
-		i := int(uint32(a)>>arch.BlockShift) & (c.sets - 1)
-		if c.valid[i] && c.tag[i] == b {
-			return i, true
-		}
-		return 0, false
-	}
-	set := c.SetOf(a)
-	for w := 0; w < c.assoc; w++ {
-		i := c.lineIdx(set, w)
-		if c.valid[i] && c.tag[i] == b {
+	// Direct-mapped: the set IS the line, so the way loop runs once (a
+	// pure strength reduction, safe on the -reference oracle path too).
+	base := c.SetOf(a) * c.assoc
+	for i := base; i < base+c.assoc; i++ {
+		if holds(c.line[i], b) {
 			return i, true
 		}
 	}
@@ -149,15 +174,34 @@ type Eviction struct {
 	Dirty bool
 }
 
+// install puts word w in line i, which a miss chose as its victim, keeping
+// the resident counters exact, and returns the word it displaced.
+func (c *Cache) install(i int, w uint32) (old uint32) {
+	old = c.line[i]
+	if old != 0 {
+		c.frameDec(lineBlock(old).Frame())
+	} else {
+		c.residents++
+	}
+	c.frameInc(lineBlock(w).Frame())
+	c.line[i] = w
+	return old
+}
+
+// evictionOf describes the block a displaced line word held (ok=false for
+// an empty line).
+func evictionOf(old uint32) (evicted Eviction, ok bool) {
+	return Eviction{Block: lineBlock(old), Dirty: old&lineDirty != 0}, old != 0
+}
+
 // ReadHit reports whether a load of the block containing a hits on the
 // direct-mapped fast path, touching no state. A direct-mapped read hit has
 // no side effects, so callers may skip Access entirely when it returns
 // true. It always returns false when the generic oracle path is in force
 // (or assoc > 1): callers then fall through to the full Access path.
-// Small by design so it inlines into the bus hot paths.
+// Small by design so it inlines into the bus and sim hot paths.
 func (c *Cache) ReadHit(a arch.PAddr) bool {
-	i := int(uint32(a)>>arch.BlockShift) & (c.sets - 1)
-	return c.assoc == 1 && !c.generic && c.valid[i] && c.tag[i] == a.Block()
+	return c.dm && holds(c.line[c.SetOf(a)], a.Block())
 }
 
 // Access touches the block containing a. write marks the block dirty.
@@ -165,85 +209,43 @@ func (c *Cache) ReadHit(a arch.PAddr) bool {
 // valid block was displaced, evicted describes it (ok=false when the set had
 // an empty way).
 func (c *Cache) Access(a arch.PAddr, write bool) (hit bool, evicted Eviction, ok bool) {
-	if c.assoc == 1 && !c.generic {
+	if c.dm {
 		// Direct-mapped fast path: one index computation, no clock tick
 		// and no LRU stamp (neither is observable with a single way).
 		b := a.Block()
-		i := int(uint32(a)>>arch.BlockShift) & (c.sets - 1)
-		if c.valid[i] {
-			if c.tag[i] == b {
-				if write {
-					c.dirty[i] = true
-				}
-				return true, Eviction{}, false
+		i := c.SetOf(a)
+		if w := c.line[i]; holds(w, b) {
+			if write {
+				c.line[i] = w | lineDirty
 			}
-			evicted = Eviction{Block: c.tag[i], Dirty: c.dirty[i]}
-			ok = true
-			c.frameDec(evicted.Block.Frame())
-		} else {
-			c.valid[i] = true
-			c.residents++
+			return true, Eviction{}, false
 		}
-		c.frameInc(b.Frame())
-		c.tag[i] = b
-		c.dirty[i] = write
-		if c.sharedBit != nil {
-			c.sharedBit[i] = false
-		}
+		evicted, ok = evictionOf(c.install(i, fillWord(b, write)))
 		return false, evicted, ok
 	}
 	c.clock++
 	if i, found := c.find(a); found {
 		c.lru[i] = c.clock
 		if write {
-			c.dirty[i] = true
+			c.line[i] |= lineDirty
 		}
 		return true, Eviction{}, false
 	}
-	i, ev, hadEv := c.fill(a)
-	if write {
-		c.dirty[i] = true
-	}
-	return false, ev, hadEv
-}
-
-// fill installs the block containing a, returning the line index used and
-// the eviction, if any.
-func (c *Cache) fill(a arch.PAddr) (idx int, evicted Eviction, ok bool) {
-	b := a.Block()
-	set := c.SetOf(a)
-	// Prefer an invalid way.
-	victim := -1
-	var oldest uint64 = ^uint64(0)
-	for w := 0; w < c.assoc; w++ {
-		i := c.lineIdx(set, w)
-		if !c.valid[i] {
+	// Miss: prefer an invalid way, else the least recently used.
+	base := c.SetOf(a) * c.assoc
+	victim := base
+	for i := base; i < base+c.assoc; i++ {
+		if c.line[i] == 0 {
 			victim = i
-			ok = false
-			oldest = 0
 			break
 		}
-		if c.lru[i] < oldest {
-			oldest = c.lru[i]
+		if c.lru[i] < c.lru[victim] {
 			victim = i
 		}
 	}
-	if c.valid[victim] {
-		evicted = Eviction{Block: c.tag[victim], Dirty: c.dirty[victim]}
-		ok = true
-		c.frameDec(evicted.Block.Frame())
-	} else {
-		c.residents++
-	}
-	c.frameInc(b.Frame())
-	c.valid[victim] = true
-	c.tag[victim] = b
-	c.dirty[victim] = false
 	c.lru[victim] = c.clock
-	if c.sharedBit != nil {
-		c.sharedBit[victim] = false
-	}
-	return victim, evicted, ok
+	evicted, ok = evictionOf(c.install(victim, fillWord(a.Block(), write)))
+	return false, evicted, ok
 }
 
 // Peek returns the resident block in the (only) way of the set that a maps
@@ -251,13 +253,15 @@ func (c *Cache) fill(a arch.PAddr) (idx int, evicted Eviction, ok bool) {
 // most-recently-used resident block in the set. ok is false if the relevant
 // way is empty. It is used by tests and by the mirror-cache reconstruction.
 func (c *Cache) Peek(a arch.PAddr) (block arch.PAddr, ok bool) {
-	set := c.SetOf(a)
+	base := c.SetOf(a) * c.assoc
+	if c.assoc == 1 {
+		return lineBlock(c.line[base]), c.line[base] != 0
+	}
 	var best uint64
-	for w := 0; w < c.assoc; w++ {
-		i := c.lineIdx(set, w)
-		if c.valid[i] && c.lru[i] >= best {
+	for i := base; i < base+c.assoc; i++ {
+		if c.line[i] != 0 && c.lru[i] >= best {
 			best = c.lru[i]
-			block = c.tag[i]
+			block = lineBlock(c.line[i])
 			ok = true
 		}
 	}
@@ -268,10 +272,11 @@ func (c *Cache) Peek(a arch.PAddr) (block arch.PAddr, ok bool) {
 // it was resident and whether it was dirty.
 func (c *Cache) Invalidate(a arch.PAddr) (wasResident, wasDirty bool) {
 	if i, found := c.find(a); found {
-		c.valid[i] = false
+		wasDirty = c.line[i]&lineDirty != 0
+		c.line[i] = 0
 		c.residents--
 		c.frameDec(a.Frame())
-		return true, c.dirty[i]
+		return true, wasDirty
 	}
 	return false, false
 }
@@ -293,7 +298,7 @@ func (c *Cache) InvalidateFrame(frame uint32) int {
 	base := arch.PAddr(frame) << arch.PageShift
 	for o := 0; o < arch.PageSize && n < want; o += arch.BlockSize {
 		if i, found := c.find(base + arch.PAddr(o)); found {
-			c.valid[i] = false
+			c.line[i] = 0
 			n++
 		}
 	}
@@ -304,26 +309,22 @@ func (c *Cache) InvalidateFrame(frame uint32) int {
 
 // InvalidateAll empties the cache.
 func (c *Cache) InvalidateAll() {
-	for i := range c.valid {
-		c.valid[i] = false
-	}
-	for i := range c.frameRes {
-		c.frameRes[i] = 0
-	}
+	clear(c.line)
+	clear(c.frameRes)
 	c.residents = 0
 }
 
 // NumLines returns the total number of lines, valid or not.
-func (c *Cache) NumLines() int { return len(c.valid) }
+func (c *Cache) NumLines() int { return len(c.line) }
 
 // LineAt returns the block resident in line i (ok=false for an invalid
 // line or out-of-range index). The fault injector uses it to pick random
 // eviction victims.
 func (c *Cache) LineAt(i int) (block arch.PAddr, ok bool) {
-	if i < 0 || i >= len(c.valid) || !c.valid[i] {
+	if i < 0 || i >= len(c.line) || c.line[i] == 0 {
 		return 0, false
 	}
-	return c.tag[i], true
+	return lineBlock(c.line[i]), true
 }
 
 // ResidentBlocks returns the number of valid lines (used by tests and the
@@ -353,26 +354,15 @@ func fnvMix(h, v uint64) uint64 {
 }
 
 // StateHash folds the cache's architectural contents — per-line validity,
-// tag, dirty bit and (when allocated) shared bit — into a running FNV-1a
-// fingerprint. LRU stamps are excluded: they are an implementation detail
-// of the replacement policy, and two runs that took the same trajectory
-// have identical stamps anyway. The sampled-simulation tests use the
+// block, dirty bit and shared bit — into a running FNV-1a fingerprint. LRU
+// stamps are excluded: they are an implementation detail of the
+// replacement policy, and two runs that took the same trajectory have
+// identical stamps anyway. The sampled-simulation tests use the
 // fingerprint to prove that a sampled run ends in exactly the cache state
 // of a full-detail run.
 func (c *Cache) StateHash(h uint64) uint64 {
-	for i := range c.valid {
-		if !c.valid[i] {
-			h = fnvMix(h, 0)
-			continue
-		}
-		w := uint64(c.tag[i])<<3 | 1<<1
-		if c.dirty[i] {
-			w |= 1 << 2
-		}
-		if c.sharedBit != nil && c.sharedBit[i] {
-			w |= 1
-		}
-		h = fnvMix(h, w)
+	for _, w := range c.line {
+		h = fnvMix(h, uint64(w&^lineFlags)<<3|uint64(w&lineFlags))
 	}
 	return h
 }

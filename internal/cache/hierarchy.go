@@ -27,7 +27,7 @@ func NewDataHierarchy(name string, m arch.Machine) *DataHierarchy {
 		L1: New(name+".L1", m.DCacheL1Size, m.DCacheL1Assoc),
 		L2: New(name+".L2", m.DCacheL2Size, m.DCacheL2Assoc),
 	}
-	h.dm = h.L1.assoc == 1 && h.L2.assoc == 1
+	h.dm = h.L1.dm && h.L2.dm
 	return h
 }
 
@@ -36,7 +36,7 @@ func NewDataHierarchy(name string, m arch.Machine) *DataHierarchy {
 func (h *DataHierarchy) SetGeneric(g bool) {
 	h.L1.SetGeneric(g)
 	h.L2.SetGeneric(g)
-	h.dm = !g && h.L1.assoc == 1 && h.L2.assoc == 1
+	h.dm = h.L1.dm && h.L2.dm
 }
 
 // DataResult reports where a data reference was satisfied.
@@ -84,20 +84,72 @@ type DataAccess struct {
 // direct-mapped fast path, touching no state (a direct-mapped read hit has
 // no side effects). It always returns false when the generic oracle path
 // is in force: callers then fall through to the full Access path. Small by
-// design so it inlines into the bus hot paths.
+// design so it inlines into the bus and sim hot paths.
 func (h *DataHierarchy) ReadHitL1(a arch.PAddr) bool {
-	l1 := h.L1
-	i := int(uint32(a)>>arch.BlockShift) & (l1.sets - 1)
-	return h.dm && l1.valid[i] && l1.tag[i] == a.Block()
+	return h.dm && holds(h.L1.line[h.L1.SetOf(a)], a.Block())
+}
+
+// WriteHit is ReadHitL1's counterpart for stores: it reports whether a
+// store to the block containing a hits L1 with both levels already holding
+// the block Modified (valid, dirty, not Shared). Such a store changes no
+// line and needs no upgrade, so callers may skip Access when it returns
+// true. False on the generic oracle path, like ReadHitL1.
+func (h *DataHierarchy) WriteHit(a arch.PAddr) bool {
+	m := uint32(a.Block()) | lineValid | lineDirty
+	return h.dm && h.L1.line[h.L1.SetOf(a)] == m && h.L2.line[h.L2.SetOf(a)] == m
 }
 
 // Access performs a data load or store at physical address a, reporting the
 // level of the hit and carrying L2 eviction/write-back information so the
 // bus can emit write-back transactions.
+//
+// The body is the direct-mapped specialization: the block and both set
+// indices are computed once and each level costs one line-word load. It is
+// state-for-state identical to the generic path (LRU stamps and the access
+// clock are unobservable with a single way).
 func (h *DataHierarchy) Access(a arch.PAddr, write bool) DataAccess {
-	if h.dm {
-		return h.accessDM(a, write)
+	if !h.dm {
+		return h.accessGeneric(a, write)
 	}
+	b := a.Block()
+	l1, l2 := h.L1, h.L2
+	i1, i2 := l1.SetOf(a), l2.SetOf(a)
+	if w1 := l1.line[i1]; holds(w1, b) {
+		if write {
+			l1.line[i1] = w1 | lineDirty
+			// Keep the L2 copy's dirtiness in sync so write-backs are
+			// not lost when the L1 copy is silently displaced later.
+			if w2 := l2.line[i2]; holds(w2, b) {
+				l2.line[i2] = w2 | lineDirty
+				return DataAccess{Result: DataL1Hit, WasShared: w2&lineShared != 0}
+			}
+		}
+		return DataAccess{Result: DataL1Hit}
+	}
+	// L1 miss: install the block (the displaced copy needs no write-back;
+	// L2 carries the dirtiness).
+	l1.install(i1, fillWord(b, write))
+	// Probe L2.
+	if w2 := l2.line[i2]; holds(w2, b) {
+		if write {
+			l2.line[i2] = w2 | lineDirty
+			return DataAccess{Result: DataL2Hit, WasShared: w2&lineShared != 0}
+		}
+		return DataAccess{Result: DataL2Hit}
+	}
+	res := DataAccess{Result: DataMiss}
+	res.L2Evicted, res.L2HadEv = evictionOf(l2.install(i2, fillWord(b, write)))
+	if res.L2HadEv {
+		res.WriteBack = res.L2Evicted.Dirty
+		// Inclusion: the block displaced from L2 must leave L1.
+		l1.Invalidate(res.L2Evicted.Block)
+	}
+	return res
+}
+
+// accessGeneric is Access through the two caches' own Access methods, for
+// set-associative levels and the -reference oracle.
+func (h *DataHierarchy) accessGeneric(a arch.PAddr, write bool) DataAccess {
 	// Observe the coherence Shared state before the access can change the
 	// line (write hits never touch the shared bit, so this equals the
 	// pre-access state on every hit path; misses report false).
@@ -125,79 +177,6 @@ func (h *DataHierarchy) Access(a arch.PAddr, write bool) DataAccess {
 		res.WriteBack = ev2.Dirty
 		// Inclusion: the block displaced from L2 must leave L1.
 		h.L1.Invalidate(ev2.Block)
-	}
-	return res
-}
-
-// accessDM is the direct-mapped specialization of Access: the block and
-// both set indices are computed once, and the L1 fill, L2 probe and L2
-// fill/eviction are inlined with the resident counters maintained in
-// place. It is state-for-state identical to the generic path (LRU stamps
-// and the access clock are unobservable with a single way).
-func (h *DataHierarchy) accessDM(a arch.PAddr, write bool) DataAccess {
-	b := a.Block()
-	l1, l2 := h.L1, h.L2
-	bi := int(uint32(a) >> arch.BlockShift)
-	i1 := bi & (l1.sets - 1)
-	i2 := bi & (l2.sets - 1)
-	if l1.valid[i1] && l1.tag[i1] == b {
-		if write {
-			l1.dirty[i1] = true
-			// Keep the L2 copy's dirtiness in sync so write-backs are
-			// not lost when the L1 copy is silently displaced later.
-			// The shared bit is read before the dirty update, but the
-			// update never touches it, so this is the pre-access state.
-			if l2.valid[i2] && l2.tag[i2] == b {
-				l2.dirty[i2] = true
-				if l2.sharedBit != nil && l2.sharedBit[i2] {
-					return DataAccess{Result: DataL1Hit, WasShared: true}
-				}
-			}
-		}
-		return DataAccess{Result: DataL1Hit}
-	}
-	// L1 miss: install the block (the displaced copy needs no write-back;
-	// L2 carries the dirtiness).
-	if l1.valid[i1] {
-		l1.frameDec(l1.tag[i1].Frame())
-	} else {
-		l1.valid[i1] = true
-		l1.residents++
-	}
-	l1.frameInc(b.Frame())
-	l1.tag[i1] = b
-	l1.dirty[i1] = write
-	if l1.sharedBit != nil {
-		l1.sharedBit[i1] = false
-	}
-	// Probe L2.
-	if l2.valid[i2] && l2.tag[i2] == b {
-		if write {
-			l2.dirty[i2] = true
-			if l2.sharedBit != nil && l2.sharedBit[i2] {
-				return DataAccess{Result: DataL2Hit, WasShared: true}
-			}
-		}
-		return DataAccess{Result: DataL2Hit}
-	}
-	res := DataAccess{Result: DataMiss}
-	if l2.valid[i2] {
-		ev := Eviction{Block: l2.tag[i2], Dirty: l2.dirty[i2]}
-		res.L2Evicted = ev
-		res.L2HadEv = true
-		res.WriteBack = ev.Dirty
-		l2.frameDec(ev.Block.Frame())
-		// Inclusion: the block displaced from L2 must leave L1.
-		l1.Invalidate(ev.Block)
-	} else {
-		l2.valid[i2] = true
-		l2.residents++
-	}
-	l2.frameInc(b.Frame())
-	l2.tag[i2] = b
-	l2.dirty[i2] = write
-	if l2.sharedBit != nil {
-		l2.sharedBit[i2] = false
 	}
 	return res
 }

@@ -24,15 +24,9 @@ type Journal struct {
 }
 
 type lineSave struct {
-	c     *Cache
-	idx   int32
-	valid bool
-	dirty bool
-	// shared is the saved coherence bit. When the cache's sharedBit
-	// array is still unallocated it records false — correct, because
-	// the array only appears via SetShared, which allocates it all-false.
-	shared bool
-	tag    arch.PAddr
+	c    *Cache
+	idx  int32
+	word uint32 // the whole pre-access line word
 }
 
 // Len returns the number of saves, for checkpointing.
@@ -42,31 +36,18 @@ func (j *Journal) Len() int { return len(j.saves) }
 // the whole run was abandoned).
 func (j *Journal) Reset() { j.saves = j.saves[:0] }
 
-func dmLine(c *Cache, a arch.PAddr) int {
-	return int(uint32(a)>>arch.BlockShift) & (c.sets - 1)
-}
-
 func (j *Journal) save(c *Cache, idx int) {
-	s := lineSave{
-		c:     c,
-		idx:   int32(idx),
-		valid: c.valid[idx],
-		dirty: c.dirty[idx],
-		tag:   c.tag[idx],
-	}
-	if c.sharedBit != nil {
-		s.shared = c.sharedBit[idx]
-	}
-	j.saves = append(j.saves, s)
-	if s.valid && j.Dep != nil {
-		j.Dep(s.tag)
+	w := c.line[idx]
+	j.saves = append(j.saves, lineSave{c: c, idx: int32(idx), word: w})
+	if w != 0 && j.Dep != nil {
+		j.Dep(lineBlock(w))
 	}
 }
 
 // SaveI records the pre-state of the one instruction-cache line a fetch
 // of a can modify.
 func (j *Journal) SaveI(c *Cache, a arch.PAddr) {
-	j.save(c, dmLine(c, a))
+	j.save(c, c.SetOf(a))
 }
 
 // SaveData records the pre-state of every line a data access of a can
@@ -75,15 +56,13 @@ func (j *Journal) SaveI(c *Cache, a arch.PAddr) {
 // invalidates it).
 func (j *Journal) SaveData(h *DataHierarchy, a arch.PAddr) {
 	l1, l2 := h.L1, h.L2
-	b := a.Block()
-	i1 := dmLine(l1, a)
-	i2 := dmLine(l2, a)
+	i1 := l1.SetOf(a)
+	i2 := l2.SetOf(a)
 	j.save(l1, i1)
 	j.save(l2, i2)
-	if l2.valid[i2] && l2.tag[i2] != b {
-		// The fill will evict l2.tag[i2]; inclusion removes it from L1.
-		vi := dmLine(l1, l2.tag[i2])
-		if vi != i1 {
+	if w := l2.line[i2]; w != 0 && !holds(w, a.Block()) {
+		// The fill will evict this block; inclusion removes it from L1.
+		if vi := l1.SetOf(lineBlock(w)); vi != i1 {
 			j.save(l1, vi)
 		}
 	}
@@ -96,21 +75,15 @@ func (j *Journal) TruncateTo(n int) {
 	for i := len(j.saves) - 1; i >= n; i-- {
 		s := &j.saves[i]
 		c := s.c
-		idx := int(s.idx)
-		if c.valid[idx] {
+		if w := c.line[s.idx]; w != 0 {
 			c.residents--
-			c.frameDec(c.tag[idx].Frame())
+			c.frameDec(lineBlock(w).Frame())
 		}
-		if s.valid {
+		if s.word != 0 {
 			c.residents++
-			c.frameInc(s.tag.Frame())
+			c.frameInc(lineBlock(s.word).Frame())
 		}
-		c.valid[idx] = s.valid
-		c.tag[idx] = s.tag
-		c.dirty[idx] = s.dirty
-		if c.sharedBit != nil {
-			c.sharedBit[idx] = s.shared
-		}
+		c.line[s.idx] = s.word
 	}
 	j.saves = j.saves[:n]
 }

@@ -9,44 +9,26 @@ import (
 // cacheState is a deep copy of every piece of Cache state the journal is
 // responsible for restoring.
 type cacheState struct {
-	valid     []bool
-	tag       []arch.PAddr
-	dirty     []bool
-	shared    []bool
+	line      []uint32
 	residents int
 	frameRes  []uint16
 }
 
 func captureState(c *Cache) cacheState {
-	s := cacheState{
-		valid:     append([]bool(nil), c.valid...),
-		tag:       append([]arch.PAddr(nil), c.tag...),
-		dirty:     append([]bool(nil), c.dirty...),
+	return cacheState{
+		line:      append([]uint32(nil), c.line...),
 		residents: c.residents,
 		frameRes:  append([]uint16(nil), c.frameRes...),
 	}
-	if c.sharedBit != nil {
-		s.shared = append([]bool(nil), c.sharedBit...)
-	}
-	return s
 }
 
 func checkState(t *testing.T, c *Cache, want cacheState) {
 	t.Helper()
-	for i := range want.valid {
-		if c.valid[i] != want.valid[i] {
-			t.Errorf("%s line %d: valid %v, want %v", c.name, i, c.valid[i], want.valid[i])
-		}
-		// tag is observable only where valid, and the journal guarantees
-		// no more than that.
-		if want.valid[i] && c.tag[i] != want.tag[i] {
-			t.Errorf("%s line %d: tag %#x, want %#x", c.name, i, c.tag[i], want.tag[i])
-		}
-		if c.dirty[i] != want.dirty[i] {
-			t.Errorf("%s line %d: dirty %v, want %v", c.name, i, c.dirty[i], want.dirty[i])
-		}
-		if want.shared != nil && c.sharedBit[i] != want.shared[i] {
-			t.Errorf("%s line %d: shared %v, want %v", c.name, i, c.sharedBit[i], want.shared[i])
+	for i, w := range want.line {
+		// The packed word is the line's whole state: block, valid, dirty
+		// and shared restore together or not at all.
+		if c.line[i] != w {
+			t.Errorf("%s line %d: word %#x, want %#x", c.name, i, c.line[i], w)
 		}
 	}
 	if c.residents != want.residents {

@@ -1,8 +1,8 @@
 package cache
 
 // Coherence-state helpers. The bus package implements a MESI-like
-// invalidation protocol on top of the per-line valid/dirty bits plus the
-// shared bit maintained here:
+// invalidation protocol on top of the valid, dirty and shared bits of the
+// packed line word:
 //
 //	Invalid    = !valid
 //	Shared     = valid && shared
@@ -14,31 +14,23 @@ package cache
 
 import "repro/internal/arch"
 
-func (c *Cache) ensureShared() {
-	if c.sharedBit == nil {
-		c.sharedBit = make([]bool, len(c.valid))
-	}
-}
-
 // SetShared sets the coherence shared bit of the resident block containing
 // a. It is a no-op if the block is not resident.
 func (c *Cache) SetShared(a arch.PAddr, shared bool) {
 	if i, ok := c.find(a); ok {
-		c.ensureShared()
-		c.sharedBit[i] = shared
+		if shared {
+			c.line[i] |= lineShared
+		} else {
+			c.line[i] &^= lineShared
+		}
 	}
 }
 
 // Shared reports the coherence shared bit of the block containing a
 // (false if not resident).
 func (c *Cache) Shared(a arch.PAddr) bool {
-	if c.sharedBit == nil {
-		return false
-	}
-	if i, ok := c.find(a); ok {
-		return c.sharedBit[i]
-	}
-	return false
+	i, ok := c.find(a)
+	return ok && c.line[i]&lineShared != 0
 }
 
 // SnoopRead services a remote read snoop at the coherence level in one
@@ -48,27 +40,22 @@ func (c *Cache) Shared(a arch.PAddr) bool {
 // of the bus's snoop loop, without the three separate finds.
 func (c *Cache) SnoopRead(a arch.PAddr) bool {
 	i, ok := c.find(a)
-	if !ok {
-		return false
+	if ok {
+		c.line[i] = c.line[i]&^lineDirty | lineShared
 	}
-	c.dirty[i] = false
-	c.ensureShared()
-	c.sharedBit[i] = true
-	return true
+	return ok
 }
 
 // Dirty reports whether the block containing a is resident and dirty.
 func (c *Cache) Dirty(a arch.PAddr) bool {
-	if i, ok := c.find(a); ok {
-		return c.dirty[i]
-	}
-	return false
+	i, ok := c.find(a)
+	return ok && c.line[i]&lineDirty != 0
 }
 
 // Clean clears the dirty bit of the block containing a (after a snoop
 // supplies the data to another CPU and memory is updated).
 func (c *Cache) Clean(a arch.PAddr) {
 	if i, ok := c.find(a); ok {
-		c.dirty[i] = false
+		c.line[i] &^= lineDirty
 	}
 }

@@ -204,7 +204,7 @@ func DSweep(stream []trace.DResimEvent, ncpu int, configs []Config) []DPoint {
 			}
 			if e.Inval {
 				for q := 0; q < ncpu; q++ {
-					if arch.CPUID(q) == e.CPU {
+					if q == int(e.CPU) {
 						continue
 					}
 					if was, _ := caches[q].Invalidate(a); was {

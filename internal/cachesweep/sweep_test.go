@@ -3,7 +3,6 @@ package cachesweep
 import (
 	"testing"
 
-	"repro/internal/arch"
 	"repro/internal/trace"
 )
 
@@ -111,7 +110,7 @@ func TestFigure6ShapeMonotone(t *testing.T) {
 }
 
 func dev(block uint32, cpu int, os, fill, inval bool) trace.DResimEvent {
-	return trace.DResimEvent{Block: block, CPU: arch.CPUID(cpu), OS: os, Fill: fill, Inval: inval}
+	return trace.DResimEvent{Block: block, CPU: uint8(cpu), OS: os, Fill: fill, Inval: inval}
 }
 
 func TestDSweepSharingFloor(t *testing.T) {

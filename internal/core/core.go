@@ -263,6 +263,9 @@ func RunMonitored(ctx context.Context, cfg Config, onStart func(progress func() 
 			panic("core: sampling cannot collect resim streams (they need every transaction)")
 		}
 	}
+	if (cfg.CollectIResim || cfg.CollectDResim) && cfg.NCPU > trace.MaxResimCPUs {
+		panic(fmt.Sprintf("core: resim streams cover at most %d CPUs, not %d", trace.MaxResimCPUs, cfg.NCPU))
+	}
 	s := sim.New(sim.Config{
 		Machine:        cfg.Machine,
 		NCPU:           cfg.NCPU,

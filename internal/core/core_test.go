@@ -96,6 +96,17 @@ func TestFigure6RequiresIResim(t *testing.T) {
 	ch.Figure6()
 }
 
+// TestResimRejectsTooManyCPUs: the resim events carry the CPU in one byte,
+// so a collecting run on a wider machine is refused before it starts.
+func TestResimRejectsTooManyCPUs(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("CollectIResim on 300 CPUs did not panic")
+		}
+	}()
+	Run(Config{Workload: workload.Pmake, NCPU: 300, Window: 100_000, CollectIResim: true})
+}
+
 func TestFigure6Works(t *testing.T) {
 	ch := small(t, Config{Workload: workload.Pmake, CollectIResim: true})
 	res := ch.Figure6()

@@ -1,11 +1,15 @@
 package report
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/machineflag"
 	"repro/internal/runner"
+	"repro/internal/workload"
 )
 
 // TestReportsByteIdenticalPerSeed is the replay guarantee the fault
@@ -110,6 +114,52 @@ func TestFastMatchesReferenceReports(t *testing.T) {
 			}
 			t.Fatalf("parallelism %d: reports differ in length: %d vs %d bytes",
 				par, len(fast), len(reference))
+		}
+	}
+}
+
+// TestHitFilterIdentity is the hit filter's end-to-end oracle. A default
+// run answers state-free hits at the CPU; a -reference run and a checked
+// run both send every reference through the bus (the oracles above compare
+// checked runs with each other, so on their own they never see the filter).
+// With the filter on or off the machine must end in the same state, with
+// the same bus statistics and per-CPU time, and render the same report —
+// for all three workloads on the 4D/340 and the 8-CPU 4D/380.
+func TestHitFilterIdentity(t *testing.T) {
+	m380, err := machineflag.Preset("4d380")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The config line is the hash, which names the mode; nothing else may
+	// differ.
+	body := func(ch *core.Characterization) string {
+		lines := splitLines(Single(ch))
+		return strings.Join(append(lines[:1:1], lines[2:]...), "\n")
+	}
+	for _, m := range []arch.Machine{arch.Default(), m380} {
+		for _, k := range []workload.Kind{workload.Pmake, workload.Multpgm, workload.Oracle} {
+			cfg := core.Config{Workload: k, Machine: m, Window: 2_000_000, Warmup: 1_000_000, Seed: 11}
+			filtered := core.Run(cfg)
+			for _, mode := range []string{"reference", "check"} {
+				off := cfg
+				off.Reference, off.Check = mode == "reference", mode == "check"
+				plain := core.Run(off)
+				what := fmt.Sprintf("%v/ncpu%d filtered vs %s", k, m.NCPU, mode)
+				if a, b := filtered.Sim.StateHash(), plain.Sim.StateHash(); a != b {
+					t.Errorf("%s: machine state %#x vs %#x", what, a, b)
+				}
+				if a, b := filtered.Sim.Bus.Stats, plain.Sim.Bus.Stats; a != b {
+					t.Errorf("%s: bus stats %+v vs %+v", what, a, b)
+				}
+				for i, c := range filtered.Sim.CPUs {
+					p := plain.Sim.CPUs[i]
+					if c.Time != p.Time || c.Stall != p.Stall || c.L2Stall != p.L2Stall {
+						t.Errorf("%s: cpu %d time/stall/l2stall %v %v %v vs %v %v %v",
+							what, i, c.Time, c.Stall, c.L2Stall, p.Time, p.Stall, p.L2Stall)
+					}
+				}
+				diffLines(t, what, body(filtered), body(plain))
+			}
 		}
 	}
 }

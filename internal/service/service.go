@@ -573,14 +573,17 @@ func (s *Server) Submit(req Request) (*Job, error) {
 		case s.queue <- job:
 		default:
 			// Shed: unwind the registration and roll the singleflight
-			// claim back so a retry can lead.
+			// claim back so a retry can lead. The claim is dropped before
+			// s.mu is released: Begin only runs under s.mu, so no other
+			// Submit of this hash can join the doomed entry as a follower
+			// and be accepted only to end canceled.
 			delete(s.jobs, job.ID)
 			s.order = s.order[:len(s.order)-1]
 			s.jobWG.Done()
-			s.mu.Unlock()
 			if entry != nil {
 				s.store.Abandon(hash, entry, Outcome{Err: ErrSaturated})
 			}
+			s.mu.Unlock()
 			s.shed.Add(1)
 			return nil, ErrSaturated
 		}

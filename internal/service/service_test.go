@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -163,6 +164,92 @@ func TestShedsWith429WhenSaturated(t *testing.T) {
 	}
 	if srv.Stats().Shed == 0 {
 		t.Error("shed counter never moved")
+	}
+}
+
+// TestShedNeverAdmitsFollower: with the worker pinned and the depth-1 queue
+// full, a submission is shed while a second one of the same config arrives.
+// The second must be shed too (or run, had a slot opened) — never join the
+// first's doomed singleflight claim, be accepted with 202 and then end
+// "canceled: admission queue full". What rules that out is that the claim
+// is dropped inside the admission critical section that made it. The test
+// polls the claim's shard until it catches the claim in the store, keeps
+// the shard locked so the shedding Submit can get no further than
+// store.Abandon, and requires admission to stay closed meanwhile. Catching
+// takes a few rounds; every round, caught or not, a second Submit of the
+// same config follows and both must be shed.
+func TestShedNeverAdmitsFollower(t *testing.T) {
+	// Spare processors: the pinned run occupies one, and the poller must
+	// run beside the submitter to catch its claim.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	srv, _ := newTestServer(t, Options{
+		Workers: 1, QueueDepth: 1, Logf: func(string, ...any) {},
+		DrainFinish: false, DrainTimeout: 10 * time.Second,
+	})
+	defer srv.Drain() // cancels the pinned long runs
+
+	pinned, err := srv.Submit(longReq(61))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pinned.Snapshot().State != StateRunning {
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := srv.Submit(longReq(62)); err != nil {
+		t.Fatalf("queue-filler rejected: %v", err)
+	}
+
+	caught := false
+	for round := 0; round < 2000 && !caught && !t.Failed(); round++ {
+		req := longReq(int64(1000 + round))
+		cfg, err := req.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.SimWorkers = srv.simWorkersFor(req.SimWorkers)
+		hash := cfg.Hash()
+		sh := srv.store.shardFor(hash)
+		shed := make(chan error, 2)
+		submit := func() {
+			_, err := srv.Submit(req)
+			shed <- err
+		}
+		results := 0
+		collect := func(err error) {
+			results++
+			if !errors.Is(err, ErrSaturated) {
+				t.Errorf("round %d: Submit returned %v, want ErrSaturated", round, err)
+			}
+		}
+		go submit()
+		for results == 0 && !caught {
+			sh.mu.Lock()
+			if _, caught = sh.entries[hash]; caught {
+				// Give the shedding Submit time to reach Abandon: it must
+				// not have reopened admission on the way.
+				time.Sleep(5 * time.Millisecond)
+				if srv.mu.TryLock() {
+					srv.mu.Unlock()
+					t.Errorf("round %d: admission reopened while the shed claim is still in the store", round)
+				}
+			}
+			sh.mu.Unlock()
+			select {
+			case err := <-shed:
+				collect(err)
+			default:
+			}
+		}
+		go submit() // the second submission of the same config
+		for results < 2 {
+			collect(<-shed)
+		}
+	}
+	if !caught {
+		t.Log("never caught a shed claim in the store; only the outcomes were checked")
+	}
+	if st := srv.Stats(); st.Accepted != 2 || st.Canceled != 0 {
+		t.Errorf("stats %+v, want exactly the 2 pinned jobs accepted and none canceled", st)
 	}
 }
 

@@ -137,9 +137,9 @@ func (st *Store) Begin(hash string) (e *cacheEntry, leader bool) {
 }
 
 // Abandon releases a leader's claim without executing (the job was shed
-// at admission). Followers that attached in the meantime keep waiting on
-// the entry only if it is re-claimed; to keep the invariant simple the
-// entry is resolved as the given outcome instead.
+// at admission). The server calls it inside the critical section that
+// called Begin, so no follower can have attached; the entry is resolved
+// as the given outcome all the same, so a waiter could never hang.
 func (st *Store) Abandon(hash string, e *cacheEntry, out Outcome) {
 	sh := st.shardFor(hash)
 	sh.mu.Lock()

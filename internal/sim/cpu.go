@@ -10,6 +10,7 @@ package sim
 import (
 	"repro/internal/arch"
 	"repro/internal/bus"
+	"repro/internal/cache"
 	"repro/internal/kernel"
 	"repro/internal/klock"
 	"repro/internal/monitor"
@@ -40,21 +41,20 @@ type CPU struct {
 	// log and any non-private site stops the speculation.
 	spec *specCPU
 
-	// Micro-TLB: the last code and data translations, so the 64-entry
-	// TLB scan only runs on page boundaries.
-	lastCodePID arch.PID
-	lastCodeVP  uint32
-	lastCodeFr  uint32
-	lastCodeOK  bool
-	lastDataPID arch.PID
-	lastDataVP  uint32
-	lastDataFr  uint32
-	lastDataOK  bool
-	// lastDataWr marks the data entry as validated for stores (the
-	// copy-on-write check already ran for this page). Any code that
-	// sets PageInfo.COW on an already-mapped page must flush the
-	// micro-TLBs, as TLB insert/invalidate and context switches do.
-	lastDataWr bool
+	// ic and dc are this CPU's own caches, for the hit filter: a fetch,
+	// load or store that hits without changing any line is charged here
+	// and never reaches the bus (fetch, dataRef).
+	ic *cache.Cache
+	dc *cache.DataHierarchy
+	// hitFilter is false when a checker is attached: it must see every
+	// reference. The filter is also off while spec != nil (hits still
+	// feed the dependence set) and on the -reference oracle path, where
+	// the probes themselves return false.
+	hitFilter bool
+
+	// Micro-TLB: the last code and the last data translation, one entry
+	// each, so the TLB lookup only runs on page boundaries.
+	codeTLB, dataTLB microTLB
 
 	// Accounting (cycles include stall time; Stall and L2Stall are the
 	// contained stall components; SyncCycles is sync-bus time).
@@ -84,11 +84,51 @@ func (c *CPU) advL2(cy arch.Cycles) {
 	c.L2Stall[c.mode] += cy
 }
 
+// microTLB is a one-entry translation cache.
+type microTLB struct {
+	pid    arch.PID
+	vp, fr uint32
+	ok     bool
+	// wr marks the entry as validated for stores (the copy-on-write
+	// check already ran for this page). Any code that sets PageInfo.COW
+	// on an already-mapped page must flush the micro-TLBs, as TLB
+	// insert/invalidate and context switches do.
+	wr bool
+}
+
+// hit reports whether the entry translates (pid, vp) for a load or fetch
+// (write=false) or a store.
+func (e *microTLB) hit(pid arch.PID, vp uint32, write bool) bool {
+	return e.ok && e.pid == pid && e.vp == vp && (!write || e.wr)
+}
+
 // flushMicroTLB invalidates the one-entry translation caches (after any
 // TLB-affecting operation).
 func (c *CPU) flushMicroTLB() {
-	c.lastCodeOK = false
-	c.lastDataOK = false
+	c.codeTLB.ok = false
+	c.dataTLB.ok = false
+}
+
+// fetch issues one instruction-block fetch and charges its time. A hit
+// the filter answers here moves no line, statistic or recorder and starts
+// no bus transaction, so it needs no pollCancel either.
+func (c *CPU) fetch(a arch.PAddr) {
+	var o bus.Outcome
+	if sp := c.spec; sp != nil {
+		// Speculative: see dataRef.
+		if c.sim.cancel.Load() {
+			sp.stopped, sp.canceled = true, true
+			return
+		}
+		o = sp.bs.Fetch(a, c.now)
+	} else if !(c.hitFilter && c.ic.ReadHit(a)) {
+		c.sim.pollCancel(c)
+		o = c.sim.Bus.Fetch(c.id, a, c.now)
+	}
+	c.adv(arch.InstrPerBlock) // one cycle per instruction
+	if o.Stall > 0 {
+		c.advStall(o.Stall)
+	}
 }
 
 // ---- kernel.Port implementation ----
@@ -116,12 +156,7 @@ func (c *CPU) execQuiet(r *kernel.Routine) { c.fetchRoutine(r) }
 func (c *CPU) fetchRoutine(r *kernel.Routine) {
 	blocks := r.Blocks()
 	for i := 0; i < blocks; i++ {
-		c.sim.pollCancel(c)
-		out := c.sim.Bus.Fetch(c.id, r.Addr+arch.PAddr(i*arch.BlockSize), c.now)
-		c.adv(arch.InstrPerBlock) // one cycle per instruction
-		if out.Stall > 0 {
-			c.advStall(out.Stall)
-		}
+		c.fetch(r.Addr + arch.PAddr(i*arch.BlockSize))
 	}
 }
 
@@ -155,7 +190,8 @@ func (c *CPU) dataRef(a arch.PAddr, write bool) {
 		} else {
 			o = sp.bs.Read(a, c.now)
 		}
-	} else {
+	} else if !(c.hitFilter && (write && c.dc.WriteHit(a) || !write && c.dc.ReadHitL1(a))) {
+		// Not a hit the filter can answer here (see fetch).
 		c.sim.pollCancel(c)
 		if write {
 			o = c.sim.Bus.Write(c.id, a, c.now)

@@ -233,6 +233,9 @@ func New(cfg Config) *Simulator {
 			id:            arch.CPUID(i),
 			sim:           s,
 			tlb:           tlb.New(cfg.Machine.TLBEntries),
+			ic:            s.Bus.I[i],
+			dc:            s.Bus.D[i],
+			hitFilter:     s.Chk == nil,
 			mode:          arch.ModeKernel,
 			nextClockTick: arch.ClockTickCycles + arch.Cycles(i*1000),
 		}

@@ -17,15 +17,7 @@ type specSnap struct {
 	stall   [3]arch.Cycles
 	l2stall [3]arch.Cycles
 
-	lastCodePID arch.PID
-	lastCodeVP  uint32
-	lastCodeFr  uint32
-	lastCodeOK  bool
-	lastDataPID arch.PID
-	lastDataVP  uint32
-	lastDataFr  uint32
-	lastDataOK  bool
-	lastDataWr  bool
+	codeTLB, dataTLB microTLB
 
 	codePos  int
 	loopLeft int
@@ -85,10 +77,7 @@ func (c *CPU) takeSnap(sp *specCPU, s *specSnap) {
 	s.time = c.Time
 	s.stall = c.Stall
 	s.l2stall = c.L2Stall
-	s.lastCodePID, s.lastCodeVP, s.lastCodeFr, s.lastCodeOK =
-		c.lastCodePID, c.lastCodeVP, c.lastCodeFr, c.lastCodeOK
-	s.lastDataPID, s.lastDataVP, s.lastDataFr, s.lastDataOK, s.lastDataWr =
-		c.lastDataPID, c.lastDataVP, c.lastDataFr, c.lastDataOK, c.lastDataWr
+	s.codeTLB, s.dataTLB = c.codeTLB, c.dataTLB
 	pr := c.cur
 	fp := &pr.FP
 	s.codePos, s.loopLeft, s.dataPos, s.hotBase = fp.CodePos, fp.LoopLeft, fp.DataPos, fp.HotBase
@@ -105,10 +94,7 @@ func (c *CPU) restoreSnap(s *specSnap) {
 	c.Time = s.time
 	c.Stall = s.stall
 	c.L2Stall = s.l2stall
-	c.lastCodePID, c.lastCodeVP, c.lastCodeFr, c.lastCodeOK =
-		s.lastCodePID, s.lastCodeVP, s.lastCodeFr, s.lastCodeOK
-	c.lastDataPID, c.lastDataVP, c.lastDataFr, c.lastDataOK, c.lastDataWr =
-		s.lastDataPID, s.lastDataVP, s.lastDataFr, s.lastDataOK, s.lastDataWr
+	c.codeTLB, c.dataTLB = s.codeTLB, s.dataTLB
 	pr := c.cur
 	fp := &pr.FP
 	fp.CodePos, fp.LoopLeft, fp.DataPos, fp.HotBase = s.codePos, s.loopLeft, s.dataPos, s.hotBase

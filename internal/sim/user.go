@@ -2,7 +2,6 @@ package sim
 
 import (
 	"repro/internal/arch"
-	"repro/internal/bus"
 	"repro/internal/kernel"
 	"repro/internal/klock"
 )
@@ -143,25 +142,17 @@ func (s *Simulator) genRefs(c *CPU, pr *kernel.Proc) {
 			pos %= total
 		}
 		vp := fp.CodeVPages[pos/blocksPerPage]
-		fr, ok := s.translate(c, pr, vp, false)
-		if !ok {
-			return
-		}
-		pa := arch.FrameAddr(fr) + arch.PAddr((pos%blocksPerPage)*arch.BlockSize)
-		var out bus.Outcome
-		if sp := c.spec; sp != nil {
-			if s.cancel.Load() {
-				sp.stopped, sp.canceled = true, true
+		fr := c.codeTLB.fr
+		if !c.codeTLB.hit(pr.PID, vp, false) {
+			var ok bool
+			if fr, ok = s.translate(c, pr, vp, &c.codeTLB, false); !ok {
 				return
 			}
-			out = sp.bs.Fetch(pa, c.now)
-		} else {
-			s.pollCancel(c)
-			out = s.Bus.Fetch(c.id, pa, c.now)
 		}
-		c.adv(arch.InstrPerBlock)
-		if out.Stall > 0 {
-			c.advStall(out.Stall)
+		pa := arch.FrameAddr(fr) + arch.PAddr((pos%blocksPerPage)*arch.BlockSize)
+		c.fetch(pa)
+		if sp := c.spec; sp != nil && sp.stopped {
+			return // canceled; the whole segment is abandoned
 		}
 		fp.CodePos++
 		fp.LoopLeft--
@@ -204,9 +195,12 @@ func (s *Simulator) genRefs(c *CPU, pr *kernel.Proc) {
 		}
 		vp := all[fp.HotBase+pos/blocksPerPage]
 		write := rng.Intn(100) < fp.WritePct
-		fr, ok := s.translate(c, pr, vp, write)
-		if !ok {
-			return
+		fr := c.dataTLB.fr
+		if !c.dataTLB.hit(pr.PID, vp, write) {
+			var ok bool
+			if fr, ok = s.translate(c, pr, vp, &c.dataTLB, write); !ok {
+				return
+			}
 		}
 		pa := arch.FrameAddr(fr) + arch.PAddr((pos%blocksPerPage)*arch.BlockSize)
 		c.dataRef(pa, write)
@@ -215,16 +209,11 @@ func (s *Simulator) genRefs(c *CPU, pr *kernel.Proc) {
 
 // translate resolves a user virtual page through the TLB, taking UTLB
 // faults (cheap) or page faults (expensive OS invocations) as needed. ok
-// is false only if the process lost the CPU during the fault.
-func (s *Simulator) translate(c *CPU, pr *kernel.Proc, vp uint32, write bool) (uint32, bool) {
-	// Micro-TLB fast paths (one entry each for code and data).
-	if !write && c.lastCodeOK && c.lastCodePID == pr.PID && c.lastCodeVP == vp {
-		return c.lastCodeFr, true
-	}
-	if c.lastDataOK && c.lastDataPID == pr.PID && c.lastDataVP == vp &&
-		(!write || c.lastDataWr) {
-		return c.lastDataFr, true
-	}
+// is false only if the process lost the CPU during the fault. genRefs calls
+// it when e, the micro-TLB entry of the reference's kind, missed, and the
+// result refills e: code and data each keep their own entry, so a fetch and
+// a load on different pages do not evict each other.
+func (s *Simulator) translate(c *CPU, pr *kernel.Proc, vp uint32, e *microTLB, write bool) (uint32, bool) {
 	for attempt := 0; attempt < 3; attempt++ {
 		if fr, hit := c.tlb.Lookup(pr.PID, vp); hit {
 			if write && s.K.IsCOW(pr, vp) {
@@ -238,14 +227,9 @@ func (s *Simulator) translate(c *CPU, pr *kernel.Proc, vp uint32, write bool) (u
 				}
 				continue
 			}
-			if write {
-				// The COW check above succeeded, so the entry is
-				// store-validated until the next flush.
-				c.lastDataPID, c.lastDataVP, c.lastDataFr, c.lastDataOK, c.lastDataWr = pr.PID, vp, fr, true, true
-			} else {
-				c.lastCodePID, c.lastCodeVP, c.lastCodeFr, c.lastCodeOK = pr.PID, vp, fr, true
-				c.lastDataPID, c.lastDataVP, c.lastDataFr, c.lastDataOK, c.lastDataWr = pr.PID, vp, fr, true, false
-			}
+			// A store got past the COW check above, so its entry is
+			// store-validated until the next flush.
+			*e = microTLB{pid: pr.PID, vp: vp, fr: fr, ok: true, wr: write}
 			return fr, true
 		}
 		if sp := c.spec; sp != nil {

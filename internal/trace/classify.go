@@ -162,10 +162,11 @@ type Result struct {
 	DResim []DResimEvent
 }
 
-// DResimEvent is one event of the data-cache re-simulation stream.
+// DResimEvent is one event of the data-cache re-simulation stream. Like
+// IResimEvent it is 8 bytes: a 60M-cycle window holds millions of them.
 type DResimEvent struct {
 	Block uint32
-	CPU   arch.CPUID
+	CPU   uint8
 	OS    bool
 	// Fill is true for a cache fill (Read/ReadEx); false for an
 	// invalidation-only transaction (Upgrade). Inval is true when the
@@ -179,9 +180,46 @@ type DResimEvent struct {
 // fill of Block by CPU (Flush=false) or a machine-wide I-cache flush.
 type IResimEvent struct {
 	Block uint32
-	CPU   arch.CPUID
+	CPU   uint8
 	OS    bool
 	Flush bool
+}
+
+// MaxResimCPUs is the largest machine whose resim streams can be
+// collected: the events carry the CPU in one byte.
+const MaxResimCPUs = 1 << 8
+
+// resimChunk is the capacity of one chunk of a resim stream (256 KB).
+const resimChunk = 32 << 10
+
+// resimStream accumulates resim events in fixed-size chunks, so that
+// growing it never re-copies the events already stored (append's
+// re-copying was most of what a collecting run allocated); flat joins the
+// chunks once, in Finish.
+type resimStream[E any] struct {
+	full [][]E
+	cur  []E
+}
+
+func (s *resimStream[E]) add(e E) {
+	if len(s.cur) == cap(s.cur) {
+		if s.cur != nil {
+			s.full = append(s.full, s.cur)
+		}
+		s.cur = make([]E, 0, resimChunk)
+	}
+	s.cur = append(s.cur, e)
+}
+
+func (s *resimStream[E]) flat() []E {
+	if len(s.full) == 0 {
+		return s.cur
+	}
+	out := make([]E, 0, len(s.full)*resimChunk+len(s.cur))
+	for _, c := range s.full {
+		out = append(out, c...)
+	}
+	return append(out, s.cur...)
 }
 
 // Migration-miss structure families (Table 4 / Table 5 row keys for
@@ -303,6 +341,8 @@ type Classifier struct {
 	CollectIResim bool
 	// CollectDResim records the data-miss stream into Result.DResim.
 	CollectDResim bool
+	iResim        resimStream[IResimEvent]
+	dResim        resimStream[DResimEvent]
 
 	// warming is the functional-warming mode of a sampled run's
 	// fast-forward phase: every piece of classification state — the
@@ -458,6 +498,7 @@ func (c *Classifier) MirrorResident(cpu arch.CPUID, instr bool, set int) (block 
 // the lazy map semantics of the buffered pipeline), and returns the result.
 func (c *Classifier) Finish() *Result {
 	c.res.Malformed = c.dec.Malformed
+	c.res.IResim, c.res.DResim = c.iResim.flat(), c.dResim.flat()
 	for i, cs := range c.cpus {
 		cs.seg.close(&c.res.Segments[i])
 	}
@@ -585,7 +626,7 @@ func (c *Classifier) event(rec monitor.Record) {
 func (c *Classifier) icacheInval(frame uint32) {
 	_ = frame // the flush is total; the frame only identifies the cause
 	if c.CollectIResim {
-		c.res.IResim = append(c.res.IResim, IResimEvent{Flush: true})
+		c.iResim.add(IResimEvent{Flush: true})
 	}
 	for q := 0; q < c.ncpu; q++ {
 		cs := c.cpus[q]
@@ -620,9 +661,9 @@ func (c *Classifier) miss(t bus.Txn) {
 		// a Sharing miss; invalidates remote copies; no fill.
 		c.invalidateRemote(t)
 		if c.CollectDResim && cs.mode != arch.ModeIdle {
-			c.res.DResim = append(c.res.DResim, DResimEvent{
+			c.dResim.add(DResimEvent{
 				Block: uint32(t.Addr) >> arch.BlockShift,
-				CPU:   t.CPU, OS: c.osMode(cs, t.Addr), Inval: true,
+				CPU:   uint8(t.CPU), OS: c.osMode(cs, t.Addr), Inval: true,
 			})
 		}
 		c.tally(cs, t, false, Sharing, false)
@@ -634,8 +675,8 @@ func (c *Classifier) miss(t bus.Txn) {
 	block := uint32(t.Addr) >> arch.BlockShift
 	instr := t.Kind == bus.TxnRead && c.isInstr(t.Addr)
 	if !instr && c.CollectDResim {
-		c.res.DResim = append(c.res.DResim, DResimEvent{
-			Block: block, CPU: t.CPU,
+		c.dResim.add(DResimEvent{
+			Block: block, CPU: uint8(t.CPU),
 			OS:    cs.mode != arch.ModeIdle && c.osMode(cs, t.Addr),
 			Fill:  true,
 			Inval: t.Kind == bus.TxnReadEx,
@@ -645,8 +686,8 @@ func (c *Classifier) miss(t bus.Txn) {
 		// Idle-loop fills warm the simulated caches but are excluded
 		// from the OS miss counts (OS=false), matching the idle
 		// exclusion of every other statistic.
-		c.res.IResim = append(c.res.IResim, IResimEvent{
-			Block: block, CPU: t.CPU,
+		c.iResim.add(IResimEvent{
+			Block: block, CPU: uint8(t.CPU),
 			OS: cs.mode != arch.ModeIdle && c.osMode(cs, t.Addr),
 		})
 	}

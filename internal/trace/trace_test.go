@@ -2,6 +2,7 @@ package trace
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/arch"
 	"repro/internal/bus"
@@ -362,5 +363,33 @@ func TestReusedWithinInvocation(t *testing.T) {
 	r := classify(t, txns)
 	if r.ReusedWithinInvocation != 1 {
 		t.Errorf("ReusedWithinInvocation = %d, want 1", r.ReusedWithinInvocation)
+	}
+}
+
+// TestResimStreamChunks: a stream longer than one chunk flattens to exactly
+// the events added, in order; a stream within one chunk is that chunk; and
+// the packed events stay 8 bytes.
+func TestResimStreamChunks(t *testing.T) {
+	if a, b := unsafe.Sizeof(IResimEvent{}), unsafe.Sizeof(DResimEvent{}); a != 8 || b != 8 {
+		t.Errorf("IResimEvent is %d bytes and DResimEvent %d, want 8 and 8", a, b)
+	}
+	var none resimStream[IResimEvent]
+	if got := none.flat(); got != nil {
+		t.Errorf("empty stream flattens to %v, want nil", got)
+	}
+	for _, n := range []int{1, resimChunk, 2*resimChunk + 7} {
+		var s resimStream[IResimEvent]
+		for i := 0; i < n; i++ {
+			s.add(IResimEvent{Block: uint32(i), CPU: uint8(i % 3), OS: i%2 == 0})
+		}
+		got := s.flat()
+		if len(got) != n {
+			t.Fatalf("%d events flatten to %d", n, len(got))
+		}
+		for i, e := range got {
+			if want := (IResimEvent{Block: uint32(i), CPU: uint8(i % 3), OS: i%2 == 0}); e != want {
+				t.Fatalf("%d events: event %d is %+v, want %+v", n, i, e, want)
+			}
+		}
 	}
 }

@@ -151,20 +151,18 @@ daemon=""
 grep -q 'drain complete: all accepted jobs resolved' "$smoke/charosd-load.log" || {
     echo "FAIL: post-load drain did not resolve all accepted jobs" >&2; exit 1; }
 
-echo "== recorded benchmark gate (bench.sh compare BENCH_PR4 vs BENCH_PR5)"
-scripts/bench.sh compare BENCH_PR4.json BENCH_PR5.json -threshold 50
+echo "== hit-filter identity (filtered vs -reference and checked runs, race detector)"
+# The Go byte-identity oracles compare checked runs, where the filter is off
+# on both sides; this test and the -reference smoke above are what see it.
+go test -race -run 'TestHitFilterIdentity' ./internal/report
 
-echo "== recorded benchmark gate (bench.sh compare BENCH_PR5 vs BENCH_PR8)"
-# The PR 8 recording adds the 4d380 parallel-engine benchmark (present
-# only on the new side — compare skips one-sided entries) and must not
-# regress the serial pipeline.
-scripts/bench.sh compare BENCH_PR5.json BENCH_PR8.json -threshold 50
+echo "== shed-race regression (service.Submit, race detector)"
+go test -race -count=10 -run 'TestShedNeverAdmitsFollower' ./internal/service
 
-echo "== benchmark regression gate (bench.sh compare vs BENCH_PR8.json)"
-# One quick repetition against the committed PR 8 numbers. The threshold is
-# deliberately loose (noisy shared runners); tighten it for local tuning.
-gate="$smoke/gate.json"
-scripts/bench.sh -count 1 -bench 'BenchmarkPipeline_FullCharacterization' -phase gate -out "$gate" 2>/dev/null
-scripts/bench.sh compare BENCH_PR8.json "$gate" -threshold 50
+echo "== benchmark smoke (bench/run.sh -smoke: every workload, both modes, output checks)"
+bash bench/run.sh -smoke >/dev/null
+
+echo "== benchmark harness unit tests"
+(cd bench && go test -short ./...)
 
 echo "ok"
