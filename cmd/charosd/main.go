@@ -150,7 +150,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := srv.HTTPServer()
 	logger.Printf("serving on %s (workers=%d..%d shards=%d cache=%d history=%d queue=%d drain=%s/%s)",
 		ln.Addr(), *workers, *workersMax, *shards, *cacheEntries, *jobHistory,
 		*queue, *drainPolicy, *drainTimeout)

@@ -150,7 +150,7 @@ type System struct {
 
 	// M is the machine the system was built for; missStall and l2Stall
 	// cache its stall costs for the hot paths.
-	M        arch.Machine
+	M         arch.Machine
 	missStall arch.Cycles
 	l2Stall   arch.Cycles
 	// pres is the snoop presence filter (nil in reference mode or beyond
@@ -163,20 +163,21 @@ type System struct {
 // NCPUs implements check.BusView.
 func (s *System) NCPUs() int { return s.N }
 
-// DState implements check.BusView: the coherence-level (L2) state of the
-// block containing a in cpu's data hierarchy.
-func (s *System) DState(cpu int, a arch.PAddr) (resident, dirty, shared bool) {
-	l2 := s.D[cpu].L2
-	if !l2.Lookup(a) {
-		return false, false, false
+// Lines implements check.BusView: every hierarchy's state of the block
+// containing a, read straight from the caches — never from the presence
+// filter, which is among the things the checker validates.
+func (s *System) Lines(a arch.PAddr, out []check.Line) {
+	for q, d := range s.D {
+		out[q] = check.Line(d.LineState(a))
 	}
-	return true, l2.Dirty(a), l2.Shared(a)
 }
 
-// L1Resident implements check.BusView.
-func (s *System) L1Resident(cpu int, a arch.PAddr) bool {
-	return s.D[cpu].L1.Lookup(a)
-}
+// check.Line and cache.LineState share one bit layout, so Lines converts
+// without decoding; a layout change in either package fails to compile here.
+var _ = [1]struct{}{}[check.LineShared^check.Line(cache.StateShared)|
+	check.LineL2^check.Line(cache.StateL2)|
+	check.LineDirty^check.Line(cache.StateDirty)|
+	check.LineL1^check.Line(cache.StateL1)]
 
 // jitter draws injected extra latency for one stalling transaction.
 func (s *System) jitter() arch.Cycles {

@@ -154,6 +154,15 @@ func (c *Cache) find(a arch.PAddr) (idx int, ok bool) {
 	return 0, false
 }
 
+// way returns the line word of the way holding block b, or zero when no
+// way of its set does.
+func (c *Cache) way(b arch.PAddr) uint32 {
+	if i, ok := c.find(b); ok {
+		return c.line[i]
+	}
+	return 0
+}
+
 // frameInc / frameDec maintain the per-frame resident-block index. The
 // counter array is sized for the machine's 32 MB of physical memory;
 // frameInc grows it for tests that fabricate addresses beyond that.

@@ -200,6 +200,42 @@ func (h *DataHierarchy) Invalidate(a arch.PAddr) (wasResident, wasDirty bool) {
 // level.
 func (h *DataHierarchy) Resident(a arch.PAddr) bool { return h.L2.Lookup(a) }
 
+// LineState is one hierarchy's state of one block, packed: the coherence
+// (L2) level's valid, dirty and shared bits as the line word holds them,
+// plus first-level residency. Zero means the block is in neither level.
+type LineState uint8
+
+const (
+	StateShared LineState = lineShared
+	StateL2     LineState = lineValid
+	StateDirty  LineState = lineDirty
+	StateL1     LineState = 1 << 3
+)
+
+// LineState reads the state of the block containing a without changing
+// anything, LRU stamps included. Each level's line word is taken once — a
+// direct index when both levels have one way, the way loop otherwise,
+// whichever access path SetGeneric selected — so the bits are one
+// consistent observation of the line.
+func (h *DataHierarchy) LineState(a arch.PAddr) LineState {
+	b := a.Block()
+	l1, l2 := h.L1, h.L2
+	var w1, w2 uint32
+	if l1.assoc == 1 && l2.assoc == 1 {
+		w1, w2 = l1.line[l1.SetOf(b)], l2.line[l2.SetOf(b)]
+	} else {
+		w1, w2 = l1.way(b), l2.way(b)
+	}
+	var st LineState
+	if holds(w2, b) {
+		st = LineState(w2 & lineFlags)
+	}
+	if holds(w1, b) {
+		st |= StateL1
+	}
+	return st
+}
+
 // InvalidateAll empties both levels.
 func (h *DataHierarchy) InvalidateAll() {
 	h.L1.InvalidateAll()

@@ -13,10 +13,10 @@ import (
 type flatView struct{ n int }
 
 func (v flatView) NCPUs() int { return v.n }
-func (v flatView) DState(cpu int, a arch.PAddr) (resident, dirty, shared bool) {
-	return cpu == 0, false, false
+func (v flatView) Lines(a arch.PAddr, out []check.Line) {
+	clear(out)
+	out[0] = check.LineL2
 }
-func (v flatView) L1Resident(cpu int, a arch.PAddr) bool { return false }
 
 // TestShadowUpdateZeroAlloc pins the checker's allocation contract: after a
 // page's first touch (which allocates its shadow page and copy tables),

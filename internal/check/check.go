@@ -126,13 +126,23 @@ func (e *CheckError) Error() string {
 type BusView interface {
 	// NCPUs returns the processor count.
 	NCPUs() int
-	// DState reports the coherence-level (L2) state of the block
-	// containing a in cpu's data cache.
-	DState(cpu int, a arch.PAddr) (resident, dirty, shared bool)
-	// L1Resident reports whether the block is resident in cpu's
-	// first-level data cache.
-	L1Resident(cpu int, a arch.PAddr) bool
+	// Lines fills out[q], for every CPU q, with the state of the block
+	// containing a in q's data hierarchy: one snapshot of the block
+	// across the machine. len(out) is NCPUs.
+	Lines(a arch.PAddr, out []Line)
 }
+
+// Line is one CPU's state of one block, as the caches hold it: the
+// coherence-level (L2) valid, dirty and shared bits and first-level
+// residency. The dirty and shared bits mean nothing without LineL2.
+type Line uint8
+
+const (
+	LineShared Line = 1 << iota
+	LineL2
+	LineDirty
+	LineL1
+)
 
 // Level says where a data reference was satisfied, from the checker's
 // point of view.
@@ -207,6 +217,8 @@ const maxErrors = 64
 type Checker struct {
 	view BusView
 	n    int
+	// lines is the snapshot buffer view.Lines fills, one entry per CPU.
+	lines []Line
 	// pages[frame] is the shadow page of that frame, nil until touched.
 	pages []*shadowPage
 	// iEpochNow[q] is bumped by every full flush of q's I-cache;
@@ -249,6 +261,7 @@ func New(view BusView, frames int) *Checker {
 	return &Checker{
 		view:      view,
 		n:         n,
+		lines:     make([]Line, n),
 		pages:     make([]*shadowPage, frames),
 		iEpochNow: make([]int64, n),
 		held:      make([][]heldLock, n),
@@ -306,6 +319,11 @@ func (k *Checker) OnData(cpu arch.CPUID, a arch.PAddr, write bool, lvl Level, no
 	if !k.warming {
 		k.Checks++
 	}
+	// One snapshot serves the store propagation and the scan below: the
+	// checker changes no cache state in between.
+	if write || !k.warming {
+		k.view.Lines(a, k.lines)
+	}
 	pg, bi := k.page(a)
 	d := pg.data(k.n)
 	base := bi * k.n
@@ -325,8 +343,8 @@ func (k *Checker) OnData(cpu arch.CPUID, a arch.PAddr, write bool, lvl Level, no
 		// Coherence means the store is propagated: every copy still
 		// resident after the transaction (the writer's under
 		// invalidation; everyone's under update) holds the new version.
-		for q := 0; q < k.n; q++ {
-			if res, _, _ := k.view.DState(q, a); res {
+		for q, l := range k.lines {
+			if l&LineL2 != 0 {
 				d[base+q] = pg.ver[bi]
 			}
 		}
@@ -366,6 +384,7 @@ func (k *Checker) OnBypass(cpu arch.CPUID, a arch.PAddr, write bool, now arch.Cy
 	if k.warming {
 		return
 	}
+	k.view.Lines(a, k.lines)
 	k.scan(cpu, a, now)
 }
 
@@ -376,6 +395,7 @@ func (k *Checker) OnEvict(cpu arch.CPUID, a arch.PAddr, now arch.Cycles) {
 	if k.warming {
 		return
 	}
+	k.view.Lines(a, k.lines)
 	k.scan(cpu, a, now)
 }
 
@@ -431,16 +451,16 @@ func (k *Checker) OnIFlush(cpu int) {
 	k.iEpochNow[cpu]++
 }
 
-// scan verifies the per-line coherence invariant of the block containing
-// a across every CPU's data hierarchy: at most one dirty copy, dirty
-// implies not-shared, a dirty or exclusive copy excludes all other
-// copies, and inclusion (L1 ⊆ L2).
+// scan verifies the per-line coherence invariant of block a on the
+// snapshot in k.lines, which the caller has just taken: at most one dirty
+// copy, dirty implies not-shared, a dirty or exclusive copy excludes all
+// other copies, and inclusion (L1 ⊆ L2).
 func (k *Checker) scan(cpu arch.CPUID, a arch.PAddr, now arch.Cycles) {
 	k.Checks++
 	residents, dirtyAt, exclAt := 0, -1, -1
-	for q := 0; q < k.n; q++ {
-		res, dirty, shared := k.view.DState(q, a)
-		if k.view.L1Resident(q, a) && !res {
+	for q, l := range k.lines {
+		res, dirty, shared := l&LineL2 != 0, l&LineDirty != 0, l&LineShared != 0
+		if l&LineL1 != 0 && !res {
 			k.report(k.memErr(Inclusion, cpu, a, now,
 				fmt.Sprintf("CPU %d holds the block in L1 but not in L2 (inclusion broken)", q)))
 		}

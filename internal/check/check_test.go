@@ -34,6 +34,8 @@ func TestCoherenceSequences(t *testing.T) {
 		run  func(s *bus.System)
 		want check.Kind // checked only when violations > 0
 		trip bool
+		// detail, when set, must appear in the first violation's Detail.
+		detail string
 	}{
 		{
 			name: "legal read sharing",
@@ -135,6 +137,25 @@ func TestCoherenceSequences(t *testing.T) {
 			},
 			want: check.Shadow, trip: true,
 		},
+		{
+			name: "dirty line marked shared",
+			run: func(s *bus.System) {
+				s.Write(0, blk, 10)            // Modified on CPU 0
+				s.D[0].L2.SetShared(blk, true) // corrupt: dirty and Shared
+				s.Read(0, blk, 30)             // local hit: state left as is
+			},
+			want: check.Coherence, trip: true, detail: "CPU 0 holds the block dirty but marked shared",
+		},
+		{
+			name: "inclusion broken on a CPU that is not referencing",
+			run: func(s *bus.System) {
+				s.Read(0, blk, 10)
+				s.Read(2, blk, 20)
+				s.D[2].L2.Invalidate(blk) // corrupt: CPU 2 keeps only its L1 copy
+				s.Read(0, blk, 30)        // CPU 0 hits locally; the scan still covers CPU 2
+			},
+			want: check.Inclusion, trip: true, detail: "CPU 2 holds the block in L1 but not in L2",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -155,6 +176,9 @@ func TestCoherenceSequences(t *testing.T) {
 			}
 			if e.Cycle == 0 || e.Addr == 0 {
 				t.Errorf("diagnostics incomplete (cycle %d, addr %#x): %v", e.Cycle, uint32(e.Addr), e)
+			}
+			if !strings.Contains(e.Detail, tc.detail) {
+				t.Errorf("detail %q does not name %q", e.Detail, tc.detail)
 			}
 		})
 	}

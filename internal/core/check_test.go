@@ -89,3 +89,23 @@ func TestInjectionIsDeterministic(t *testing.T) {
 		t.Errorf("fault delivery not reproducible:\n%+v\n%+v", stA, stB)
 	}
 }
+
+// TestCheckCountsPinned pins how many invariant evaluations one small
+// seeded run of each workload performs. The counts were taken at the commit
+// before the checker's batched line probe, so a change that makes the
+// checker cheaper by evaluating less fails here.
+func TestCheckCountsPinned(t *testing.T) {
+	for kind, want := range map[workload.Kind]int64{
+		workload.Pmake:   129_217,
+		workload.Multpgm: 381_314,
+		workload.Oracle:  379_252,
+	} {
+		ch := Run(Config{Workload: kind, Window: 600_000, Warmup: 300_000, Seed: 5, Check: true})
+		if got := ch.Sim.Chk.Checks; got != want {
+			t.Errorf("%s: %d checks, want %d", kind, got, want)
+		}
+		if v := ch.Sim.Chk.Violations; v != 0 {
+			t.Errorf("%s: %d violations, first: %v", kind, v, ch.CheckErrors[0])
+		}
+	}
+}

@@ -36,38 +36,41 @@ func TestParseSize(t *testing.T) {
 	}
 }
 
+// parseCyclesCases is TestParseCycles' table and FuzzParseCycles' seed
+// corpus.
+var parseCyclesCases = []struct {
+	in   string
+	want int64
+	bad  bool
+}{
+	{"12000000", 12_000_000, false},
+	{"0", 0, false},
+	{"800K", 800_000, false},
+	{"800k", 800_000, false},
+	{"12M", 12_000_000, false},
+	{"1.5M", 1_500_000, false},
+	{"1G", 1_000_000_000, false},
+	{" 2M ", 2_000_000, false},
+	{"1e9", 1_000_000_000, false},
+	{"2.5e8", 250_000_000, false},
+	{"1e3", 1_000, false},
+	// Bad inputs: suffixes are decimal cycles, not binary bytes, and
+	// fractions of a cycle do not exist.
+	{"", 0, true},
+	{"K", 0, true},
+	{"12X", 0, true},
+	{"-1", 0, true},
+	{"-2M", 0, true},
+	{"1.5", 0, true},
+	{"2.5e-8", 0, true},
+	{"1e20", 0, true},
+	{"9223372036854775807K", 0, true},
+	{"window", 0, true},
+	{"1e", 0, true},
+}
+
 func TestParseCycles(t *testing.T) {
-	cases := []struct {
-		in   string
-		want int64
-		bad  bool
-	}{
-		{"12000000", 12_000_000, false},
-		{"0", 0, false},
-		{"800K", 800_000, false},
-		{"800k", 800_000, false},
-		{"12M", 12_000_000, false},
-		{"1.5M", 1_500_000, false},
-		{"1G", 1_000_000_000, false},
-		{" 2M ", 2_000_000, false},
-		{"1e9", 1_000_000_000, false},
-		{"2.5e8", 250_000_000, false},
-		{"1e3", 1_000, false},
-		// Bad inputs: suffixes are decimal cycles, not binary bytes, and
-		// fractions of a cycle do not exist.
-		{"", 0, true},
-		{"K", 0, true},
-		{"12X", 0, true},
-		{"-1", 0, true},
-		{"-2M", 0, true},
-		{"1.5", 0, true},
-		{"2.5e-8", 0, true},
-		{"1e20", 0, true},
-		{"9223372036854775807K", 0, true},
-		{"window", 0, true},
-		{"1e", 0, true},
-	}
-	for _, c := range cases {
+	for _, c := range parseCyclesCases {
 		got, err := ParseCycles(c.in)
 		if c.bad {
 			if err == nil {
@@ -79,6 +82,34 @@ func TestParseCycles(t *testing.T) {
 			t.Errorf("ParseCycles(%q) = %d, %v; want %d", c.in, got, err, c.want)
 		}
 	}
+}
+
+// FuzzParseCycles: no input panics the parser, and whatever it accepts is a
+// non-negative integer that a cycle flag prints back in a form that parses
+// to the same value.
+func FuzzParseCycles(f *testing.F) {
+	for _, c := range parseCyclesCases {
+		f.Add(c.in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		n, err := ParseCycles(in)
+		if err != nil {
+			return
+		}
+		if n < 0 {
+			t.Fatalf("ParseCycles(%q) accepted negative %d", in, n)
+		}
+		fs := flag.NewFlagSet("fuzz", flag.ContinueOnError)
+		fs.SetOutput(nullWriter{})
+		w := CyclesFlag(fs, "window", 0, "")
+		if err := fs.Set("window", in); err != nil || *w != n {
+			t.Fatalf("flag set to %q = %d, %v; ParseCycles gave %d", in, *w, err, n)
+		}
+		printed := fs.Lookup("window").Value.String()
+		if back, err := ParseCycles(printed); err != nil || back != n {
+			t.Fatalf("%q parsed to %d, printed as %q, which parses to %d, %v", in, n, printed, back, err)
+		}
+	})
 }
 
 func TestCyclesFlag(t *testing.T) {

@@ -145,7 +145,8 @@ func TestBatchStatsSpeedupAndTable(t *testing.T) {
 		Allocs:      1000,
 		AllocBytes:  2_000_000,
 		Runs: []RunStats{
-			{Label: "Pmake/ncpu4/seed1", Wall: time.Second, SimCycles: 18_000_000, MCyclesPerSec: 18, Allocs: 500, AllocBytes: 1_000_000},
+			{Label: "Pmake/ncpu4/seed1", Wall: time.Second, SimCycles: 18_000_000, MCyclesPerSec: 18, Allocs: 500, AllocBytes: 1_000_000,
+				BusTxns: 123_456, Checks: 7_654_321},
 			{Label: "Oracle/ncpu4/seed1", Wall: 2 * time.Second, SimCycles: 18_000_000, MCyclesPerSec: 9},
 		},
 	}
@@ -156,9 +157,16 @@ func TestBatchStatsSpeedupAndTable(t *testing.T) {
 		t.Error("zero-wall batch should report 0 speedup, not NaN")
 	}
 	out := b.Table()
-	for _, want := range []string{"4 workers", "Pmake/ncpu4/seed1", "speedup 3.00x", "500", "-"} {
+	for _, want := range []string{"4 workers", "Pmake/ncpu4/seed1", "speedup 3.00x", "500", "-",
+		"Txns", "Checks", "123456", "7654321"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q:\n%s", want, out)
 		}
+	}
+	// The unchecked run with no recorded transactions shows "-" in both
+	// counter columns, not 0.
+	row := strings.Fields(strings.Split(out, "\n")[4])
+	if txns, checks := row[len(row)-2], row[len(row)-1]; txns != "-" || checks != "-" {
+		t.Errorf("zero counters rendered as %q and %q, want \"-\": %q", txns, checks, row)
 	}
 }

@@ -39,6 +39,12 @@ type RunStats struct {
 	SpecPhases    int64
 	SpecSteps     int64
 	SpecCommitted int64
+	// BusTxns is the run's CPU-stalling bus transactions (everything but
+	// write-backs) and Checks the invariant evaluations its checker made
+	// (zero without -check): the event counts behind the wall-clock, so a
+	// checked run's cost reads as ns per check and not only as a slowdown.
+	BusTxns int64
+	Checks  int64
 }
 
 // Throughput fills MCyclesPerSec from Wall and SimCycles.
@@ -83,10 +89,18 @@ func (b BatchStats) Speedup() float64 {
 	return float64(b.SerialWall) / float64(b.Wall)
 }
 
+// countCell renders an event counter, "-" when the layer did not run.
+func countCell(n int64) string {
+	if n == 0 {
+		return "-"
+	}
+	return fmt.Sprint(n)
+}
+
 // Table renders the batch as an aligned table with a summary footnote.
 func (b BatchStats) Table() string {
 	t := NewTable(fmt.Sprintf("Experiment timing (%d workers)", b.Parallelism),
-		"Run", "Wall", "Mcycles/s", "SimW", "Allocs", "Alloc MB")
+		"Run", "Wall", "Mcycles/s", "SimW", "Allocs", "Alloc MB", "Txns", "Checks")
 	for _, r := range b.Runs {
 		allocs, mb := "-", "-"
 		if r.Allocs > 0 {
@@ -98,7 +112,8 @@ func (b BatchStats) Table() string {
 			simw = fmt.Sprintf("%d(%.0f)", r.SimWorkers, r.HorizonBatch())
 		}
 		t.AddRow(r.Label, r.Wall.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.1f", r.MCyclesPerSec), simw, allocs, mb)
+			fmt.Sprintf("%.1f", r.MCyclesPerSec), simw, allocs, mb,
+			countCell(r.BusTxns), countCell(r.Checks))
 	}
 	t.Note("batch wall %s vs serial %s — speedup %.2fx; %d allocs (%.1f MB) process-wide",
 		b.Wall.Round(time.Millisecond), b.SerialWall.Round(time.Millisecond),

@@ -242,6 +242,10 @@ func RunOneMonitored(ctx context.Context, cfg core.Config, onStart func(progress
 	st.SimWorkers = ch.Sim.SimWorkers()
 	sp := ch.Sim.SpecStats()
 	st.SpecPhases, st.SpecSteps, st.SpecCommitted = sp.Phases, sp.SpecSteps, sp.CommittedSteps
+	st.BusTxns = ch.Sim.Bus.Stats.Transactions()
+	if ch.Sim.Chk != nil {
+		st.Checks = ch.Sim.Chk.Checks
+	}
 	return Result{Ch: ch, Stats: st}
 }
 

@@ -10,6 +10,7 @@ package sample
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"repro/internal/arch"
@@ -59,7 +60,9 @@ func (s Schedule) Validate() error {
 	if s.Warmup < 0 {
 		return fmt.Errorf("sample: warmup must be non-negative (got %d)", s.Warmup)
 	}
-	if s.Period < s.Warmup+s.Length {
+	// Subtracting keeps the comparison exact where warmup + length would
+	// overflow.
+	if s.Period-s.Warmup < s.Length {
 		return fmt.Errorf("sample: period %d shorter than warmup %d + length %d",
 			s.Period, s.Warmup, s.Length)
 	}
@@ -67,12 +70,24 @@ func (s Schedule) Validate() error {
 }
 
 // String renders the schedule in the "warmup:len:period" syntax Parse
-// accepts, compacted ("100K:200K:10M"). The zero schedule renders empty.
+// accepts, compacted ("100K:200K:10M") wherever that loses nothing: Parse
+// of the result is s, so the rendering can key a result cache. The zero
+// schedule renders empty.
 func (s Schedule) String() string {
 	if !s.Enabled() {
 		return ""
 	}
-	return fmt.Sprintf("%s:%s:%s", s.Warmup.Compact(), s.Length.Compact(), s.Period.Compact())
+	return exact(s.Warmup) + ":" + exact(s.Length) + ":" + exact(s.Period)
+}
+
+// exact renders c compactly when the compact form parses back to c (it
+// truncates to two decimals), in plain digits otherwise.
+func exact(c arch.Cycles) string {
+	s := c.Compact()
+	if n, err := machineflag.ParseCycles(s); err != nil || arch.Cycles(n) != c {
+		s = strconv.FormatInt(int64(c), 10)
+	}
+	return s
 }
 
 // Parse reads a "warmup:len:period" schedule; each field takes the same

@@ -5,42 +5,75 @@ import (
 	"testing"
 
 	"repro/internal/arch"
-	)
+)
+
+// parseGood and parseBad are TestParse's tables and FuzzSampleParse's seed
+// corpus.
+var parseGood = []struct {
+	in   string
+	want Schedule
+}{
+	{"", Schedule{}},
+	{"  ", Schedule{}},
+	{"100K:200K:10M", Schedule{100_000, 200_000, 10_000_000}},
+	{"0:1M:2M", Schedule{0, 1_000_000, 2_000_000}},
+	{"1e5:2e5:1e7", Schedule{100_000, 200_000, 10_000_000}},
+	{"50000:100000:1000000", Schedule{50_000, 100_000, 1_000_000}},
+}
+
+var parseBad = []string{
+	"100K",                    // not three fields
+	"1:2",                     // not three fields
+	"1:2:3:4",                 // not three fields
+	"x:2M:10M",                // unparsable field
+	"100K:0:10M",              // zero measured length
+	"100K:200K:0",             // zero period
+	"1M:2M:2.5M",              // period < warmup+length
+	"-1K:200K:10M",            // negative warmup
+	"100K:200K:-10M",          // negative period
+	"9223372036854775807:1:5", // warmup + length overflows
+}
 
 func TestParse(t *testing.T) {
-	good := []struct {
-		in   string
-		want Schedule
-	}{
-		{"", Schedule{}},
-		{"  ", Schedule{}},
-		{"100K:200K:10M", Schedule{100_000, 200_000, 10_000_000}},
-		{"0:1M:2M", Schedule{0, 1_000_000, 2_000_000}},
-		{"1e5:2e5:1e7", Schedule{100_000, 200_000, 10_000_000}},
-		{"50000:100000:1000000", Schedule{50_000, 100_000, 1_000_000}},
-	}
-	for _, c := range good {
+	for _, c := range parseGood {
 		got, err := Parse(c.in)
 		if err != nil || got != c.want {
 			t.Errorf("Parse(%q) = %+v, %v; want %+v", c.in, got, err, c.want)
 		}
 	}
-	bad := []string{
-		"100K",           // not three fields
-		"1:2",            // not three fields
-		"1:2:3:4",        // not three fields
-		"x:2M:10M",       // unparsable field
-		"100K:0:10M",     // zero measured length
-		"100K:200K:0",    // zero period
-		"1M:2M:2.5M",     // period < warmup+length
-		"-1K:200K:10M",   // negative warmup
-		"100K:200K:-10M", // negative period
-	}
-	for _, in := range bad {
+	for _, in := range parseBad {
 		if got, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q) = %+v, want error", in, got)
 		}
 	}
+}
+
+// FuzzSampleParse: no spec panics the parser; an accepted schedule is valid,
+// and prints in a form that parses back to exactly itself (core.Config.Hash
+// keys the result cache on that rendering).
+func FuzzSampleParse(f *testing.F) {
+	for _, c := range parseGood {
+		f.Add(c.in)
+	}
+	for _, in := range parseBad {
+		f.Add(in)
+	}
+	f.Add("123456:7654321:1234567890") // compact form would truncate
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("Parse(%q) accepted %+v, which Validate rejects: %v", spec, s, err)
+		}
+		if s.Enabled() && (s.Warmup < 0 || s.Length <= 0 || s.Period-s.Warmup < s.Length) {
+			t.Fatalf("Parse(%q) accepted %+v: intervals do not fit the period", spec, s)
+		}
+		if back, err := Parse(s.String()); err != nil || back != s {
+			t.Fatalf("Parse(%q) = %+v prints as %q, which parses to %+v, %v", spec, s, s.String(), back, err)
+		}
+	})
 }
 
 func TestScheduleString(t *testing.T) {
@@ -69,11 +102,11 @@ func TestSegmentsTile(t *testing.T) {
 	}{
 		{Schedule{100, 200, 1000}, 10_000, 10},
 		{Schedule{0, 200, 1000}, 10_000, 10},
-		{Schedule{100, 200, 1000}, 10_500, 11},   // ragged tail still fits a sample
-		{Schedule{100, 200, 1000}, 9_350, 10},    // partial last period still fits its sample
-		{Schedule{100, 200, 1000}, 9_250, 9},     // sample doesn't fit → dropped
-		{Schedule{0, 1000, 1000}, 5_000, 5},      // wall-to-wall detailed
-		{Schedule{100, 200, 1000}, 50, 0},        // window smaller than one sample
+		{Schedule{100, 200, 1000}, 10_500, 11}, // ragged tail still fits a sample
+		{Schedule{100, 200, 1000}, 9_350, 10},  // partial last period still fits its sample
+		{Schedule{100, 200, 1000}, 9_250, 9},   // sample doesn't fit → dropped
+		{Schedule{0, 1000, 1000}, 5_000, 5},    // wall-to-wall detailed
+		{Schedule{100, 200, 1000}, 50, 0},      // window smaller than one sample
 		{Schedule{1000, 2000, 1_000_000}, 12_000_000, 12},
 	}
 	for _, c := range cases {

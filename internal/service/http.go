@@ -4,15 +4,39 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
+	"time"
 )
+
+// Limits on what one client connection may hold of the daemon. Reads are
+// bounded — a request is a few hundred bytes of JSON — and responses are
+// not: ?wait=1 legitimately holds a response open for as long as a job runs.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxBodyBytes      = 1 << 20
+)
+
+// HTTPServer returns the http.Server that serves the API with those
+// limits. It has no Addr: the caller owns the listener.
+func (s *Server) HTTPServer() *http.Server {
+	return &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 // Handler returns the server's HTTP API:
 //
 //	POST /v1/jobs           submit a Request; ?wait=1 blocks until terminal.
 //	                        202 accepted, 200 terminal (wait=1), 400 bad
-//	                        request, 429 + Retry-After shed, 503 draining.
+//	                        request, 413 body over 1 MiB, 429 + Retry-After
+//	                        shed, 503 draining.
 //	GET  /v1/jobs           list every job's status, submission order.
 //	GET  /v1/jobs/{id}      one job's status; ?wait=1 blocks until terminal.
 //	GET  /v1/stats          counter snapshot.
@@ -58,14 +82,36 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeRequest reads one Request: a single JSON object, then nothing but
+// whitespace.
+func decodeRequest(body io.Reader) (Request, error) {
 	var req Request
 	// Reject unknown fields instead of ignoring them: a typoed field
 	// (e.g. "windwo") would otherwise silently run — and cache — the
 	// default config. The decode error names the offending field.
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		return Request{}, err
+	}
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return req, nil
+	case err == nil || errors.As(err, new(*json.SyntaxError)):
+		return Request{}, errors.New("unexpected data after the request object")
+	default:
+		return Request{}, err // the read failed: body limit, broken connection
+	}
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			errorBody{Error: fmt.Sprintf("request body exceeds the %d-byte limit", tooBig.Limit)})
+		return
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}

@@ -1,11 +1,10 @@
-// Regression tests for the PR 7 bug fixes: terminal jobs releasing
-// their pipelines, the bounded job registry, Wait's retry loop, strict
-// request decoding, and coherent accepted-vs-resolved counters.
+// Job lifecycle: terminal jobs releasing their pipelines, the bounded job
+// registry, Wait's retry loop, coherent accepted-vs-resolved counters and
+// the metrics endpoint.
 package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -168,35 +167,6 @@ func TestWaitRetriesThroughBlips(t *testing.T) {
 		}
 	}
 	srv.Drain()
-}
-
-// TestUnknownFieldRejected: a typoed request field must 400 (naming the
-// field) instead of silently running — and caching — the default config.
-func TestUnknownFieldRejected(t *testing.T) {
-	srv, cl := newTestServer(t, Options{Workers: 1})
-	body := `{"workload": "Pmake", "windwo": 500000}`
-	resp, err := http.Post(cl.Base+"/v1/jobs", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("typoed submission returned %d, want 400", resp.StatusCode)
-	}
-	var eb errorBody
-	if err := jsonDecode(resp, &eb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(eb.Error, "windwo") {
-		t.Errorf("error %q does not name the unknown field", eb.Error)
-	}
-	if got := srv.Stats(); got.Accepted != 0 {
-		t.Errorf("typoed submission was accepted: %+v", got)
-	}
-}
-
-func jsonDecode(resp *http.Response, v any) error {
-	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 // TestStatsNeverOverResolved: under concurrent submissions and fast

@@ -69,7 +69,9 @@ func TestLoadThousandsOfClients(t *testing.T) {
 		ScaleCooldown: 100 * time.Millisecond,
 		Logf:          func(string, ...any) {}, // 2000 clients would drown t.Logf
 	})
-	hts := httptest.NewServer(srv.Handler())
+	hts := httptest.NewUnstartedServer(nil)
+	hts.Config = srv.HTTPServer()
+	hts.Start()
 	// The shared transport bounds sockets; the 2000 clients are
 	// goroutines multiplexed over it, exactly like a fleet behind a
 	// connection pool.

@@ -93,9 +93,26 @@ type Request struct {
 	TestPanic bool `json:"test_panic,omitempty"`
 }
 
+// maxNCPU bounds a request's processor count: the largest machine the
+// scaling experiments simulate, and small enough that one request cannot
+// pin a worker for minutes building and stepping thousands of CPUs.
+const maxNCPU = 64
+
 // Config resolves the request into a core.Config, validating the
-// workload and machine preset.
+// workload, machine preset and schedule names and the range of every
+// number, so that a bad request is the client's 400 and never a worker's
+// panic or a silently substituted default. Errors name the JSON field.
 func (r Request) Config() (core.Config, error) {
+	switch {
+	case r.NCPU < 0 || r.NCPU > maxNCPU:
+		return core.Config{}, fmt.Errorf("ncpu %d: must be in [0, %d] (0 = the machine preset's count)", r.NCPU, maxNCPU)
+	case r.Window < 0:
+		return core.Config{}, fmt.Errorf("window %d: must be ≥ 0 (0 = the default window)", r.Window)
+	case r.Warmup < 0:
+		return core.Config{}, fmt.Errorf("warmup %d: must be ≥ 0 (0 = half the window)", r.Warmup)
+	case r.TimeoutMS < 0:
+		return core.Config{}, fmt.Errorf("timeout_ms %d: must be ≥ 0 (0 = the server default)", r.TimeoutMS)
+	}
 	kind, err := workload.ParseKind(r.Workload)
 	if err != nil {
 		return core.Config{}, err
@@ -108,11 +125,15 @@ func (r Request) Config() (core.Config, error) {
 	if err != nil {
 		return core.Config{}, err
 	}
-	return core.Config{
+	cfg := core.Config{
 		Workload: kind, Machine: m, NCPU: r.NCPU, Seed: r.Seed,
 		Window: arch.Cycles(r.Window), Warmup: arch.Cycles(r.Warmup),
 		Check: r.Check, Sample: sched,
-	}, nil
+	}
+	if err := cfg.Canonical().Machine.Validate(); err != nil {
+		return core.Config{}, fmt.Errorf("machine %q with ncpu %d: %w", r.Machine, r.NCPU, err)
+	}
+	return cfg, nil
 }
 
 // Job states.
@@ -196,14 +217,14 @@ type JobStatus struct {
 	Seed     int64  `json:"seed"`
 	// Cycle is the simulated-cycle heartbeat (live progress while
 	// running, the cycle reached at termination afterwards).
-	Cycle  int64  `json:"cycle,omitempty"`
+	Cycle int64 `json:"cycle,omitempty"`
 	// SimWorkers and MCyclesPerSec are the run's intra-run worker count
 	// and simulated-Mcycles/s throughput — zero for dedup followers and
 	// cache hits, which executed nothing.
 	SimWorkers    int     `json:"sim_workers,omitempty"`
 	MCyclesPerSec float64 `json:"mcycles_per_sec,omitempty"`
-	Report string `json:"report,omitempty"`
-	Error  string `json:"error,omitempty"`
+	Report        string  `json:"report,omitempty"`
+	Error         string  `json:"error,omitempty"`
 	// ErrorKind classifies Error: "panic", "deadline", "stalled",
 	// "drained" or "canceled".
 	ErrorKind string `json:"error_kind,omitempty"`
@@ -381,9 +402,9 @@ type Server struct {
 
 	queue chan *Job
 
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	order  []string // submission order, for listing
+	mu    sync.Mutex
+	jobs  map[string]*Job
+	order []string // submission order, for listing
 	// terminal is the completion-order queue of retained terminal job
 	// IDs; beyond Options.JobHistory the oldest are evicted from jobs
 	// and order so a long-running server's registry stays bounded.

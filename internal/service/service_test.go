@@ -31,7 +31,9 @@ func newTestServer(t *testing.T, opts Options) (*Server, *Client) {
 		opts.Logf = t.Logf
 	}
 	srv := New(opts)
-	hts := httptest.NewServer(srv.Handler())
+	hts := httptest.NewUnstartedServer(nil)
+	hts.Config = srv.HTTPServer()
+	hts.Start()
 	t.Cleanup(hts.Close)
 	cl := &Client{Base: hts.URL, BaseDelay: 10 * time.Millisecond}
 	return srv, cl

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Tier-1 verification: build, vet, full test suite with the race detector,
-# then a checked fault-injection smoke run. Keep this green before merging.
+# a short fuzz of every input surface, then checked, determinism, daemon and
+# benchmark smokes. Keep this green before merging.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -19,6 +20,22 @@ go test -race ./...
 
 echo "== checked fault-injection smoke (charos -check -inject all)"
 go run ./cmd/charos -exp table1 -window 2000000 -check -inject all >/dev/null
+
+echo "== checked smokes off the default geometry (2-way L1+L2; -reference)"
+# The checker's line probe indexes directly when both levels have one way
+# and walks the ways otherwise; the default machine only ever takes the
+# first path, so run the other two here. charos exits 1 on any violation.
+for extra in "-dcache-l1-assoc 2 -dcache-l2-assoc 2" "-reference"; do
+    # shellcheck disable=SC2086
+    go run ./cmd/charos -exp report -check -window 1M $extra 2>&1 >/dev/null |
+        grep -q 'invariant checker: [1-9][0-9]* checks, 0 violations' || {
+        echo "FAIL: charos -exp report -check $extra did not end in 0 violations" >&2; exit 1; }
+done
+
+echo "== fuzz the input surfaces (5s each)"
+go test -run '^$' -fuzz '^FuzzParseCycles$' -fuzztime 5s ./internal/machineflag
+go test -run '^$' -fuzz '^FuzzSampleParse$' -fuzztime 5s ./internal/sample
+go test -run '^$' -fuzz '^FuzzRequestDecode$' -fuzztime 5s ./internal/service
 
 echo "== parallel-vs-serial determinism smoke (sweep -exp figure11)"
 serial=$(go run ./cmd/sweep -exp figure11 -cpus 2,4 -window 1000000 -parallel 1 2>/dev/null)
@@ -123,6 +140,24 @@ if "$smoke/charosd" -submit -nowait -retries -1 -addr "$caddr" -seed 5 -window 5
 fi
 grep -q '429' "$smoke/shed.err" || {
     echo "FAIL: shed submission did not surface the 429" >&2; exit 1; }
+# Out-of-range numbers are the client's 400, named by field, even with the
+# queue full — they never reach it.
+for n in -3 5000; do
+    if "$smoke/charosd" -submit -retries -1 -addr "$caddr" -ncpu "$n" -window 200000 2> "$smoke/range.err"; then
+        echo "FAIL: ncpu $n was admitted" >&2; exit 1
+    fi
+    grep -q "400.*ncpu $n" "$smoke/range.err" || {
+        echo "FAIL: ncpu $n was not rejected with a 400 naming the field" >&2; exit 1; }
+done
+if command -v curl >/dev/null; then
+    code=$(curl -s -o "$smoke/neg.out" -w '%{http_code}' -d '{"workload":"pmake","window":-5}' "http://$caddr/v1/jobs")
+    [ "$code" = 400 ] && grep -q 'window -5' "$smoke/neg.out" || {
+        echo "FAIL: window -5 got $code, want 400 naming the field" >&2; exit 1; }
+    head -c 2097152 /dev/zero | tr '\0' ' ' > "$smoke/big.json"
+    code=$(curl -s -o "$smoke/big.out" -w '%{http_code}' --data-binary "@$smoke/big.json" "http://$caddr/v1/jobs")
+    [ "$code" = 413 ] && grep -q '1048576' "$smoke/big.out" || {
+        echo "FAIL: 2 MiB body got $code, want 413 naming the limit" >&2; exit 1; }
+fi
 # SIGTERM: the drain must resolve every accepted job and exit 0.
 kill -TERM "$daemon"
 wait "$daemon" || { echo "FAIL: charosd exited nonzero after SIGTERM" >&2; exit 1; }
@@ -158,6 +193,10 @@ go test -race -run 'TestHitFilterIdentity' ./internal/report
 
 echo "== shed-race regression (service.Submit, race detector)"
 go test -race -count=10 -run 'TestShedNeverAdmitsFollower' ./internal/service
+
+echo "== checker probe property + hostile-client tests (race detector)"
+go test -race -run 'TestLinesMatchesCacheQueries' ./internal/bus
+go test -race -count=10 -run 'TestOversizedBodyRejected|TestSlowHeaderClientDropped' ./internal/service
 
 echo "== benchmark smoke (bench/run.sh -smoke: every workload, both modes, output checks)"
 bash bench/run.sh -smoke >/dev/null
