@@ -102,7 +102,7 @@ func run() int {
 	warmup := machineflag.CyclesFlag(flag.CommandLine, "warmup", 0,
 		"job warmup in 30ns cycles, K/M/G suffixes ok (0 = default)")
 	sampleSpec := flag.String("sample", "",
-		"job sampling schedule \"warmup:len:period\" in cycles (e.g. 100K:200K:10M); empty = full-detail run")
+		"job sampling schedule \"warmup:len:period\" in cycles (e.g. 100K:200K:10M); empty = exact counts only, no interval estimate")
 	checkFlag := flag.Bool("check", false, "run the job under the invariant checker")
 	timeout := flag.Duration("timeout", 0, "client: job + wait deadline (0 = none); sent as the job's budget")
 	retries := flag.Int("retries", 0, "client: retry budget after shed/transport errors (0 = default 8, negative = none)")

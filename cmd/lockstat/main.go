@@ -88,9 +88,13 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
+	cfg := core.Config{Machine: machine, Window: arch.Cycles(*window), Seed: *seed, Check: *checkFlag, Reference: *reference, Sample: sched}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
 	fmt.Fprintf(os.Stderr, "running all three workloads for Table 10, %s for the detail dump...\n", kind)
-	set, err := report.RunSetContext(ctx, core.Config{Machine: machine, Window: arch.Cycles(*window), Seed: *seed, Check: *checkFlag, Reference: *reference, Sample: sched},
-		runner.Options{Parallelism: pool, SimWorkers: *simWorkers})
+	set, err := report.RunSetContext(ctx, cfg, runner.Options{Parallelism: pool, SimWorkers: *simWorkers})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

@@ -96,6 +96,12 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "-sample only applies to -exp geometry (%s needs the exact trace)\n", *exp)
 		return 2
 	}
+	// Every run below is this configuration plus collectors, the checker
+	// or a resized L2: what can be wrong with it is wrong with it here.
+	if err := (core.Config{Machine: machine, Window: arch.Cycles(*window), Seed: *seed, Sample: sched}).Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
 
 	opts := runner.Options{Parallelism: pool, SimWorkers: *simWorkers}
 	switch *exp {
@@ -146,9 +152,8 @@ func run() int {
 	return 0
 }
 
-// osDMisses sums the classified OS data misses of one full-system run.
-// Sampled runs report the extrapolated whole-window estimate instead of
-// the (partial) measured counts.
+// osDMisses sums the classified OS data misses of one full-system run: the
+// interval estimate when the run was sampled, the exact count otherwise.
 func osDMisses(ch *core.Characterization) int64 {
 	if ch.Sampled != nil {
 		var t float64
@@ -177,9 +182,8 @@ func osDMisses(ch *core.Characterization) int64 {
 func geometry(ctx context.Context, m arch.Machine, window arch.Cycles, seed int64, sched sample.Schedule, opts runner.Options) int {
 	fmt.Fprintf(os.Stderr, "geometry sweep on %s, window %d, seed %d\n", m, window, seed)
 	if sched.Enabled() {
-		// The baseline must materialize the full miss stream for the
-		// replay oracle, so only the direct re-runs and the preset run
-		// are sampled; their miss counts become extrapolated estimates.
+		// The replay oracle is compared with exact counts, so only the
+		// direct re-runs and the preset run print the interval estimate.
 		fmt.Fprintf(os.Stderr, "sampling %s on the direct re-runs (baseline stays full for the replay oracle)\n", sched)
 	}
 

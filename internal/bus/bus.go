@@ -232,20 +232,6 @@ func (s *System) SetReference(ref bool) {
 // attached after construction).
 func (s *System) SetRecorder(rec Recorder) { s.rec = rec }
 
-// SetWarm switches the system between full-detail operation (false, the
-// default) and the fast-forward functional-warming mode of a sampled run.
-// It flips the attached checker into its state-only mode (shadow memory,
-// versions and provenance keep updating; checks, scans and reports
-// pause). Recorder traffic still flows — the phase-aware fan-out decides
-// per recorder whether to warm it or drop it — and every coherence state
-// transition is unaffected, so a later detailed phase resumes from honest
-// caches and honest classification mirrors.
-func (s *System) SetWarm(w bool) {
-	if s.Check != nil {
-		s.Check.SetWarming(w)
-	}
-}
-
 func (s *System) record(t Txn) {
 	if s.rec != nil {
 		s.rec.Record(t)

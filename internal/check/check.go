@@ -231,15 +231,6 @@ type Checker struct {
 	// FailFast panics with the first *CheckError instead of collecting.
 	FailFast bool
 
-	// warming suppresses invariant evaluation (reports, scans, Checks
-	// counting) while keeping every shadow-state update, so a sampled
-	// run's fast-forward phases keep the golden model converged without
-	// paying for — or reporting from — checks against state the skipped
-	// classifier could not explain. Lock checks (lock.go) stay fully
-	// active regardless: they are cheap and their violations are real in
-	// any phase.
-	warming bool
-
 	// Checks counts invariant evaluations; Violations counts failures
 	// (including ones dropped from the capped error list).
 	Checks     int64
@@ -272,11 +263,6 @@ func New(view BusView, frames int) *Checker {
 // Errors returns the collected violations (at most maxErrors; Violations
 // has the true count).
 func (k *Checker) Errors() []*CheckError { return k.errs }
-
-// SetWarming switches the data-path checks between full verification
-// (false, the default) and state-only functional warming (true). The
-// simulator flips this at sampling phase boundaries.
-func (k *Checker) SetWarming(w bool) { k.warming = w }
 
 func (k *Checker) report(e *CheckError) {
 	k.Violations++
@@ -316,21 +302,17 @@ func (k *Checker) routine(cpu arch.CPUID) string {
 // OnData observes one data reference after the bus has updated all cache
 // state. a must be the block address.
 func (k *Checker) OnData(cpu arch.CPUID, a arch.PAddr, write bool, lvl Level, now arch.Cycles) {
-	if !k.warming {
-		k.Checks++
-	}
+	k.Checks++
 	// One snapshot serves the store propagation and the scan below: the
 	// checker changes no cache state in between.
-	if write || !k.warming {
-		k.view.Lines(a, k.lines)
-	}
+	k.view.Lines(a, k.lines)
 	pg, bi := k.page(a)
 	d := pg.data(k.n)
 	base := bi * k.n
 	if write {
 		// A write that hits must be modifying the latest version (a
 		// read-modify-write of stale data is as wrong as a stale load).
-		if !k.warming && lvl != LevelFill && d[base+int(cpu)] != pg.ver[bi] {
+		if lvl != LevelFill && d[base+int(cpu)] != pg.ver[bi] {
 			k.report(pg.provenance(bi, &CheckError{
 				Kind: Shadow, Cycle: now, CPU: cpu, Addr: a,
 				Routine: k.routine(cpu),
@@ -354,18 +336,13 @@ func (k *Checker) OnData(cpu arch.CPUID, a arch.PAddr, write bool, lvl Level, no
 		// write-backs) does.
 		d[base+int(cpu)] = pg.ver[bi]
 	} else if d[base+int(cpu)] != pg.ver[bi] {
-		if !k.warming {
-			k.report(pg.provenance(bi, &CheckError{
-				Kind: Shadow, Cycle: now, CPU: cpu, Addr: a,
-				Routine: k.routine(cpu),
-				Detail: fmt.Sprintf("load observed a stale copy (copy version %d, memory version %d)",
-					d[base+int(cpu)], pg.ver[bi]),
-			}))
-		}
+		k.report(pg.provenance(bi, &CheckError{
+			Kind: Shadow, Cycle: now, CPU: cpu, Addr: a,
+			Routine: k.routine(cpu),
+			Detail: fmt.Sprintf("load observed a stale copy (copy version %d, memory version %d)",
+				d[base+int(cpu)], pg.ver[bi]),
+		}))
 		d[base+int(cpu)] = pg.ver[bi] // resync so one defect does not cascade
-	}
-	if k.warming {
-		return
 	}
 	k.scan(cpu, a, now)
 }
@@ -373,16 +350,11 @@ func (k *Checker) OnData(cpu arch.CPUID, a arch.PAddr, write bool, lvl Level, no
 // OnBypass observes a cache-bypassing block transfer. Writes update
 // memory directly (every cached copy was invalidated by the bus).
 func (k *Checker) OnBypass(cpu arch.CPUID, a arch.PAddr, write bool, now arch.Cycles) {
-	if !k.warming {
-		k.Checks++
-	}
+	k.Checks++
 	if write {
 		pg, bi := k.page(a)
 		pg.ver[bi]++
 		pg.writer[bi], pg.wcycle[bi], pg.wroutine[bi] = cpu, now, k.routine(cpu)
-	}
-	if k.warming {
-		return
 	}
 	k.view.Lines(a, k.lines)
 	k.scan(cpu, a, now)
@@ -392,9 +364,6 @@ func (k *Checker) OnBypass(cpu arch.CPUID, a arch.PAddr, write bool, now arch.Cy
 // no data is lost — dirty victims are written back. Only the line scan
 // runs; the shadow copy map self-corrects on the next fill.
 func (k *Checker) OnEvict(cpu arch.CPUID, a arch.PAddr, now arch.Cycles) {
-	if k.warming {
-		return
-	}
 	k.view.Lines(a, k.lines)
 	k.scan(cpu, a, now)
 }
@@ -403,23 +372,15 @@ func (k *Checker) OnEvict(cpu arch.CPUID, a arch.PAddr, now arch.Cycles) {
 // I-cache coherence: the kernel must flush before reusing a code frame,
 // and this check proves it never lets a CPU execute stale instructions.
 func (k *Checker) OnFetch(cpu arch.CPUID, a arch.PAddr, hit bool, now arch.Cycles) {
-	if !k.warming {
-		k.Checks++
-	}
+	k.Checks++
 	pg, bi := k.page(a)
 	ic, ep := pg.instr(k.n)
 	i := bi*k.n + int(cpu)
 	if !hit {
-		// A miss re-records the copy's version in every phase: fills
-		// always supply current code.
+		// A miss re-records the copy's version: fills always supply
+		// current code.
 		ic[i] = pg.ver[bi]
 		ep[i] = k.iEpochNow[cpu]
-		return
-	}
-	if k.warming {
-		// A warming-phase hit leaves the copy record untouched: if the
-		// copy really is stale, the next detailed-phase fetch still
-		// catches it.
 		return
 	}
 	if ep[i] != k.iEpochNow[cpu] {

@@ -88,13 +88,40 @@ type Config struct {
 	// changes wall-clock time only, never the output, so every worker
 	// count shares one content address (and one result-cache slot).
 	SimWorkers int
-	// Sample, when enabled, runs the window under the sampled-simulation
-	// regime (functional fast-forward + measured detailed intervals; see
-	// the sample package) and fills Characterization.Sampled with the
-	// extrapolated per-class estimate. Requires the streaming classifier:
-	// incompatible with NoTrace, Buffered and the resim collectors.
-	// Included in Hash() — a sampled run's output is not a full run's.
+	// Sample, when enabled, tallies the classifier's counts over the
+	// schedule's measured intervals (see the sample package) and fills
+	// Characterization.Sampled with the per-class estimate and its
+	// standard errors. The run itself is unchanged. Requires the
+	// streaming classifier: incompatible with NoTrace and Buffered.
+	// Included in Hash() — a sampled run's report is not a full run's.
 	Sample sample.Schedule
+}
+
+// Validate names what makes a configuration unrunnable, after defaults
+// are applied: every binary and the service call it on what the user
+// typed, and RunMonitored panics with its error.
+func (c Config) Validate() error {
+	c = c.withDefaults()
+	if err := c.Machine.Validate(); err != nil {
+		return err
+	}
+	if (c.CollectIResim || c.CollectDResim) && c.NCPU > trace.MaxResimCPUs {
+		return fmt.Errorf("resim streams cover at most %d CPUs, not %d", trace.MaxResimCPUs, c.NCPU)
+	}
+	if !c.Sample.Enabled() {
+		return nil
+	}
+	if err := c.Sample.Validate(); err != nil {
+		return err
+	}
+	if c.NoTrace || c.Buffered {
+		// The interval tally is read from the classifier mid-run.
+		return errors.New("sample: needs the streaming classifier (not with notrace or buffered)")
+	}
+	if c.Sample.Samples(c.Window) == 0 {
+		return fmt.Errorf("sample: schedule %s fits no measured interval in a window of %d cycles", c.Sample, c.Window)
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {
@@ -199,11 +226,10 @@ type Characterization struct {
 	// CheckErrors are the invariant violations found when Cfg.Check was
 	// set (nil/empty on a clean run).
 	CheckErrors []*check.CheckError
-	// Sampled is the extrapolated per-class estimate of a sampled run
-	// (nil when Cfg.Sample is disabled). Trace still carries the exact
-	// kernel-level results — counters, segments, lock stats are
-	// trajectory-exact under sampling — but its classification counts
-	// cover only the detailed intervals; use Sampled for miss totals.
+	// Sampled is the per-class estimate extrapolated from the measured
+	// intervals of Cfg.Sample, with standard errors (nil when sampling
+	// is off). Trace is the exact whole-window result either way, so
+	// the estimate can be read against the counts it approximates.
 	Sampled *sample.Estimate
 }
 
@@ -247,25 +273,10 @@ func RunMonitored(ctx context.Context, cfg Config, onStart func(progress func() 
 	if ctx.Err() != nil {
 		return nil, canceled(0)
 	}
+	if err := cfg.Validate(); err != nil {
+		panic(fmt.Sprintf("core: %v", err))
+	}
 	streaming := !cfg.NoTrace && !cfg.Buffered
-	if cfg.Sample.Enabled() {
-		// Sampling needs the streaming classifier (snapshots are taken
-		// at phase boundaries, mid-run) and skips most transactions, so
-		// the materialized-trace oracle and the resim streams — which
-		// need every transaction — cannot be collected.
-		if err := cfg.Sample.Validate(); err != nil {
-			panic(fmt.Sprintf("core: %v", err))
-		}
-		if !streaming {
-			panic("core: sampling requires the streaming pipeline (no -buffered, no -notrace)")
-		}
-		if cfg.CollectIResim || cfg.CollectDResim {
-			panic("core: sampling cannot collect resim streams (they need every transaction)")
-		}
-	}
-	if (cfg.CollectIResim || cfg.CollectDResim) && cfg.NCPU > trace.MaxResimCPUs {
-		panic(fmt.Sprintf("core: resim streams cover at most %d CPUs, not %d", trace.MaxResimCPUs, cfg.NCPU))
-	}
 	s := sim.New(sim.Config{
 		Machine:        cfg.Machine,
 		NCPU:           cfg.NCPU,
@@ -297,8 +308,7 @@ func RunMonitored(ctx context.Context, cfg Config, onStart func(progress func() 
 	var acc *sample.Accumulator
 	if cfg.Sample.Enabled() {
 		// Each measured interval's tally is the classifier-count delta
-		// across that interval alone; re-warm misclassifications (stale
-		// mirrors after a fast-forward gap) land outside the snapshots.
+		// across that interval alone.
 		acc = sample.NewAccumulator(cfg.Sample, cfg.Window)
 		var snap sample.Counts
 		s.OnMeasure = func(measuring bool) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/sample"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -94,6 +95,44 @@ func TestFigure6RequiresIResim(t *testing.T) {
 		}
 	}()
 	ch.Figure6()
+}
+
+// TestConfigValidate pins every rule and its error text: the CLIs print
+// these and exit 2, the service returns them as a 400.
+func TestConfigValidate(t *testing.T) {
+	sched := sample.Schedule{Warmup: 100_000, Length: 200_000, Period: 10_000_000}
+	for _, ok := range []Config{
+		{},
+		{Sample: sched},
+		{Sample: sched, Window: 300_000}, // exactly one interval
+		{Sample: sched, CollectIResim: true, CollectDResim: true, Check: true, SimWorkers: 2},
+		{NCPU: trace.MaxResimCPUs, CollectDResim: true},
+		{NCPU: trace.MaxResimCPUs + 1, NoTrace: true},
+		{NoTrace: true, Buffered: true},
+	} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", ok, err)
+		}
+	}
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Machine: arch.Machine{NCPU: 4}}, "arch.Machine: ClockMHz 0: must be ≥ 1"},
+		{Config{NCPU: -1}, "arch.Machine: NCPU -1: must be ≥ 1"},
+		{Config{NCPU: 300, CollectIResim: true}, "resim streams cover at most 256 CPUs, not 300"},
+		{Config{NCPU: 300, CollectDResim: true}, "resim streams cover at most 256 CPUs, not 300"},
+		{Config{Sample: sample.Schedule{Length: 0, Period: 10}}, "sample: measured length must be positive (got 0)"},
+		{Config{Sample: sample.Schedule{Warmup: 8, Length: 8, Period: 10}}, "sample: period 10 shorter than warmup 8 + length 8"},
+		{Config{Sample: sched, NoTrace: true}, "sample: needs the streaming classifier (not with notrace or buffered)"},
+		{Config{Sample: sched, Buffered: true}, "sample: needs the streaming classifier (not with notrace or buffered)"},
+		{Config{Sample: sched, Window: 250_000}, "sample: schedule 100K:200K:10M fits no measured interval in a window of 250000 cycles"},
+	} {
+		err := tc.cfg.Validate()
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%+v: Validate() = %v, want %q", tc.cfg, err, tc.want)
+		}
+	}
 }
 
 // TestResimRejectsTooManyCPUs: the resim events carry the CPU in one byte,

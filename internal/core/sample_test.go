@@ -12,9 +12,9 @@ import (
 )
 
 // sampleSchedule is the validated reference schedule for the accuracy
-// tests: 27 samples over the default 12M-cycle window, each a 30K-cycle
-// detailed re-warm plus a 60K-cycle measured interval, ~14% of the
-// window measured. The period is deliberately not a round multiple of
+// tests: 27 samples over the default 12M-cycle window, each a 60K-cycle
+// measured interval 30K cycles into its period, ~14% of the window
+// measured. The period is deliberately not a round multiple of
 // the machine's periodic behavior (clock ticks, scheduler quanta) —
 // round periods alias with them and bias the sample.
 const sampleSchedule = "30K:60K:430K"
@@ -33,10 +33,10 @@ func sampleTolerance(t *testing.T, name string, got, want, stderr, fullTotal flo
 	}
 }
 
-// TestSampledMatchesFullRun is the accuracy gate of the sampling
-// pipeline: for each workload at the default 12M-cycle window, a sampled
-// run must (a) take the exact trajectory of the full-detail run — equal
-// architectural state hashes, time split and kernel counters — and
+// TestSampledMatchesFullRun is the accuracy gate of the interval
+// estimate: for each workload at the default 12M-cycle window, a sampled
+// run must (a) be the unsampled run — equal architectural state hashes,
+// time split, kernel counters and whole-window trace result — and
 // (b) estimate every per-class miss count within the documented
 // tolerance. A second sampled run on the parallel engine must reproduce
 // the serial estimate bit for bit.
@@ -53,7 +53,7 @@ func TestSampledMatchesFullRun(t *testing.T) {
 				t.Fatal("sampled run produced no estimate")
 			}
 
-			// Exact trajectory: fast-forward must not perturb the machine.
+			// Same run: the interval stops must not perturb the machine.
 			if fh, sh := full.Sim.StateHash(), samp.Sim.StateHash(); fh != sh {
 				t.Errorf("state hash diverged: full %x, sampled %x", fh, sh)
 			}
@@ -64,6 +64,10 @@ func TestSampledMatchesFullRun(t *testing.T) {
 			}
 			if full.Ops != samp.Ops {
 				t.Errorf("kernel counters diverged:\nfull    %+v\nsampled %+v", full.Ops, samp.Ops)
+			}
+			if !reflect.DeepEqual(full.Trace, samp.Trace) {
+				t.Errorf("whole-window trace result diverged: full total %d, sampled total %d",
+					full.Trace.Total, samp.Trace.Total)
 			}
 
 			// Statistical agreement of the extrapolated class counts.
@@ -94,8 +98,8 @@ func TestSampledMatchesFullRun(t *testing.T) {
 			}
 
 			// The conservative parallel engine must reproduce the serial
-			// sampled run exactly — phases flip only at step boundaries,
-			// where the workers have quiesced.
+			// sampled run exactly — the interval stops fall at step
+			// boundaries, where the workers have quiesced.
 			par := Run(Config{Workload: wl, Window: arch.DefaultWindow, Sample: sched, SimWorkers: 2})
 			if sh, ph := samp.Sim.StateHash(), par.Sim.StateHash(); sh != ph {
 				t.Errorf("parallel sampled state hash diverged: serial %x, workers=2 %x", sh, ph)
@@ -108,26 +112,73 @@ func TestSampledMatchesFullRun(t *testing.T) {
 	}
 }
 
-// TestSampledRunUnderChecker: the invariant checker's functional-warming
-// mode must keep its shadow state coherent through fast-forward — a
-// sampled checked run ends with zero violations and still performs
-// detailed-phase checks.
-func TestSampledRunUnderChecker(t *testing.T) {
-	sched, err := sample.Parse("30K:60K:430K")
+// TestSampledTraceIsExact: sampling is a read-out of the one run, so a
+// sampled run's whole-window results are the unsampled run's — the class
+// counts, the total StallPct reads, the kernel counters — and when the
+// intervals tile the window, Estimate.Measured (the sum of the per-interval
+// tallies) is the exact count in every cell.
+func TestSampledTraceIsExact(t *testing.T) {
+	sched, err := sample.Parse("100K:200K:1M")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2} {
-		ch := Run(Config{
-			Workload: workload.Pmake, Window: 4_000_000, Check: true,
-			Sample: sched, SimWorkers: workers,
+	for _, wl := range []workload.Kind{workload.Pmake, workload.Multpgm, workload.Oracle} {
+		t.Run(wl.String(), func(t *testing.T) {
+			cfg := Config{Workload: wl, Window: 4_000_000}
+			full := Run(cfg)
+			cfg.Sample = sched
+			samp := Run(cfg)
+			if full.Trace.Counts != samp.Trace.Counts || full.Trace.Total != samp.Trace.Total {
+				t.Errorf("class counts diverged: full total %d, sampled total %d", full.Trace.Total, samp.Trace.Total)
+			}
+			fa, fo, fi := full.StallPct()
+			sa, so, si := samp.StallPct()
+			if fa != sa || fo != so || fi != si {
+				t.Errorf("StallPct diverged: full %v/%v/%v, sampled %v/%v/%v", fa, fo, fi, sa, so, si)
+			}
+			if full.Ops != samp.Ops {
+				t.Errorf("kernel counters diverged:\nfull    %+v\nsampled %+v", full.Ops, samp.Ops)
+			}
+
+			if got, want := samp.Sampled.Samples, sched.Samples(cfg.Window); got != want {
+				t.Errorf("%d intervals tallied, schedule has %d", got, want)
+			}
+
+			// Intervals that tile the window: their tallies must add up
+			// to the exact counts, cell for cell.
+			cfg.Sample = sample.Schedule{Length: 500_000, Period: 500_000}
+			tiled := Run(cfg)
+			if tiled.Sampled.Samples != 8 {
+				t.Fatalf("%d intervals tallied, want 8", tiled.Sampled.Samples)
+			}
+			if tiled.Sampled.Measured != sample.Counts(full.Trace.Counts) {
+				t.Errorf("interval tallies do not sum to the exact counts:\nsum   %v\nexact %v",
+					tiled.Sampled.Measured, full.Trace.Counts)
+			}
 		})
+	}
+}
+
+// TestSampledRunUnderChecker: the checker checks every reference of every
+// run, so a sampled checked run performs exactly the unsampled run's
+// checks, with zero violations, on either engine.
+func TestSampledRunUnderChecker(t *testing.T) {
+	sched, err := sample.Parse(sampleSchedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Workload: workload.Pmake, Window: 4_000_000, Check: true}
+	want := Run(cfg).Sim.Chk.Checks
+	cfg.Sample = sched
+	for _, workers := range []int{1, 2} {
+		cfg.SimWorkers = workers
+		ch := Run(cfg)
 		if n := len(ch.CheckErrors); n > 0 {
 			t.Fatalf("workers=%d: checker found %d violations in a sampled run, first: %v",
 				workers, n, ch.CheckErrors[0])
 		}
-		if ch.Sim.Chk.Checks == 0 {
-			t.Errorf("workers=%d: no checks performed in the detailed phases", workers)
+		if got := ch.Sim.Chk.Checks; got != want {
+			t.Errorf("workers=%d: sampled run performed %d checks, unsampled %d", workers, got, want)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package report
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,11 +11,10 @@ import (
 	"repro/internal/workload"
 )
 
-// TestSamplingOffByteIdentical: with no schedule, the refactored
-// pipeline renders byte-for-byte what it rendered before sampling
-// existed — serial and parallel-engine runs included — and carries no
-// estimate.
-func TestSamplingOffByteIdentical(t *testing.T) {
+// TestUnsampledSerialMatchesWorkers: with no schedule a run carries no
+// estimate, its report never mentions sampling, and the parallel engine
+// renders it byte for byte as the serial scheduler does.
+func TestUnsampledSerialMatchesWorkers(t *testing.T) {
 	cfg := core.Config{Workload: workload.Multpgm, Window: 2_000_000, Seed: 5}
 	serial := core.Run(cfg)
 	if serial.Sampled != nil {
@@ -26,6 +27,30 @@ func TestSamplingOffByteIdentical(t *testing.T) {
 	cfg.SimWorkers = 2
 	if got := Single(core.Run(cfg)); got != want {
 		t.Errorf("workers=2 report diverged from serial with sampling off:\n--- serial\n%s\n--- workers\n%s", want, got)
+	}
+}
+
+// TestSampledEstimatePinned pins the sampled report of each workload at
+// the default window, serial and on the parallel engine. The digests were
+// taken at the commit before sampling became an interval tally over one
+// detailed run, when the stretches between intervals were warmed without
+// being tallied: the estimate must not have moved by a bit.
+func TestSampledEstimatePinned(t *testing.T) {
+	sched, err := sample.Parse("30K:60K:430K")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for kind, want := range map[workload.Kind]string{
+		workload.Pmake:   "a21d2156edbcc8649cd66291370ff0a7a3a3906abcb4a27b1411937b235eee36",
+		workload.Multpgm: "5fcbcd6035c76f2b9a7d853b6afca16a25755f28f153f1cc9a2ccd728c0eacde",
+		workload.Oracle:  "3d41e8b07e3d9ff3ff5be1ae01c00ccd5661f8aa5282d3acfef29e5d99e3f64a",
+	} {
+		for _, workers := range []int{1, 2} {
+			ch := core.Run(core.Config{Workload: kind, Sample: sched, SimWorkers: workers})
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(Single(ch)))); got != want {
+				t.Errorf("%s workers=%d: report digest %s, want %s\n%s", kind, workers, got, want, Single(ch))
+			}
+		}
 	}
 }
 

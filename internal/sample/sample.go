@@ -1,10 +1,11 @@
-// Package sample implements statistically-sampled simulation in the style
-// of SMARTS and of Bueno et al.'s representative-interval work (PAPERS.md):
-// the traced window is tiled into fixed periods, each holding a detailed
-// re-warm interval, a measured detailed interval, and a cheap functional
-// fast-forward remainder. Per-sample class tallies are extrapolated to
-// whole-window totals with per-class standard-error bars, which is what
-// lets a -window 1e9 run finish in minutes instead of hours.
+// Package sample turns one detailed run into an estimate with error bars,
+// in the style of SMARTS and of Bueno et al.'s representative-interval work
+// (PAPERS.md): the traced window is tiled into fixed periods, each holding
+// one measured interval; the classifier's tally over each interval is one
+// observation, and the observations are extrapolated to whole-window totals
+// with per-class standard errors. The run itself is the full run — every
+// reference is simulated, classified and (when asked) checked — so the
+// estimate can always be read beside the exact result it approximates.
 package sample
 
 import (
@@ -23,26 +24,22 @@ import (
 // core carries a compile-time assertion that the two agree.
 const NumClasses = 6
 
-// Schedule describes the periodic sampling regime. All lengths are in
-// simulated cycles, relative to the start of the traced window (warmup
-// before trace start is unaffected and always runs as today).
+// Schedule places the measured intervals. All lengths are in simulated
+// cycles, relative to the start of the traced window (warmup before trace
+// start is unaffected).
 //
 // Each period is laid out as
 //
-//	[ Warmup detailed, unmeasured | Length detailed, measured | fast-forward ]
+//	[ Warmup | Length, measured | rest of the period ]
 //
-// The detailed re-warm interval lets the classifier's mirror caches and
-// the coherence checker's shadow state converge after the fast-forward
-// gap, so stale-state misclassifications never enter the measured tallies.
-// A zero Schedule means sampling is off.
+// and only the measured interval's tally enters the estimate. A zero
+// Schedule means sampling is off.
 type Schedule struct {
-	// Warmup is the detailed-but-unmeasured re-warm interval opening
-	// each period.
+	// Warmup is the offset of the measured interval inside its period.
 	Warmup arch.Cycles
-	// Length is the measured detailed interval.
+	// Length is the measured interval.
 	Length arch.Cycles
-	// Period is the full tile; the fast-forward remainder is
-	// Period - Warmup - Length.
+	// Period is the full tile.
 	Period arch.Cycles
 }
 
@@ -116,69 +113,33 @@ func Parse(spec string) (Schedule, error) {
 	return s, s.Validate()
 }
 
-// Segment is one phase-constant stretch of the traced window, half-open
-// [Start, End) in cycles from trace start.
-type Segment struct {
+// Interval is one measured interval, half-open [Start, End) in cycles
+// from trace start.
+type Interval struct {
 	Start, End arch.Cycles
-	// Detailed means full classification/checking runs; false is the
-	// functionally-warmed fast-forward.
-	Detailed bool
-	// Measured marks the detailed intervals whose tallies enter the
-	// estimate (re-warm intervals are Detailed but not Measured).
-	Measured bool
 }
 
-// Segments tiles a window into the phase segments the simulator executes.
-// A measured interval that does not fit entirely inside the window is
-// dropped (its period becomes pure fast-forward): partial samples would
-// bias the estimate. Returns nil for a disabled schedule.
-func (s Schedule) Segments(window arch.Cycles) []Segment {
-	if !s.Enabled() || window <= 0 {
-		return nil
-	}
-	var segs []Segment
-	add := func(start, end arch.Cycles, detailed, measured bool) {
-		if end <= start {
-			return
-		}
-		// Merge adjacent unmeasured segments of the same phase (e.g.
-		// the fast-forward tail of a period whose sample did not fit,
-		// followed by the next period's fast-forward). Measured
-		// intervals are never merged: each is one observation.
-		if n := len(segs); n > 0 && !measured && segs[n-1].End == start &&
-			segs[n-1].Detailed == detailed && segs[n-1].Measured == measured {
-			segs[n-1].End = end
-			return
-		}
-		segs = append(segs, Segment{Start: start, End: end, Detailed: detailed, Measured: measured})
-	}
-	for p := arch.Cycles(0); p < window; p += s.Period {
-		warmEnd := p + s.Warmup
-		measEnd := warmEnd + s.Length
-		perEnd := p + s.Period
-		if perEnd > window {
-			perEnd = window
-		}
-		if measEnd <= perEnd {
-			add(p, warmEnd, true, false)
-			add(warmEnd, measEnd, true, true)
-			add(measEnd, perEnd, false, false)
-		} else {
-			add(p, perEnd, false, false)
-		}
-	}
-	return segs
-}
-
-// Samples counts the measured intervals Segments would produce.
+// Samples counts the measured intervals that fit entirely inside the
+// window. One that does not fit is dropped: a partial sample would bias
+// the estimate.
 func (s Schedule) Samples(window arch.Cycles) int {
-	n := 0
-	for _, seg := range s.Segments(window) {
-		if seg.Measured {
-			n++
-		}
+	// Subtracting keeps the comparison exact where the sums would overflow.
+	room := window - s.Warmup - s.Length
+	if !s.Enabled() || room < 0 {
+		return 0
 	}
-	return n
+	return int(room/s.Period) + 1
+}
+
+// Intervals returns the measured intervals of a window, in order (none for
+// a disabled schedule).
+func (s Schedule) Intervals(window arch.Cycles) []Interval {
+	ivs := make([]Interval, s.Samples(window))
+	for i := range ivs {
+		start := arch.Cycles(i)*s.Period + s.Warmup
+		ivs[i] = Interval{Start: start, End: start + s.Length}
+	}
+	return ivs
 }
 
 // Counts is the per-sample class tally cube, [os][instr][class].
@@ -274,7 +235,7 @@ type Estimate struct {
 	StdErr [2][2][NumClasses]float64
 }
 
-// MeasuredCycles is the total detailed-measured simulated time.
+// MeasuredCycles is the simulated time the measured intervals cover.
 func (e *Estimate) MeasuredCycles() arch.Cycles {
 	return arch.Cycles(e.Samples) * e.Schedule.Length
 }

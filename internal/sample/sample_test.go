@@ -91,10 +91,10 @@ func TestScheduleString(t *testing.T) {
 	}
 }
 
-// Segments must tile [0, window) exactly: contiguous, in order, phases
-// alternating correctly, measured intervals of exactly Length, and no
-// partial sample.
-func TestSegmentsTile(t *testing.T) {
+// Intervals are the measured intervals and nothing else: one per period
+// that fits entirely inside the window, each exactly Length long at offset
+// Warmup in its period, in order, never a partial one.
+func TestIntervalsFit(t *testing.T) {
 	cases := []struct {
 		s       Schedule
 		window  arch.Cycles
@@ -103,47 +103,29 @@ func TestSegmentsTile(t *testing.T) {
 		{Schedule{100, 200, 1000}, 10_000, 10},
 		{Schedule{0, 200, 1000}, 10_000, 10},
 		{Schedule{100, 200, 1000}, 10_500, 11}, // ragged tail still fits a sample
-		{Schedule{100, 200, 1000}, 9_350, 10},  // partial last period still fits its sample
-		{Schedule{100, 200, 1000}, 9_250, 9},   // sample doesn't fit → dropped
-		{Schedule{0, 1000, 1000}, 5_000, 5},    // wall-to-wall detailed
+		{Schedule{100, 200, 1000}, 9_300, 10},  // last sample ends exactly at the window
+		{Schedule{100, 200, 1000}, 9_299, 9},   // one cycle short → dropped
+		{Schedule{0, 1000, 1000}, 5_000, 5},    // wall-to-wall measured
 		{Schedule{100, 200, 1000}, 50, 0},      // window smaller than one sample
+		{Schedule{100, 200, 1000}, 0, 0},
 		{Schedule{1000, 2000, 1_000_000}, 12_000_000, 12},
+		{Schedule{}, 1000, 0}, // sampling off
 	}
 	for _, c := range cases {
-		segs := c.s.Segments(c.window)
-		var pos arch.Cycles
-		measured := 0
-		for i, seg := range segs {
-			if seg.Start != pos {
-				t.Fatalf("%v@%d: segment %d starts at %d, want %d", c.s, c.window, i, seg.Start, pos)
+		ivs := c.s.Intervals(c.window)
+		if len(ivs) != c.samples || c.s.Samples(c.window) != c.samples {
+			t.Fatalf("%v@%d: %d intervals, Samples() = %d, want %d",
+				c.s, c.window, len(ivs), c.s.Samples(c.window), c.samples)
+		}
+		for i, iv := range ivs {
+			if want := arch.Cycles(i)*c.s.Period + c.s.Warmup; iv.Start != want {
+				t.Fatalf("%v@%d: interval %d starts at %d, want %d", c.s, c.window, i, iv.Start, want)
 			}
-			if seg.End <= seg.Start {
-				t.Fatalf("%v@%d: empty segment %d", c.s, c.window, i)
+			if iv.End-iv.Start != c.s.Length || iv.End > c.window {
+				t.Fatalf("%v@%d: interval %d is [%d,%d), want %d cycles inside the window",
+					c.s, c.window, i, iv.Start, iv.End, c.s.Length)
 			}
-			if seg.Measured {
-				if !seg.Detailed {
-					t.Fatalf("%v@%d: measured but not detailed", c.s, c.window)
-				}
-				if seg.End-seg.Start != c.s.Length {
-					t.Fatalf("%v@%d: measured interval %d cycles, want %d",
-						c.s, c.window, seg.End-seg.Start, c.s.Length)
-				}
-				measured++
-			}
-			pos = seg.End
 		}
-		if pos != c.window {
-			t.Fatalf("%v@%d: tiling ends at %d", c.s, c.window, pos)
-		}
-		if measured != c.samples {
-			t.Fatalf("%v@%d: %d samples, want %d", c.s, c.window, measured, c.samples)
-		}
-		if got := c.s.Samples(c.window); got != c.samples {
-			t.Fatalf("%v@%d: Samples() = %d, want %d", c.s, c.window, got, c.samples)
-		}
-	}
-	if (Schedule{}).Segments(1000) != nil {
-		t.Fatal("disabled schedule produced segments")
 	}
 }
 

@@ -73,6 +73,7 @@ func TestRequestRangesRejectedAtSubmit(t *testing.T) {
 		{`{"workload":"pmake","window":-5}`, "window -5"},
 		{`{"workload":"pmake","warmup":-1}`, "warmup -1"},
 		{`{"workload":"pmake","timeout_ms":-1}`, "timeout_ms -1"},
+		{`{"workload":"pmake","window":250000,"sample":"100K:200K:10M"}`, "sample: schedule 100K:200K:10M fits no measured interval"},
 		{`{"workload":"pmake"} {"workload":"pmake"}`, "after the request object"},
 		{`{"workload":"pmake"}]`, "after the request object"},
 	} {
@@ -200,7 +201,7 @@ func TestSlowHeaderClientDropped(t *testing.T) {
 
 // FuzzRequestDecode drives the submit path's decoder and validation with
 // arbitrary bodies: nothing panics, and whatever is accepted resolves to a
-// machine the simulator can build and to non-negative cycle counts.
+// configuration the pipeline can run and to non-negative cycle counts.
 func FuzzRequestDecode(f *testing.F) {
 	for _, seed := range []string{
 		`{"workload":"Pmake","seed":21,"window":400000,"warmup":200000}`,
@@ -214,6 +215,7 @@ func FuzzRequestDecode(f *testing.F) {
 		`{"workload":"pmake"} {"workload":"pmake"}`,
 		`{"workload":"pmake"}` + "\n",
 		`[]`, `null`, `{`, ``,
+		`{"workload":"pmake","window":250000,"sample":"100K:200K:10M"}`,
 	} {
 		f.Add(seed)
 	}
@@ -227,8 +229,8 @@ func FuzzRequestDecode(f *testing.F) {
 			return
 		}
 		c := cfg.Canonical()
-		if err := c.Machine.Validate(); err != nil {
-			t.Errorf("accepted %q with an unbuildable machine: %v", body, err)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("accepted %q, which the pipeline cannot run: %v", body, err)
 		}
 		if c.Window < 0 || c.Warmup < 0 || req.TimeoutMS < 0 {
 			t.Errorf("accepted %q with a negative cycle or time field: window %d warmup %d timeout_ms %d",

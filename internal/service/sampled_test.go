@@ -2,38 +2,12 @@ package service
 
 import (
 	"context"
+	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/report"
 )
-
-// TestWatchdogSurvivesFastForward: the liveness watchdog polls the run's
-// simulated-cycle heartbeat, and a sampled job spends most of its window
-// fast-forwarding — so the heartbeat must keep advancing through the
-// functional-warming phase, not just the detailed intervals. The schedule
-// below keeps 97% of a 12M-cycle window in fast-forward while the stall
-// timeout is far below the job's total wall-clock; if fast-forward ever
-// stopped publishing progress, the watchdog would cancel the run as
-// stalled instead of letting it finish.
-func TestWatchdogSurvivesFastForward(t *testing.T) {
-	srv, cl := newTestServer(t, Options{
-		Workers: 1, StallTimeout: 100 * time.Millisecond, WatchdogPoll: 10 * time.Millisecond,
-	})
-	req := Request{Workload: "Pmake", Seed: 7, Window: 12_000_000, Sample: "20K:40K:2M"}
-	st, err := cl.Submit(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != StateDone {
-		t.Fatalf("sampled long-warmup job ended state=%s kind=%s err=%q — heartbeat stalled during fast-forward?",
-			st.State, st.ErrorKind, st.Error)
-	}
-	if got := srv.Stats(); got.Canceled != 0 || got.Completed != 1 {
-		t.Errorf("stats %+v, want 1 completed and 0 canceled", got)
-	}
-}
 
 // TestSampledJobIdentityAndCache: a sampled job renders exactly what a
 // serial core.Run of the same config renders, and the schedule is part of
@@ -85,5 +59,9 @@ func TestBadSampleScheduleRejected(t *testing.T) {
 	bad.Sample = "300K:200K:400K" // period < warmup+len
 	if _, err := srv.Submit(bad); err == nil {
 		t.Error("unsatisfiable sampling schedule admitted")
+	}
+	bad.Sample = "300K:200K:10M" // fine by itself, but smallReq's window holds no interval
+	if _, err := srv.Submit(bad); err == nil || !strings.Contains(err.Error(), "sample: ") {
+		t.Errorf("schedule with zero measured intervals in the window: err = %v, want one naming sample", err)
 	}
 }

@@ -73,8 +73,9 @@ type Request struct {
 	// Check runs the invariant checker alongside the job.
 	Check bool `json:"check,omitempty"`
 	// Sample is a sampled-simulation schedule "warmup:len:period" in
-	// cycles (K/M/G suffixes ok, e.g. "100K:200K:10M"); empty runs the
-	// full window in detail. The schedule is part of the job's cache
+	// cycles (K/M/G suffixes ok, e.g. "100K:200K:10M"): the report then
+	// carries the interval estimate with error bars in place of the exact
+	// classification lines. The schedule is part of the job's cache
 	// identity: sampled and full runs of the same config hash differently.
 	Sample string `json:"sample,omitempty"`
 	// SimWorkers is the job's intra-run worker count for the
@@ -130,8 +131,11 @@ func (r Request) Config() (core.Config, error) {
 		Window: arch.Cycles(r.Window), Warmup: arch.Cycles(r.Warmup),
 		Check: r.Check, Sample: sched,
 	}
-	if err := cfg.Canonical().Machine.Validate(); err != nil {
-		return core.Config{}, fmt.Errorf("machine %q with ncpu %d: %w", r.Machine, r.NCPU, err)
+	// What is left is wrong with the combination, not with one field: an
+	// unbuildable machine ("arch.Machine: …") or a schedule the window or
+	// pipeline cannot serve ("sample: …").
+	if err := cfg.Validate(); err != nil {
+		return core.Config{}, err
 	}
 	return cfg, nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/bus"
+	"repro/internal/cache"
 	"repro/internal/check"
 	"repro/internal/inject"
 	"repro/internal/kernel"
@@ -73,11 +74,9 @@ type Config struct {
 	// runs, a buffered monitor, set-associative geometries, 1 CPU, or
 	// more CPUs than the presence filter covers).
 	SimWorkers int
-	// Sample, when enabled, runs the traced window under the sampled-
-	// simulation regime: detailed re-warm + measured intervals separated
-	// by functionally-warmed fast-forward stretches (see the sample
-	// package and phase.go). The zero Schedule keeps today's full-detail
-	// behavior, byte for byte.
+	// Sample, when enabled, makes Run stop at the schedule's measured-
+	// interval boundaries to call OnMeasure. What is simulated does not
+	// depend on it: the stops fall between steps.
 	Sample sample.Schedule
 	// Kernel carries kernel tuning; NCPU and Seed are propagated.
 	Kernel kernel.Config
@@ -120,14 +119,14 @@ const idleStep = 400
 
 // Simulator owns the machine and the kernel.
 type Simulator struct {
-	Cfg  Config
-	K    *kernel.Kernel
-	Bus  *bus.System
-	Mon  *monitor.Monitor
+	Cfg Config
+	K   *kernel.Kernel
+	Bus *bus.System
+	Mon *monitor.Monitor
 	// Stream, when non-nil, is attached to the bus at trace start (after
-	// warmup) and consumes every transaction inline; with a Monitor also
-	// present the two share the stream through a bus.Fanout. Set it
-	// before Run — typically to a trace.Classifier, which core wires up.
+	// warmup) and consumes every transaction inline. Set it before Run —
+	// typically to a trace.Classifier, which core wires up. Streaming
+	// runs only: a run with a Monitor feeds the monitor alone.
 	Stream bus.Recorder
 	CPUs   []*CPU
 	// Chk is the invariant checker (nil unless Cfg.Check).
@@ -138,17 +137,11 @@ type Simulator struct {
 	// SimWorkers ≤ 1 or an unsupported configuration).
 	par *parEngine
 
-	// Phase is the current simulation phase of a sampled run (always
-	// Detailed otherwise); see phase.go.
-	Phase Phase
-	// OnMeasure, when set on a sampled run, is called with true just
-	// before each measured interval's loop and false just after it —
-	// core snapshots and differences the classifier's counts there.
+	// OnMeasure, when set on a run with a Cfg.Sample schedule, is called
+	// with true as each measured interval begins and false as it ends,
+	// every CPU at a step boundary — core snapshots and differences the
+	// classifier's counts there.
 	OnMeasure func(measuring bool)
-	// phaseRec is the phase-aware recorder gate of a sampled run (nil
-	// otherwise); enterDetailed/enterFastForward flip it alongside the
-	// bus's own warm gate.
-	phaseRec *bus.PhaseFanout
 
 	traceEscapes bool
 	end          arch.Cycles
@@ -308,10 +301,6 @@ func (s *Simulator) RunCancelable() (completed bool) {
 
 // Run executes warmup plus the traced window.
 func (s *Simulator) Run() {
-	if s.Cfg.Sample.Enabled() {
-		s.runSampled()
-		return
-	}
 	// Wire memory down to the circulating pool (see kernel.Config).
 	s.K.WireAllBut(s.K.Cfg.PoolFrames)
 	// Initial schedule: each CPU picks its first process (or idles).
@@ -328,13 +317,7 @@ func (s *Simulator) Run() {
 		s.Mon.SetEnabled(true)
 	}
 	if s.Stream != nil {
-		// Attach the inline consumer; with a buffered monitor also
-		// present, fan the stream out to both.
-		if s.Mon != nil {
-			s.Bus.SetRecorder(bus.NewFanout(s.Mon, s.Stream))
-		} else {
-			s.Bus.SetRecorder(s.Stream)
-		}
+		s.Bus.SetRecorder(s.Stream)
 	}
 	s.TraceStartAt = s.minClock()
 	s.BaseCounters = s.K.Counters()
@@ -355,8 +338,37 @@ func (s *Simulator) Run() {
 		c.L2Stall = [3]arch.Cycles{}
 		c.SyncCycles = 0
 	}
+	// The traced window, with a stop at each measured-interval boundary
+	// of the sampling schedule (none when sampling is off). A stop falls
+	// between steps — where the parallel engine's workers have quiesced
+	// too — so the step sequence is the same with or without it.
+	if s.OnMeasure != nil {
+		for _, iv := range s.Cfg.Sample.Intervals(s.Cfg.Window) {
+			s.end = s.TraceStartAt + iv.Start
+			s.loop()
+			s.OnMeasure(true)
+			s.end = s.TraceStartAt + iv.End
+			s.loop()
+			s.OnMeasure(false)
+		}
+	}
 	s.end = s.TraceStartAt + s.Cfg.Window
 	s.loop()
+}
+
+// StateHash fingerprints the architectural state of the whole machine —
+// every I-cache, both data-cache levels and the TLB of each CPU. Two runs
+// that took the same trajectory (e.g. a sampled and an unsampled run of
+// the same configuration) end with equal hashes; the sampling tests
+// assert exactly that.
+func (s *Simulator) StateHash() uint64 {
+	h := cache.HashSeed()
+	for q, c := range s.CPUs {
+		h = s.Bus.I[q].StateHash(h)
+		h = s.Bus.D[q].StateHash(h)
+		h = c.tlb.StateHash(h, cache.HashMix)
+	}
+	return h
 }
 
 // minPair is the one source of truth for "next CPU to step": among CPUs

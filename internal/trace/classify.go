@@ -344,21 +344,8 @@ type Classifier struct {
 	iResim        resimStream[IResimEvent]
 	dResim        resimStream[DResimEvent]
 
-	// warming is the functional-warming mode of a sampled run's
-	// fast-forward phase: every piece of classification state — the
-	// cache mirrors, block causes and epochs, per-CPU mode/pid/routine
-	// context, the frame-kind table — keeps updating exactly as in a
-	// full-detail run, but no statistic accumulates. Measured intervals
-	// then classify against mirrors whose displacement history is
-	// complete, which is what makes the sample unbiased (the SMARTS
-	// functional-warming argument).
-	warming bool
-
 	res *Result
 }
-
-// SetWarming flips the classifier's functional-warming mode (bus.Warmable).
-func (c *Classifier) SetWarming(w bool) { c.warming = w }
 
 // NewClassifier builds a classifier for the machine the layout was
 // computed for, with ncpu processors.
@@ -464,17 +451,16 @@ func (c *Classifier) Feed(t bus.Txn) {
 	c.miss(rec.Txn)
 }
 
-// Record implements bus.Recorder: attached directly to the bus (or through
-// a bus.Fanout), the classifier consumes each transaction the cycle it
-// occurs — the streaming pipeline, with no intermediate trace buffer.
+// Record implements bus.Recorder: attached to the bus, the classifier
+// consumes each transaction the cycle it occurs — the streaming pipeline,
+// with no intermediate trace buffer.
 func (c *Classifier) Record(t bus.Txn) { c.Feed(t) }
 
 var _ bus.Recorder = (*Classifier)(nil)
 
-// CountsSnapshot returns a copy of the running class-count cube. The
-// sampling accumulator snapshots it at measured-interval boundaries and
-// differences the copies, so misses counted in unmeasured detailed
-// stretches (the per-sample re-warm intervals) never enter a sample.
+// CountsSnapshot returns a copy of the running class-count cube. Core
+// snapshots it at the measured-interval boundaries of a sampling schedule
+// and differences the copies: each delta is one interval's tally.
 func (c *Classifier) CountsSnapshot() ClassCounts { return c.res.Counts }
 
 // MirrorResident returns the block resident in the given mirror-cache set
@@ -593,10 +579,8 @@ func (c *Classifier) event(rec monitor.Record) {
 	case monitor.EvRoutineExit:
 		cs.routine = -1
 	case monitor.EvUTLB:
-		if !c.warming {
-			c.res.UTLBFaults++
-			cs.seg.utlb()
-		}
+		c.res.UTLBFaults++
+		cs.seg.utlb()
 	case monitor.EvICacheInval:
 		c.icacheInval(rec.Args[0])
 	case monitor.EvPageAlloc:
@@ -610,9 +594,7 @@ func (c *Classifier) event(rec monitor.Record) {
 		// Sizes are reported by the kernel log (Table 7); the escape
 		// exists so a pure-trace consumer could recover them too.
 	case monitor.EvSuspend:
-		if !c.warming {
-			c.res.Suspends++
-		}
+		c.res.Suspends++
 	case monitor.EvResume:
 	case monitor.EvTLBChange:
 		// Virtual-to-physical tracking is not needed: user code frames
@@ -736,7 +718,7 @@ func (c *Classifier) miss(t bus.Txn) {
 			*ocause = causeDispOS
 			// Section 4.1: 10-25% of OS misses replace blocks
 			// already missed on within the same invocation.
-			if fillInv[set] == cs.invID && !c.warming {
+			if fillInv[set] == cs.invID {
 				c.res.ReusedWithinInvocation++
 			}
 		} else {
@@ -795,9 +777,6 @@ func (c *Classifier) osMode(cs *cpuState, a arch.PAddr) bool {
 // displacer ran in the same OS invocation (the Dispossame subset); it is
 // false for non-fill events (uncached accesses, upgrades).
 func (c *Classifier) tally(cs *cpuState, t bus.Txn, instr bool, class MissClass, sameInv bool) {
-	if c.warming {
-		return // state is current; only the statistics pause
-	}
 	os := c.osMode(cs, t.Addr)
 	if cs.mode == arch.ModeIdle {
 		c.res.IdleMisses++

@@ -71,21 +71,48 @@ if [ "$streaming" != "$reference" ]; then
     exit 1
 fi
 
-echo "== sampled-simulation smoke (charos -exp report -sample, checker on)"
-# A sampled checked run must complete, render ±stderr error bars on the
-# extrapolated miss counts, and pass the invariant checker (functional
-# warming keeps the shadow state coherent through fast-forward).
-sampled=$(go run ./cmd/charos -exp report -window 2000000 -sample 20K:40K:200K -check 2>/dev/null)
-echo "$sampled" | grep -q 'sampling: 20K:40K:200K' || {
-    echo "FAIL: sampled report did not announce its schedule" >&2; exit 1; }
-echo "$sampled" | grep -q '±' || {
-    echo "FAIL: sampled report carried no error bars" >&2; exit 1; }
+# Scratch directory for the smokes below that need a built binary (go run
+# folds every child exit status into 1) or both output streams of a run.
+smoke=$(mktemp -d)
+daemon=""
+cleanup_smoke() {
+    [ -n "$daemon" ] && kill "$daemon" 2>/dev/null || true
+    rm -rf "$smoke"
+}
+trap 'cleanup_smoke' EXIT
+go build -o "$smoke/charos" ./cmd/charos
+go build -o "$smoke/sweep" ./cmd/sweep
 
-echo "== sampling-off determinism gate (report path vs buffered oracle)"
-# With no -sample, the phase-structured pipeline must render byte-for-byte
-# what the buffered oracle renders — the sampling refactor cannot perturb
-# unsampled runs. The buffered flag is part of the config identity, so the
-# "config <hash>" lines differ by design and are filtered out.
+echo "== sampled-run smoke (charos -exp report -sample, checker on)"
+# -sample is a read-out of the one detailed run: the report must carry the
+# schedule and ±stderr on the estimated miss counts, its exact lines must be
+# the plain run's of the same window, and the checker must have checked the
+# same number of references with 0 violations.
+"$smoke/charos" -exp report -window 2000000 -check >"$smoke/plain.out" 2>"$smoke/plain.err"
+"$smoke/charos" -exp report -window 2000000 -check -sample 20K:40K:200K >"$smoke/sampled.out" 2>"$smoke/sampled.err"
+grep -q 'sampling: 20K:40K:200K' "$smoke/sampled.out" || {
+    echo "FAIL: sampled report did not announce its schedule" >&2; exit 1; }
+grep -q '±' "$smoke/sampled.out" || {
+    echo "FAIL: sampled report carried no error bars" >&2; exit 1; }
+exact='^(time split|sync stalls|kernel ops)'
+[ "$(grep -E "$exact" "$smoke/plain.out")" = "$(grep -E "$exact" "$smoke/sampled.out")" ] || {
+    echo "FAIL: exact lines of the sampled report differ from the plain run's" >&2; exit 1; }
+checks=$(grep 'invariant checker: [1-9][0-9]* checks, 0 violations' "$smoke/plain.err") || {
+    echo "FAIL: plain checked run did not end in 0 violations" >&2; exit 1; }
+[ "$checks" = "$(grep 'invariant checker:' "$smoke/sampled.err")" ] || {
+    echo "FAIL: sampled checked run did not report the plain run's check count" >&2; exit 1; }
+
+echo "== zero-sample schedule is rejected (exit 2, before any simulation)"
+rc=0
+"$smoke/charos" -exp report -window 250000 -sample 100K:200K:10M >/dev/null 2>"$smoke/zero.err" || rc=$?
+[ "$rc" = 2 ] && grep -q 'fits no measured interval' "$smoke/zero.err" || {
+    echo "FAIL: a schedule with no measured interval in the window exited $rc" >&2; exit 1; }
+
+echo "== unsampled report gate (streaming vs buffered, serial vs -sim-workers)"
+# The per-run report must render byte-for-byte what the buffered oracle
+# renders, and what the parallel engine renders. The buffered flag is part
+# of the config identity, so the "config <hash>" lines differ by design
+# and are filtered out.
 plainrep=$(go run ./cmd/charos -exp report -window 2000000 2>/dev/null)
 bufrep=$(go run ./cmd/charos -exp report -window 2000000 -buffered 2>/dev/null)
 if [ "$(echo "$plainrep" | grep -v '^config ')" != "$(echo "$bufrep" | grep -v '^config ')" ]; then
@@ -103,17 +130,16 @@ echo "$plainrep" | grep -q 'sampling:' && {
 echo "== default-machine oracle (zero Machine vs explicit arch.Default reports)"
 go test -run 'TestDefaultMachineMatchesSeed' ./internal/report
 
-echo "== geometry sweep smoke (sweep -exp geometry, checker on)"
-go run ./cmd/sweep -exp geometry -window 1000000 >/dev/null
+echo "== geometry sweep smoke (sweep -exp geometry, checker on; -sample)"
+# sweep exits 1 on any violation. The 4d380 stall share reads the whole-
+# window trace total, so a sampled sweep must print the unsampled line.
+"$smoke/sweep" -exp geometry -window 1000000 >"$smoke/geom.out" 2>/dev/null
+"$smoke/sweep" -exp geometry -window 1000000 -sample 50K:100K:250K >"$smoke/geom-sampled.out" 2>/dev/null
+stall=$(grep 'memory-stall share:' "$smoke/geom.out") &&
+    [ "$stall" = "$(grep 'memory-stall share:' "$smoke/geom-sampled.out")" ] || {
+    echo "FAIL: sampled geometry sweep prints a different memory-stall share" >&2; exit 1; }
 
 echo "== charosd smoke (panic isolation, 429 shed, SIGTERM drain)"
-smoke=$(mktemp -d)
-daemon=""
-cleanup_smoke() {
-    [ -n "$daemon" ] && kill "$daemon" 2>/dev/null || true
-    rm -rf "$smoke"
-}
-trap 'cleanup_smoke' EXIT
 go build -o "$smoke/charosd" ./cmd/charosd
 caddr=127.0.0.1:18416
 "$smoke/charosd" -addr "$caddr" -workers 1 -queue 1 -test-hooks \
