@@ -7,11 +7,7 @@
 package repro
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/arch"
 	"repro/internal/cluster"
@@ -19,11 +15,9 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/klock"
 	"repro/internal/kmem"
-	"repro/internal/machineflag"
 	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/runner"
-	"repro/internal/service"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -471,53 +465,6 @@ func BenchmarkRunnerRunSet(b *testing.B) {
 
 // ---- Microbenchmarks of the substrates ----
 
-func BenchmarkPipeline_FullCharacterization(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		core.Run(core.Config{Workload: workload.Pmake, Window: benchWindow, Seed: 1})
-	}
-}
-
-// BenchmarkPipeline4d380 runs the full Pmake characterization on the
-// 8-CPU 4d380 preset, serial (simworkers1) and on the conservative
-// parallel engine at increasing intra-run worker counts. Output is
-// byte-identical at every count, so the ns/op delta is the engine's
-// whole story: speedup on a multi-core host, coordination overhead on
-// a single-core one. The recorded SpecCommittedPerPhase metric shows
-// how much work each speculation phase actually moved off the serial
-// path.
-func BenchmarkPipeline4d380(b *testing.B) {
-	m, err := machineflag.Preset("4d380")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("simworkers%d", w), func(b *testing.B) {
-			var ch *core.Characterization
-			for i := 0; i < b.N; i++ {
-				ch = core.Run(core.Config{Workload: workload.Pmake, Machine: m,
-					Window: benchWindow, Seed: 1, SimWorkers: w})
-			}
-			st := ch.Sim.SpecStats()
-			if st.Phases > 0 {
-				b.ReportMetric(float64(st.CommittedSteps)/float64(st.Phases), "committed/phase")
-			}
-		})
-	}
-}
-
-// BenchmarkPipelineBillion is the full Pmake characterization at -window
-// 1e9. BENCH_PR10.json recorded it beside a "sampled" arm (22.2 s vs
-// 22.1 s); a -sample run is now this same run read out at interval
-// boundaries, so one arm is the whole picture. Excluded from the default
-// bench.sh suite (minutes per run).
-func BenchmarkPipelineBillion(b *testing.B) {
-	b.Run("full", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.Run(core.Config{Workload: workload.Pmake, Window: 1_000_000_000, Seed: 1})
-		}
-	})
-}
-
 func BenchmarkClassifierThroughput(b *testing.B) {
 	// Build one trace, then measure pure classification speed.
 	ch := core.Run(core.Config{Workload: workload.Pmake, Window: benchWindow, Seed: 1,
@@ -604,48 +551,6 @@ func BenchmarkAblationBlockOpBypass_Pmake(b *testing.B) {
 	b.ReportMetric(metrics.PctOf(byp.Trace.Counts[1][0][trace.Uncached],
 		byp.Trace.OSMissTotal), "uncached%_of_os_bypass")
 }
-
-// ---- charosd result store: sharded vs single-mutex ----
-
-// benchResultStore measures the hot path of the experiment service's
-// result store — a cache hit (shard lock, map lookup, LRU touch) plus a
-// latency observation — from many goroutines at once. With shards=1 the
-// store degenerates to the old single-mutex cache, so the pair is a
-// direct before/after comparison of the PR 7 sharding.
-func benchResultStore(b *testing.B, shards int) {
-	const configs = 256
-	st := service.NewStore(shards, 4*configs)
-	hashes := make([]string, configs)
-	for i := range hashes {
-		sum := sha256.Sum256([]byte(fmt.Sprintf("bench-cfg-%d", i)))
-		hashes[i] = hex.EncodeToString(sum[:])
-		e, leader := st.Begin(hashes[i])
-		if !leader {
-			b.Fatal("duplicate benchmark hash")
-		}
-		st.Complete(hashes[i], e, service.Outcome{Report: "r"})
-	}
-	// Far more goroutines than GOMAXPROCS: the interesting cost is
-	// contended-mutex handoff, which sharding removes even on one CPU.
-	b.SetParallelism(64)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			h := hashes[i%configs]
-			i++
-			if _, leader := st.Begin(h); leader {
-				b.Error("benchmark hit path took a miss")
-				return
-			}
-			st.RecordLatency(h, time.Millisecond)
-		}
-	})
-	b.ReportMetric(float64(st.Shards()), "shards")
-}
-
-func BenchmarkResultStore_SingleMutex(b *testing.B) { benchResultStore(b, 1) }
-func BenchmarkResultStore_Sharded16(b *testing.B)   { benchResultStore(b, 16) }
 
 // ---- Ablation: write-invalidate vs write-update coherence ----
 

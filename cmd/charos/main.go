@@ -178,7 +178,7 @@ func run() int {
 		"figure3":  report.Figure3,
 		"figure4":  report.Figure4,
 		"figure5":  report.Figure5,
-		"figure6":  report.Figure6,
+		"figure6":  report.TimedFigure6,
 		"figure7":  report.Figure7,
 		"figure8":  report.Figure8,
 		"table4":   report.Table4,
@@ -213,7 +213,7 @@ func run() int {
 	switch name {
 	case "all":
 		fmt.Print(report.All(set))
-		fmt.Print(report.Figure6(set))
+		fmt.Print(report.TimedFigure6(set))
 	case "report":
 		// Per-run reports: the one section that renders sampled runs
 		// (estimated totals with error bars) as well as full ones.

@@ -115,7 +115,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		fmt.Print(report.Figure6(set))
+		fmt.Print(report.TimedFigure6(set))
 		fmt.Fprint(os.Stderr, set.Stats.Table())
 		// Report every failing workload before exiting so one sweep run
 		// diagnoses the whole set.

@@ -39,11 +39,9 @@ type Cache struct {
 	// State layout is identical either way.
 	dm bool
 
-	// residents counts valid lines, and frameRes counts valid lines per
-	// physical page frame, so ResidentBlocks and InvalidateFrame need no
-	// line scan. Both are maintained by every fill/invalidate.
+	// residents counts valid lines, so ResidentBlocks needs no line scan;
+	// every fill and invalidate maintains it.
 	residents int
-	frameRes  []uint16 // ≤ 256 blocks per 4 KB frame
 }
 
 // Line-word flag bits. The order makes StateHash's per-line word
@@ -92,13 +90,12 @@ func New(name string, size, assoc int) *Cache {
 		panic(fmt.Sprintf("cache %s: %d sets is not a power of two", name, sets))
 	}
 	c := &Cache{
-		name:     name,
-		size:     size,
-		assoc:    assoc,
-		sets:     sets,
-		line:     make([]uint32, lines),
-		dm:       assoc == 1,
-		frameRes: make([]uint16, arch.MemFrames),
+		name:  name,
+		size:  size,
+		assoc: assoc,
+		sets:  sets,
+		line:  make([]uint32, lines),
+		dm:    assoc == 1,
 	}
 	if !c.dm {
 		c.lru = make([]uint64, lines)
@@ -163,20 +160,6 @@ func (c *Cache) way(b arch.PAddr) uint32 {
 	return 0
 }
 
-// frameInc / frameDec maintain the per-frame resident-block index. The
-// counter array is sized for the machine's 32 MB of physical memory;
-// frameInc grows it for tests that fabricate addresses beyond that.
-func (c *Cache) frameInc(f uint32) {
-	if int(f) >= len(c.frameRes) {
-		grown := make([]uint16, f+1)
-		copy(grown, c.frameRes)
-		c.frameRes = grown
-	}
-	c.frameRes[f]++
-}
-
-func (c *Cache) frameDec(f uint32) { c.frameRes[f]-- }
-
 // Eviction describes a block displaced by a fill.
 type Eviction struct {
 	Block arch.PAddr
@@ -184,15 +167,12 @@ type Eviction struct {
 }
 
 // install puts word w in line i, which a miss chose as its victim, keeping
-// the resident counters exact, and returns the word it displaced.
+// the resident counter exact, and returns the word it displaced.
 func (c *Cache) install(i int, w uint32) (old uint32) {
 	old = c.line[i]
-	if old != 0 {
-		c.frameDec(lineBlock(old).Frame())
-	} else {
+	if old == 0 {
 		c.residents++
 	}
-	c.frameInc(lineBlock(w).Frame())
 	c.line[i] = w
 	return old
 }
@@ -284,42 +264,14 @@ func (c *Cache) Invalidate(a arch.PAddr) (wasResident, wasDirty bool) {
 		wasDirty = c.line[i]&lineDirty != 0
 		c.line[i] = 0
 		c.residents--
-		c.frameDec(a.Frame())
 		return true, wasDirty
 	}
 	return false, false
 }
 
-// InvalidateFrame removes every resident block belonging to physical page
-// frame f and returns how many blocks were invalidated. The kernel uses this
-// on the instruction caches when a physical page that contained code is
-// reallocated (the source of Inval misses, Table 2).
-func (c *Cache) InvalidateFrame(frame uint32) int {
-	// The per-frame resident index bounds the work: an empty frame costs
-	// one counter load, and a partially-resident one at most the frame's
-	// 256 block probes (with an early-out once every counted block is
-	// found) instead of a scan over every line of the cache.
-	if int(frame) >= len(c.frameRes) || c.frameRes[frame] == 0 {
-		return 0
-	}
-	want := int(c.frameRes[frame])
-	n := 0
-	base := arch.PAddr(frame) << arch.PageShift
-	for o := 0; o < arch.PageSize && n < want; o += arch.BlockSize {
-		if i, found := c.find(base + arch.PAddr(o)); found {
-			c.line[i] = 0
-			n++
-		}
-	}
-	c.frameRes[frame] = 0
-	c.residents -= n
-	return n
-}
-
 // InvalidateAll empties the cache.
 func (c *Cache) InvalidateAll() {
 	clear(c.line)
-	clear(c.frameRes)
 	c.residents = 0
 }
 

@@ -83,26 +83,6 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
-func TestInvalidateFrame(t *testing.T) {
-	c := New("i", arch.ICacheSize, 1)
-	// Fill 10 blocks of frame 5 and 3 blocks of frame 6.
-	for i := 0; i < 10; i++ {
-		c.Access(arch.FrameAddr(5)+arch.PAddr(i*arch.BlockSize), false)
-	}
-	for i := 0; i < 3; i++ {
-		c.Access(arch.FrameAddr(6)+arch.PAddr(i*arch.BlockSize), false)
-	}
-	if n := c.InvalidateFrame(5); n != 10 {
-		t.Errorf("InvalidateFrame(5) = %d, want 10", n)
-	}
-	if c.Lookup(arch.FrameAddr(5)) {
-		t.Error("frame-5 block survived frame invalidation")
-	}
-	if !c.Lookup(arch.FrameAddr(6)) {
-		t.Error("frame-6 block wrongly invalidated")
-	}
-}
-
 func TestResidentBlocksAndInvalidateAll(t *testing.T) {
 	c := New("x", 256, 1)
 	for i := 0; i < 5; i++ {

@@ -6,7 +6,7 @@ import "repro/internal/arch"
 // simulation engine lets a CPU run ahead through its private caches and
 // may later discard a suffix of that run; the journal records each line's
 // pre-access state so TruncateTo can restore the caches exactly,
-// including the resident counters and the per-frame resident index.
+// including the resident counters.
 //
 // It supports only the direct-mapped fast path (the only configuration
 // the parallel engine accepts): every save computes the single line an
@@ -77,11 +77,9 @@ func (j *Journal) TruncateTo(n int) {
 		c := s.c
 		if w := c.line[s.idx]; w != 0 {
 			c.residents--
-			c.frameDec(lineBlock(w).Frame())
 		}
 		if s.word != 0 {
 			c.residents++
-			c.frameInc(lineBlock(s.word).Frame())
 		}
 		c.line[s.idx] = s.word
 	}

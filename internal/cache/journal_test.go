@@ -11,14 +11,12 @@ import (
 type cacheState struct {
 	line      []uint32
 	residents int
-	frameRes  []uint16
 }
 
 func captureState(c *Cache) cacheState {
 	return cacheState{
 		line:      append([]uint32(nil), c.line...),
 		residents: c.residents,
-		frameRes:  append([]uint16(nil), c.frameRes...),
 	}
 }
 
@@ -34,11 +32,6 @@ func checkState(t *testing.T, c *Cache, want cacheState) {
 	if c.residents != want.residents {
 		t.Errorf("%s residents %d, want %d", c.name, c.residents, want.residents)
 	}
-	for f := range want.frameRes {
-		if c.frameRes[f] != want.frameRes[f] {
-			t.Errorf("%s frame %d residents %d, want %d", c.name, f, c.frameRes[f], want.frameRes[f])
-		}
-	}
 }
 
 func blockAddr(i int) arch.PAddr { return arch.PAddr(i << arch.BlockShift) }
@@ -46,7 +39,7 @@ func blockAddr(i int) arch.PAddr { return arch.PAddr(i << arch.BlockShift) }
 // TestJournalRestoresICache drives a journaled access sequence over a
 // direct-mapped I-cache — fills, conflict evictions, repeated saves of
 // the same line — and verifies TruncateTo restores the exact pre-state,
-// including the resident counter and the per-frame resident index.
+// including the resident counter.
 func TestJournalRestoresICache(t *testing.T) {
 	c := New("i", 256, 1) // 16 sets
 	// Pre-state: a handful of resident lines, one of them about to be

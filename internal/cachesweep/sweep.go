@@ -8,6 +8,11 @@
 // Because the input already excludes references that hit the real 64 KB
 // cache, a two-way 64 KB cache cannot be simulated (the paper notes the
 // same restriction).
+//
+// Figure6 computes every configuration in one pass over the stream through
+// tag-only arrays (DESIGN.md §11). Simulate, Sweep and InvalBound replay the
+// stream through the full cache.Cache model one configuration at a time;
+// they are the reference the one-pass sweep is tested against.
 package cachesweep
 
 import (
@@ -48,6 +53,14 @@ func Baseline(stream []trace.IResimEvent) int64 {
 	return n
 }
 
+// relative is misses normalized by the baseline (0 for an empty baseline).
+func relative(misses, baseline int64) float64 {
+	if baseline == 0 {
+		return 0
+	}
+	return float64(misses) / float64(baseline)
+}
+
 // Sweep simulates the configurations against the miss stream and returns
 // one point per config. A flush event invalidates every simulated cache
 // (the machine's code-page-reallocation flush).
@@ -56,11 +69,7 @@ func Sweep(stream []trace.IResimEvent, ncpu int, configs []Config) []Point {
 	out := make([]Point, 0, len(configs))
 	for _, cfg := range configs {
 		misses := Simulate(stream, ncpu, cfg)
-		p := Point{Config: cfg, OSMisses: misses}
-		if baseline > 0 {
-			p.Relative = float64(misses) / float64(baseline)
-		}
-		out = append(out, p)
+		out = append(out, Point{Config: cfg, OSMisses: misses, Relative: relative(misses, baseline)})
 	}
 	return out
 }
@@ -93,7 +102,7 @@ func Simulate(stream []trace.IResimEvent, ncpu int, cfg Config) int64 {
 // InvalBound simulates an infinite cache with flushes: the remaining
 // misses are cold misses plus flush-forced refetches — the dashed lower
 // bound of Figure 6 ("the effect of the misses caused by invalidations").
-func InvalBound(stream []trace.IResimEvent, ncpu int) (osMisses int64, relative float64) {
+func InvalBound(stream []trace.IResimEvent, ncpu int) (osMisses int64, rel float64) {
 	resident := make([]map[uint32]bool, ncpu)
 	for i := range resident {
 		resident[i] = make(map[uint32]bool)
@@ -116,14 +125,11 @@ func InvalBound(stream []trace.IResimEvent, ncpu int) (osMisses int64, relative 
 			}
 		}
 	}
-	if baseline > 0 {
-		relative = float64(osMisses) / float64(baseline)
-	}
-	return osMisses, relative
+	return osMisses, relative(osMisses, baseline)
 }
 
-// Figure6 runs the paper's full sweep: direct-mapped and two-way caches at
-// each size (skipping the impossible 64 KB two-way), plus the
+// Figure6Result is the paper's full sweep: direct-mapped and two-way
+// caches at each size (skipping the impossible 64 KB two-way), plus the
 // invalidation bound.
 type Figure6Result struct {
 	DirectMapped []Point
@@ -146,14 +152,106 @@ func Figure6Configs() (dm, tw []Config) {
 	return dm, tw
 }
 
-// Figure6 computes the whole figure from a classified trace.
+// sweepCPU is one CPU's simulated I-caches, tags only: an entry is block+1
+// and 0 is an empty way (Block is a 16-byte block number of a 32-bit
+// physical address, so the +1 cannot wrap). Nothing else a cache.Cache
+// keeps — dirty bits, LRU stamps, resident counts, evictions — is read by
+// the figure.
+type sweepCPU struct {
+	dm   [][]uint32 // per direct-mapped size, smallest first: one tag per set
+	tw   [][]uint32 // per two-way size: two tags per set, most recent first
+	seen []uint64   // the infinite cache: one bit per block
+}
+
+func newSweepCPU(dm, tw []Config, maxBlock uint32) sweepCPU {
+	c := sweepCPU{seen: make([]uint64, maxBlock/64+1)}
+	for _, cfg := range dm {
+		c.dm = append(c.dm, make([]uint32, cfg.Size/arch.BlockSize))
+	}
+	for _, cfg := range tw {
+		c.tw = append(c.tw, make([]uint32, cfg.Size/arch.BlockSize))
+	}
+	return c
+}
+
+// flush empties every cache of the CPU, the infinite one included.
+func (c *sweepCPU) flush() {
+	for _, t := range c.dm {
+		clear(t)
+	}
+	for _, t := range c.tw {
+		clear(t)
+	}
+	clear(c.seen)
+}
+
+// Figure6 computes the whole figure from a classified trace in one pass
+// over the stream: every event is fed to all of its CPU's direct-mapped
+// sizes, two-way sizes and the infinite cache before the next is read. The
+// result equals {Sweep(dm), Sweep(tw), InvalBound} exactly (DESIGN.md §11
+// has the argument; TestFigure6OnePassMatchesReference the evidence).
 func Figure6(stream []trace.IResimEvent, ncpu int) Figure6Result {
 	dm, tw := Figure6Configs()
-	res := Figure6Result{
-		DirectMapped: Sweep(stream, ncpu, dm),
-		TwoWay:       Sweep(stream, ncpu, tw),
+	var maxBlock uint32
+	for _, e := range stream {
+		maxBlock = max(maxBlock, e.Block)
 	}
-	res.InvalBoundMisses, res.InvalBoundRel = InvalBound(stream, ncpu)
+	cpus := make([]sweepCPU, ncpu)
+	for i := range cpus {
+		cpus[i] = newSweepCPU(dm, tw, maxBlock)
+	}
+	dmMiss, twMiss := make([]int64, len(dm)), make([]int64, len(tw))
+	var infMiss, baseline int64
+	for _, e := range stream {
+		if e.Flush {
+			for i := range cpus {
+				cpus[i].flush()
+			}
+			continue
+		}
+		var os int64
+		if e.OS {
+			os = 1
+		}
+		baseline += os
+		c, tag := &cpus[e.CPU], e.Block+1
+		// Smallest first, stopping at the first hit: the sizes share one
+		// stream, index by bit selection and are only ever emptied
+		// together, so a block resident at one size is resident at every
+		// larger one, and a direct-mapped hit changes no state.
+		for k, t := range c.dm {
+			set := e.Block & uint32(len(t)-1)
+			if t[set] == tag {
+				break
+			}
+			t[set] = tag
+			dmMiss[k] += os
+		}
+		// A most-recent-first pair is cache.Cache's "invalid way first,
+		// else LRU" when ways are only ever invalidated all at once: the
+		// second entry is the empty way if there is one, else the LRU.
+		for k, t := range c.tw {
+			set := 2 * (e.Block & uint32(len(t)/2-1))
+			if t[set] == tag {
+				continue
+			}
+			if t[set+1] != tag {
+				twMiss[k] += os
+			}
+			t[set], t[set+1] = tag, t[set]
+		}
+		if w, bit := e.Block/64, uint64(1)<<(e.Block%64); c.seen[w]&bit == 0 {
+			c.seen[w] |= bit
+			infMiss += os
+		}
+	}
+	res := Figure6Result{InvalBoundMisses: infMiss, InvalBoundRel: relative(infMiss, baseline)}
+	for k, cfg := range dm {
+		res.DirectMapped = append(res.DirectMapped, Point{Config: cfg, OSMisses: dmMiss[k], Relative: relative(dmMiss[k], baseline)})
+	}
+	for k, cfg := range tw {
+		res.TwoWay = append(res.TwoWay, Point{Config: cfg, OSMisses: twMiss[k], Relative: relative(twMiss[k], baseline)})
+	}
 	return res
 }
 
@@ -213,9 +311,7 @@ func DSweep(stream []trace.DResimEvent, ncpu int, configs []Config) []DPoint {
 				}
 			}
 		}
-		if baseline > 0 {
-			p.Relative = float64(p.OSMisses) / float64(baseline)
-		}
+		p.Relative = relative(p.OSMisses, baseline)
 		out = append(out, p)
 	}
 	return out

@@ -7,7 +7,7 @@ import (
 )
 
 func ev(block uint32, cpu int, os bool) trace.IResimEvent {
-	return trace.IResimEvent{Block: block, CPU: 0, OS: os}
+	return trace.IResimEvent{Block: block, CPU: uint8(cpu), OS: os}
 }
 
 func TestBaselineIsRelativeOne(t *testing.T) {
@@ -69,6 +69,38 @@ func TestFlushForcesRefetch(t *testing.T) {
 	n, rel := InvalBound(stream, 1)
 	if n != 2 || rel != 1.0 {
 		t.Errorf("InvalBound = (%d, %v), want (2, 1.0)", n, rel)
+	}
+}
+
+// TestPerCPUCachesIndependent: each CPU has its own caches, so one block on
+// two CPUs is two cold misses, and a flush marker empties all of them — at
+// every size, either associativity and in the infinite cache. Checked on the
+// one-pass Figure6 and on the per-configuration reference alike.
+func TestPerCPUCachesIndependent(t *testing.T) {
+	stream := []trace.IResimEvent{
+		ev(5, 0, true), ev(5, 1, true), // cold on each CPU
+		ev(5, 0, true), ev(5, 1, true), // both hit their own copy
+		{Flush: true},
+		ev(5, 0, true), ev(5, 1, true), // refetched on each CPU
+	}
+	const want = 4
+	res := Figure6(stream, 2)
+	dm, tw := Figure6Configs()
+	for _, p := range append(res.DirectMapped, res.TwoWay...) {
+		if p.OSMisses != want {
+			t.Errorf("Figure6 %dKB %d-way: %d misses, want %d", p.Size>>10, p.Assoc, p.OSMisses, want)
+		}
+	}
+	if res.InvalBoundMisses != want {
+		t.Errorf("Figure6 infinite cache: %d misses, want %d", res.InvalBoundMisses, want)
+	}
+	for _, cfg := range append(dm, tw...) {
+		if n := Simulate(stream, 2, cfg); n != want {
+			t.Errorf("Simulate %dKB %d-way: %d misses, want %d", cfg.Size>>10, cfg.Assoc, n, want)
+		}
+	}
+	if n, _ := InvalBound(stream, 2); n != want {
+		t.Errorf("InvalBound: %d misses, want %d", n, want)
 	}
 }
 

@@ -69,7 +69,10 @@ type Lock struct {
 	// sync bus and trigger sginap after repeated failures.
 	User bool
 
-	ring  [ringSize]interval
+	// ring holds the last ringSize completed holds. The first Release
+	// allocates it: a kernel has hundreds of array-element locks and
+	// most are never acquired.
+	ring  *[ringSize]interval
 	ringN int // total intervals ever recorded
 
 	heldBy    arch.CPUID
@@ -270,7 +273,10 @@ func (l *Lock) Release(cpu arch.CPUID, now arch.Cycles) {
 	if end <= l.heldSince {
 		end = l.heldSince + 1 // a hold takes at least a cycle
 	}
-	l.ring[int(l.ringN)%ringSize] = interval{
+	if l.ring == nil {
+		l.ring = new([ringSize]interval)
+	}
+	l.ring[l.ringN%ringSize] = interval{
 		start: l.heldSince, end: end, cpu: l.heldBy, waiters: l.pendingWaiters,
 	}
 	l.ringN++

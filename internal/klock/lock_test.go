@@ -3,6 +3,7 @@ package klock
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/arch"
 )
@@ -214,6 +215,47 @@ func TestRegistryBasics(t *testing.T) {
 		}
 	}()
 	r.Get("nope")
+}
+
+// TestUntouchedLockHasNoRing: a kernel builds 680 locks per run and
+// acquires a fraction of them, so a lock costs its counters until its first
+// Release records a hold — the ring is neither inline nor allocated up front.
+func TestUntouchedLockHasNoRing(t *testing.T) {
+	if sz := unsafe.Sizeof(Lock{}); sz >= 256 {
+		t.Errorf("Lock is %d bytes, want < 256: the hold ring must not be inline", sz)
+	}
+	const nlocks = 6 + 90 + 16 + 536 + 32
+	var r *Registry
+	allocs := testing.AllocsPerRun(10, func() { r = NewRegistry(90, 16, 536, 32) })
+	if allocs >= 1.5*nlocks {
+		t.Errorf("NewRegistry makes %.0f allocations for %d locks: a ring per lock is back", allocs, nlocks)
+	}
+	l := r.Elem(InoX, 7)
+	if l.ring != nil {
+		t.Fatal("never-acquired lock has a ring")
+	}
+	// Everything that reads a lock must cope with the missing ring.
+	if iv := l.heldAt(100, 0); iv != nil {
+		t.Errorf("heldAt on a never-acquired lock = %+v", iv)
+	}
+	if s := l.ComputeStats(); s.Acquires != 0 {
+		t.Errorf("stats of a never-acquired lock = %+v", s)
+	}
+	l.ResetStats()
+	r.FamilyStats(InoX)
+
+	l.Acquire(1, 100)
+	if l.ring != nil {
+		t.Error("ring allocated by Acquire; only a completed hold needs it")
+	}
+	l.Release(1, 200)
+	if l.ring == nil {
+		t.Fatal("no ring after the first completed hold")
+	}
+	l.ResetStats() // keeps the ring: contention detection still needs it
+	if at, _ := l.Acquire(0, 150); at != 200 {
+		t.Errorf("acquire inside the recorded hold succeeded at %d, want 200", at)
+	}
 }
 
 func TestFamilyAggregation(t *testing.T) {

@@ -100,7 +100,7 @@ type Table struct {
 	Title   string
 	Headers []string
 	Rows    [][]string
-	note    string
+	notes   []string
 }
 
 // NewTable starts a table.
@@ -125,9 +125,9 @@ func (t *Table) AddRow(cells ...interface{}) *Table {
 	return t
 }
 
-// Note attaches a footnote printed under the table.
+// Note attaches a footnote printed under the table, one line per call.
 func (t *Table) Note(format string, args ...interface{}) *Table {
-	t.note = fmt.Sprintf(format, args...)
+	t.notes = append(t.notes, fmt.Sprintf(format, args...))
 	return t
 }
 
@@ -171,8 +171,8 @@ func (t *Table) String() string {
 	for _, r := range t.Rows {
 		line(r)
 	}
-	if t.note != "" {
-		fmt.Fprintf(&b, "  note: %s\n", t.note)
+	for _, n := range t.notes {
+		fmt.Fprintf(&b, "  note: %s\n", n)
 	}
 	return b.String()
 }

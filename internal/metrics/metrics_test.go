@@ -169,4 +169,13 @@ func TestBatchStatsSpeedupAndTable(t *testing.T) {
 	if txns, checks := row[len(row)-2], row[len(row)-1]; txns != "-" || checks != "-" {
 		t.Errorf("zero counters rendered as %q and %q, want \"-\": %q", txns, checks, row)
 	}
+	// Post-run work gets its own note line, last, and only when timed.
+	if strings.Contains(out, "post-processing") {
+		t.Errorf("untimed batch mentions post-processing:\n%s", out)
+	}
+	b.Post, b.PostLabel = 23800*time.Microsecond, "figure 6 sweep 289234 events × 10 configurations"
+	const want = "  note: post-processing: figure 6 sweep 289234 events × 10 configurations in 23.8ms\n"
+	if timed := b.Table(); timed != out+want {
+		t.Errorf("timed batch table = %q, want the untimed table plus %q", timed, want)
+	}
 }

@@ -79,6 +79,11 @@ type BatchStats struct {
 	AllocBytes uint64
 	// Runs holds the per-run records in submission order.
 	Runs []RunStats
+	// Post is wall-clock spent after the runs on work no run's Wall
+	// covers (the Figure 6 sweep), and PostLabel says what it was. The
+	// CLI that did the work fills them in; zero means none was timed.
+	Post      time.Duration
+	PostLabel string
 }
 
 // Speedup is SerialWall / Wall: >1 when the pool paid off.
@@ -118,5 +123,8 @@ func (b BatchStats) Table() string {
 	t.Note("batch wall %s vs serial %s — speedup %.2fx; %d allocs (%.1f MB) process-wide",
 		b.Wall.Round(time.Millisecond), b.SerialWall.Round(time.Millisecond),
 		b.Speedup(), b.Allocs, float64(b.AllocBytes)/1e6)
+	if b.Post > 0 {
+		t.Note("post-processing: %s in %s", b.PostLabel, b.Post.Round(100*time.Microsecond))
+	}
 	return t.String()
 }

@@ -10,6 +10,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/cachesweep"
@@ -416,51 +417,19 @@ func Figure5(s *Set) string {
 	return t.String()
 }
 
-// figure6Result re-simulates one workload's I-cache sweep, fanning one
-// pool job per cache configuration (plus the invalidation bound) through
-// the runner. Point order and values match cachesweep.Figure6 exactly.
-func figure6Result(ch *core.Characterization, opts runner.Options) cachesweep.Figure6Result {
-	if ch.Trace == nil || len(ch.Trace.IResim) == 0 {
-		panic("report: Figure6 requires CollectIResim")
-	}
-	stream, ncpu := ch.Trace.IResim, ch.Cfg.NCPU
-	dm, tw := cachesweep.Figure6Configs()
-	configs := append(append([]cachesweep.Config{}, dm...), tw...)
-	baseline := cachesweep.Baseline(stream)
-	// One job per configuration; the last job computes the bound.
-	misses := runner.Map(len(configs)+1, opts, func(i int) int64 {
-		if i == len(configs) {
-			m, _ := cachesweep.InvalBound(stream, ncpu)
-			return m
-		}
-		return cachesweep.Simulate(stream, ncpu, configs[i])
-	})
-	rel := func(m int64) float64 {
-		if baseline == 0 {
-			return 0
-		}
-		return float64(m) / float64(baseline)
-	}
-	res := cachesweep.Figure6Result{InvalBoundMisses: misses[len(configs)]}
-	res.InvalBoundRel = rel(res.InvalBoundMisses)
-	for i, cfg := range configs {
-		p := cachesweep.Point{Config: cfg, OSMisses: misses[i], Relative: rel(misses[i])}
-		if i < len(dm) {
-			res.DirectMapped = append(res.DirectMapped, p)
-		} else {
-			res.TwoWay = append(res.TwoWay, p)
-		}
-	}
-	return res
-}
-
-// Figure6 renders the I-cache size/associativity sweep, re-simulating
-// each configuration on the set's worker pool.
+// Figure6 renders the I-cache size/associativity sweep: one pass over each
+// workload's I-miss stream, one job per workload on the set's worker pool.
 func Figure6(s *Set) string {
-	var b strings.Builder
+	var names []string
+	var chs []*core.Characterization
 	s.each(func(name string, ch *core.Characterization) {
-		res := figure6Result(ch, runner.Options{Parallelism: s.Parallelism})
-		t := metrics.NewTable(fmt.Sprintf("Figure 6 (%s): OS I-miss rate relative to the 64KB direct-mapped cache", name),
+		names, chs = append(names, name), append(chs, ch)
+	})
+	results := runner.Map(len(chs), runner.Options{Parallelism: s.Parallelism},
+		func(i int) cachesweep.Figure6Result { return chs[i].Figure6() })
+	var b strings.Builder
+	for w, res := range results {
+		t := metrics.NewTable(fmt.Sprintf("Figure 6 (%s): OS I-miss rate relative to the 64KB direct-mapped cache", names[w]),
 			"Size", "DM", "2-way", "Inval bound (DM floor)")
 		for i, p := range res.DirectMapped {
 			tw := "-"
@@ -478,8 +447,22 @@ func Figure6(s *Set) string {
 		t.Note("paper: 2-way gives a noticeable drop; Pmake/Multpgm saturate by 256KB " +
 			"(invalidation-bound); Oracle keeps dropping to 1MB")
 		b.WriteString(t.String())
-	})
+	}
 	return b.String()
+}
+
+// TimedFigure6 is Figure6 with its wall-clock recorded in s.Stats.Post: the
+// sweep runs after the simulations, so no run's Wall covers it and the timing
+// table would otherwise hide it.
+func TimedFigure6(s *Set) string {
+	start := time.Now()
+	out := Figure6(s)
+	s.Stats.Post = time.Since(start)
+	events := 0
+	s.each(func(_ string, ch *core.Characterization) { events += len(ch.Trace.IResim) })
+	dm, tw := cachesweep.Figure6Configs()
+	s.Stats.PostLabel = fmt.Sprintf("figure 6 sweep %d events × %d configurations", events, len(dm)+len(tw)+1)
+	return out
 }
 
 // Figure7 renders the OS data-miss classification.

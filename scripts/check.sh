@@ -32,10 +32,11 @@ for extra in "-dcache-l1-assoc 2 -dcache-l2-assoc 2" "-reference"; do
         echo "FAIL: charos -exp report -check $extra did not end in 0 violations" >&2; exit 1; }
 done
 
-echo "== fuzz the input surfaces (5s each)"
+echo "== fuzz the input surfaces and the one-pass Figure 6 sweep (5s each)"
 go test -run '^$' -fuzz '^FuzzParseCycles$' -fuzztime 5s ./internal/machineflag
 go test -run '^$' -fuzz '^FuzzSampleParse$' -fuzztime 5s ./internal/sample
 go test -run '^$' -fuzz '^FuzzRequestDecode$' -fuzztime 5s ./internal/service
+go test -run '^$' -fuzz '^FuzzFigure6$' -fuzztime 5s ./internal/cachesweep
 
 echo "== parallel-vs-serial determinism smoke (sweep -exp figure11)"
 serial=$(go run ./cmd/sweep -exp figure11 -cpus 2,4 -window 1000000 -parallel 1 2>/dev/null)
@@ -220,8 +221,9 @@ go test -race -run 'TestHitFilterIdentity' ./internal/report
 echo "== shed-race regression (service.Submit, race detector)"
 go test -race -count=10 -run 'TestShedNeverAdmitsFollower' ./internal/service
 
-echo "== checker probe property + hostile-client tests (race detector)"
+echo "== checker probe property, one-pass sweep differential + hostile-client tests (race detector)"
 go test -race -run 'TestLinesMatchesCacheQueries' ./internal/bus
+go test -race -run 'TestFigure6OnePassMatchesReference' ./internal/cachesweep
 go test -race -count=10 -run 'TestOversizedBodyRejected|TestSlowHeaderClientDropped' ./internal/service
 
 echo "== benchmark smoke (bench/run.sh -smoke: every workload, both modes, output checks)"
