@@ -411,7 +411,7 @@ func BenchmarkTable11_Pmake(b *testing.B) {
 func BenchmarkFigure11_Multpgm(b *testing.B) {
 	var pts []report.Figure11Point
 	for i := 0; i < b.N; i++ {
-		pts = report.RunFigure11([]int{2, 4, 8}, 3_000_000, 1)
+		pts = report.RunFigure11(core.Config{Window: 3_000_000, Seed: 1}, []int{2, 4, 8})
 	}
 	for _, p := range pts {
 		if p.Lock == klock.Runqlk {

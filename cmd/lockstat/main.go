@@ -11,90 +11,55 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
-	"repro/internal/arch"
 	"repro/internal/core"
-	"repro/internal/machineflag"
 	"repro/internal/metrics"
-	"repro/internal/profiling"
 	"repro/internal/report"
-	"repro/internal/runner"
-	"repro/internal/sample"
+	"repro/internal/runflag"
 	"repro/internal/workload"
 )
 
-func main() { os.Exit(run()) }
+// flags are lockstat's own flags beside the shared run flags.
+type flags struct {
+	run      *runflag.Flags
+	workload *string
 
-func run() int {
-	wl := flag.String("workload", "Pmake", "workload: Pmake, Multpgm, Oracle")
-	window := machineflag.CyclesFlag(flag.CommandLine, "window", int64(arch.DefaultWindow),
-		"traced window in 30ns cycles (K/M/G suffixes and scientific notation ok, e.g. 1e9)")
-	sampleSpec := flag.String("sample", "",
-		"sampled simulation schedule \"warmup:len:period\" in cycles; lock statistics and sync-stall accounting stay exact (only the miss classification is sampled)")
-	seed := flag.Int64("seed", 1, "random seed")
-	checkFlag := flag.Bool("check", false, "run the invariant checker (lock discipline included)")
-	reference := flag.Bool("reference", false,
-		"run the generic oracle paths instead of the memory-system fast path")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
-		"worker-pool size for the workload runs (1 = serial)")
-	simWorkers := flag.Int("sim-workers", 1,
-		"intra-run worker goroutines for the conservative parallel engine (1 = serial scheduler); output is byte-identical at any count")
-	timeout := flag.Duration("timeout", 0,
-		"wall-clock budget for the whole run (0 = none); on expiry prints the cancellation provenance and exits nonzero")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	mf := machineflag.Register(flag.CommandLine)
+	// Set by resolve: the three workload runs' configuration and the
+	// workload whose lock families are dumped.
+	cfg  core.Config
+	kind workload.Kind
+}
+
+func newFlags(fs *flag.FlagSet) *flags {
+	return &flags{
+		run:      runflag.Register(fs),
+		workload: fs.String("workload", "Pmake", "workload: Pmake, Multpgm, Oracle"),
+	}
+}
+
+// resolve reads the parsed flags into the validated configuration and the
+// dumped workload; it simulates nothing.
+func (f *flags) resolve() (err error) {
+	if f.kind, err = workload.ParseKind(*f.workload); err != nil {
+		return err
+	}
+	f.cfg, err = f.run.Config(nil)
+	return err
+}
+
+func main() {
+	f := newFlags(flag.CommandLine)
 	flag.Parse()
+	os.Exit(f.run.Main(f.resolve, f.main))
+}
 
-	machine, err := mf.Machine()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-
-	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	defer stopProf()
-
-	kind, err := workload.ParseKind(*wl)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	// Oversubscription cap: pool workers × intra-run workers must fit the
-	// machine, or the engines just contend with each other.
-	pool := runner.CapTotal(*parallel, *simWorkers)
-	if pool != *parallel {
-		fmt.Fprintf(os.Stderr, "note: -parallel clamped %d -> %d (-sim-workers %d, GOMAXPROCS %d)\n",
-			*parallel, pool, *simWorkers, runtime.GOMAXPROCS(0))
-	}
-	sched, err := sample.Parse(*sampleSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	cfg := core.Config{Machine: machine, Window: arch.Cycles(*window), Seed: *seed, Check: *checkFlag, Reference: *reference, Sample: sched}
-	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
+func (f *flags) main(r runflag.Run) int {
+	kind := f.kind
 	fmt.Fprintf(os.Stderr, "running all three workloads for Table 10, %s for the detail dump...\n", kind)
-	set, err := report.RunSetContext(ctx, cfg, runner.Options{Parallelism: pool, SimWorkers: *simWorkers})
+	set, err := report.RunSetContext(r.Ctx, f.cfg, r.Opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -127,13 +92,5 @@ func run() int {
 	fmt.Print(t.String())
 	fmt.Fprint(os.Stderr, set.Stats.Table())
 
-	// Report every failing workload, not just the first, before exiting.
-	bad := false
-	for _, c := range []*core.Characterization{set.Pmake, set.Multpgm, set.Oracle} {
-		bad = report.ReportViolations(os.Stderr, c.Cfg.Workload.String(), c, 1) || bad
-	}
-	if bad {
-		return 1
-	}
-	return 0
+	return runflag.Finish(runflag.Workloads(set)...)
 }

@@ -19,137 +19,103 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
-	"repro/internal/arch"
 	"repro/internal/cachesweep"
 	"repro/internal/core"
 	"repro/internal/machineflag"
-	"repro/internal/profiling"
 	"repro/internal/report"
+	"repro/internal/runflag"
 	"repro/internal/runner"
 	"repro/internal/sample"
 	"repro/internal/trace"
 )
 
-func main() { os.Exit(run()) }
+// flags are sweep's own flags beside the shared run flags.
+type flags struct {
+	run  *runflag.Flags
+	exp  *string
+	cpus *string
 
-func run() int {
-	exp := flag.String("exp", "figure6", "figure6, figure11 or geometry")
-	window := machineflag.CyclesFlag(flag.CommandLine, "window", int64(arch.DefaultWindow),
-		"traced window in 30ns cycles (K/M/G suffixes and scientific notation ok, e.g. 1e9)")
-	sampleSpec := flag.String("sample", "",
-		"sampled simulation schedule \"warmup:len:period\" for the geometry sweep's full-system re-runs (e.g. 100K:200K:10M)")
-	seed := flag.Int64("seed", 1, "random seed")
-	cpus := flag.String("cpus", "2,4,6,8,12,16", "CPU counts for figure11")
-	checkFlag := flag.Bool("check", false, "run the invariant checker alongside the sweep")
-	reference := flag.Bool("reference", false,
-		"run the generic oracle paths instead of the memory-system fast path")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
-		"worker-pool size for independent runs (1 = serial)")
-	simWorkers := flag.Int("sim-workers", 1,
-		"intra-run worker goroutines for the conservative parallel engine (1 = serial scheduler); output is byte-identical at any count")
-	timeout := flag.Duration("timeout", 0,
-		"wall-clock budget for the whole sweep (0 = none); on expiry prints the cancellation provenance and exits nonzero")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	mf := machineflag.Register(flag.CommandLine)
+	// Set by resolve: the base configuration every run of the sweep
+	// varies, and figure11's CPU counts.
+	cfg    core.Config
+	counts []int
+}
+
+func newFlags(fs *flag.FlagSet) *flags {
+	f := &flags{
+		run:  runflag.Register(fs),
+		exp:  fs.String("exp", "figure6", "figure6, figure11 or geometry"),
+		cpus: fs.String("cpus", "2,4,6,8,12,16", "CPU counts for figure11"),
+	}
+	f.run.Sample(fs, "sampled simulation schedule \"warmup:len:period\" for the geometry sweep's full-system re-runs (e.g. 100K:200K:10M)")
+	return f
+}
+
+// resolve reads the parsed flags into the validated base configuration
+// and the CPU counts; it simulates nothing.
+func (f *flags) resolve() (err error) {
+	switch *f.exp {
+	case "figure6", "geometry":
+	case "figure11":
+		for _, part := range strings.Split(*f.cpus, ",") {
+			n, err := strconv.Atoi(strings.TrimSpace(part))
+			if err != nil || n < 1 {
+				return fmt.Errorf("bad cpu count %q", part)
+			}
+			f.counts = append(f.counts, n)
+		}
+	default:
+		return fmt.Errorf("unknown experiment %q", *f.exp)
+	}
+	f.cfg, err = f.run.Config(func(c *core.Config) error {
+		if c.Sample.Enabled() && *f.exp != "geometry" {
+			// figure6 re-simulates the materialized I-stream and figure11
+			// compares exact lock counts — both need the full trace.
+			return fmt.Errorf("-sample only applies to -exp geometry (%s needs the exact trace)", *f.exp)
+		}
+		return nil
+	})
+	return err
+}
+
+func main() {
+	f := newFlags(flag.CommandLine)
 	flag.Parse()
+	os.Exit(f.run.Main(f.resolve, f.main))
+}
 
-	machine, err := mf.Machine()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-
-	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	defer stopProf()
-
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	// Oversubscription cap: pool workers × intra-run workers must fit the
-	// machine, or the engines just contend with each other.
-	pool := runner.CapTotal(*parallel, *simWorkers)
-	if pool != *parallel {
-		fmt.Fprintf(os.Stderr, "note: -parallel clamped %d -> %d (-sim-workers %d, GOMAXPROCS %d)\n",
-			*parallel, pool, *simWorkers, runtime.GOMAXPROCS(0))
-	}
-	sched, err := sample.Parse(*sampleSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	if sched.Enabled() && *exp != "geometry" {
-		// figure6 re-simulates the materialized I-stream and figure11
-		// compares exact lock counts — both need the full trace.
-		fmt.Fprintf(os.Stderr, "-sample only applies to -exp geometry (%s needs the exact trace)\n", *exp)
-		return 2
-	}
-	// Every run below is this configuration plus collectors, the checker
-	// or a resized L2: what can be wrong with it is wrong with it here.
-	if err := (core.Config{Machine: machine, Window: arch.Cycles(*window), Seed: *seed, Sample: sched}).Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-
-	opts := runner.Options{Parallelism: pool, SimWorkers: *simWorkers}
-	switch *exp {
+func (f *flags) main(r runflag.Run) int {
+	cfg := f.cfg
+	switch *f.exp {
 	case "figure6":
-		set, err := report.RunSetContext(ctx, core.Config{
-			Machine: machine,
-			Window:  arch.Cycles(*window), Seed: *seed, CollectIResim: true,
-			Check: *checkFlag, Reference: *reference,
-		}, opts)
+		cfg.CollectIResim = true
+		set, err := report.RunSetContext(r.Ctx, cfg, r.Opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
 		fmt.Print(report.TimedFigure6(set))
 		fmt.Fprint(os.Stderr, set.Stats.Table())
-		// Report every failing workload before exiting so one sweep run
-		// diagnoses the whole set.
-		bad := false
-		for _, ch := range []*core.Characterization{set.Pmake, set.Multpgm, set.Oracle} {
-			bad = report.ReportViolations(os.Stderr, ch.Cfg.Workload.String(), ch, 1) || bad
-		}
-		if bad {
-			return 1
-		}
+		return runflag.Finish(runflag.Workloads(set)...)
 	case "figure11":
-		var counts []int
-		for _, part := range strings.Split(*cpus, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "bad cpu count %q\n", part)
-				return 2
-			}
-			counts = append(counts, n)
-		}
-		pts, batch, err := report.RunFigure11Context(ctx, counts, arch.Cycles(*window), *seed, opts)
+		pts, batch, runs, err := report.RunFigure11Context(r.Ctx, cfg, f.counts, r.Opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
 		fmt.Print(report.Figure11(pts))
 		fmt.Fprint(os.Stderr, batch.Table())
-	case "geometry":
-		return geometry(ctx, machine, arch.Cycles(*window), *seed, sched, opts)
+		named := make([]runflag.Named, len(runs))
+		for i, ch := range runs {
+			named[i] = runflag.Named{Name: fmt.Sprintf("Multpgm/%d CPUs", f.counts[i]), Ch: ch}
+		}
+		return runflag.Finish(named...)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		return 2
+		return geometry(r, cfg)
 	}
-	return 0
 }
 
 // osDMisses sums the classified OS data misses of one full-system run: the
@@ -177,25 +143,26 @@ func osDMisses(ch *core.Characterization) int64 {
 // the two relative-miss curves side by side. The replay mirrors are
 // direct-mapped models, so set-associative points run replay-only. A
 // final run exercises the 4d380 preset (8 CPUs, 64 MB) end to end. The
-// invariant checker rides every full-system run; any violation fails
-// the sweep.
-func geometry(ctx context.Context, m arch.Machine, window arch.Cycles, seed int64, sched sample.Schedule, opts runner.Options) int {
-	fmt.Fprintf(os.Stderr, "geometry sweep on %s, window %d, seed %d\n", m, window, seed)
-	if sched.Enabled() {
+// invariant checker rides every full-system run, -check or not; any
+// violation fails the sweep.
+func geometry(r runflag.Run, cfg core.Config) int {
+	m := cfg.Machine
+	fmt.Fprintf(os.Stderr, "geometry sweep on %s, window %d, seed %d\n", m, cfg.Window, cfg.Seed)
+	if cfg.Sample.Enabled() {
 		// The replay oracle is compared with exact counts, so only the
 		// direct re-runs and the preset run print the interval estimate.
-		fmt.Fprintf(os.Stderr, "sampling %s on the direct re-runs (baseline stays full for the replay oracle)\n", sched)
+		fmt.Fprintf(os.Stderr, "sampling %s on the direct re-runs (baseline stays full for the replay oracle)\n", cfg.Sample)
 	}
+	cfg.Check = true
 
-	base, err := core.RunContext(ctx, core.Config{
-		Machine: m, Window: window, Seed: seed,
-		CollectDResim: true, Check: true,
-	})
+	baseCfg := cfg
+	baseCfg.Sample, baseCfg.CollectDResim = sample.Schedule{}, true
+	base, err := core.RunContext(r.Ctx, baseCfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	bad := report.ReportViolations(os.Stderr, "baseline "+m.String(), base, 1)
+	runs := []runflag.Named{{Name: "baseline " + m.String(), Ch: base}}
 
 	cfgs := core.DefaultDSweepConfigs()
 	replay := base.DCacheSweep(cfgs)
@@ -209,18 +176,16 @@ func geometry(ctx context.Context, m arch.Machine, window arch.Cycles, seed int6
 		err    error
 	}
 	var directCfgs []cachesweep.Config
-	for _, cfg := range cfgs {
-		if cfg.Assoc == 1 {
-			directCfgs = append(directCfgs, cfg)
+	for _, c := range cfgs {
+		if c.Assoc == 1 {
+			directCfgs = append(directCfgs, c)
 		}
 	}
-	direct, mapErr := runner.MapContext(ctx, len(directCfgs), opts, func(ctx context.Context, i int) directPoint {
-		m2 := m
-		m2.DCacheL2Size = directCfgs[i].Size
-		m2.DCacheL2Assoc = directCfgs[i].Assoc
-		ch, err := core.RunContext(ctx, core.Config{
-			Machine: m2, Window: window, Seed: seed, Check: true, Sample: sched,
-		})
+	direct, mapErr := runner.MapContext(r.Ctx, len(directCfgs), r.Opts, func(ctx context.Context, i int) directPoint {
+		dc := cfg
+		dc.Machine.DCacheL2Size = directCfgs[i].Size
+		dc.Machine.DCacheL2Assoc = directCfgs[i].Assoc
+		ch, err := core.RunContext(ctx, dc)
 		if err != nil {
 			return directPoint{err: err}
 		}
@@ -237,8 +202,8 @@ func geometry(ctx context.Context, m arch.Machine, window arch.Cycles, seed int6
 		}
 	}
 	var directBase int64
-	for i, cfg := range directCfgs {
-		if cfg.Size == m.DCacheL2Size && cfg.Assoc == m.DCacheL2Assoc {
+	for i, c := range directCfgs {
+		if c.Size == m.DCacheL2Size && c.Assoc == m.DCacheL2Assoc {
 			directBase = direct[i].misses
 		}
 	}
@@ -249,17 +214,17 @@ func geometry(ctx context.Context, m arch.Machine, window arch.Cycles, seed int6
 	fmt.Printf("  %-12s %14s %9s %14s %9s\n",
 		"cache", "replay misses", "rel", "direct misses", "rel")
 	di := 0
-	for i, cfg := range cfgs {
-		label := fmt.Sprintf("%s/%d-way", sizeLabel(cfg.Size), cfg.Assoc)
+	for i, c := range cfgs {
+		label := fmt.Sprintf("%s/%d-way", sizeLabel(c.Size), c.Assoc)
 		fmt.Printf("  %-12s %14d %9.2f", label, replay[i].OSMisses, replay[i].Relative)
-		if cfg.Assoc == 1 {
+		if c.Assoc == 1 {
 			p := direct[di]
 			rel := 0.0
 			if directBase > 0 {
 				rel = float64(p.misses) / float64(directBase)
 			}
 			fmt.Printf(" %14d %9.2f\n", p.misses, rel)
-			bad = report.ReportViolations(os.Stderr, "direct "+label, p.ch, 1) || bad
+			runs = append(runs, runflag.Named{Name: "direct " + label, Ch: p.ch})
 			di++
 		} else {
 			fmt.Printf(" %14s %9s\n", "-", "-")
@@ -268,25 +233,21 @@ func geometry(ctx context.Context, m arch.Machine, window arch.Cycles, seed int6
 
 	// The 8-CPU / 64 MB preset, end to end with the checker on.
 	big, _ := machineflag.Preset("4d380")
-	bch, err := core.RunContext(ctx, core.Config{
-		Machine: big, Window: window, Seed: seed, Check: true, Sample: sched,
-	})
+	bigCfg := cfg
+	bigCfg.Machine = big
+	bch, err := core.RunContext(r.Ctx, bigCfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	bad = report.ReportViolations(os.Stderr, "preset "+big.String(), bch, 1) || bad
+	runs = append(runs, runflag.Named{Name: "preset " + big.String(), Ch: bch})
 	user, sys, idle := bch.TimeSplit()
 	all, osOnly, _ := bch.StallPct()
 	fmt.Printf("\n4d380 preset (%s):\n", big)
 	fmt.Printf("  time split user/sys/idle: %.1f%% / %.1f%% / %.1f%%\n", user, sys, idle)
 	fmt.Printf("  memory-stall share: %.1f%% of non-idle cycles (OS %.1f%%)\n", all, osOnly)
 	fmt.Printf("  OS data misses: %d\n", osDMisses(bch))
-
-	if bad {
-		return 1
-	}
-	return 0
+	return runflag.Finish(runs...)
 }
 
 func sizeLabel(n int) string {

@@ -1,0 +1,56 @@
+package main
+
+import (
+	"flag"
+	"fmt"
+	"io"
+	"strings"
+	"testing"
+
+	"repro/internal/runflag"
+)
+
+// parse parses args through sweep's real flag set.
+func parse(args []string) (*flags, error) {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	f := newFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("stray arguments %q", fs.Args())
+	}
+	return f, nil
+}
+
+// TestDocumentedCommandsResolve executes the docs without simulating:
+// every documented sweep invocation must parse, with no stray arguments, and
+// resolve (machine, schedule, Config.Validate).
+func TestDocumentedCommandsResolve(t *testing.T) {
+	cmds, err := runflag.DocCommands("../..", "sweep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cmds) == 0 {
+		t.Fatal("no documented sweep invocation found")
+	}
+	for _, c := range cmds {
+		f, err := parse(strings.Fields(c.Args))
+		if err == nil {
+			err = f.resolve()
+		}
+		if err != nil {
+			t.Errorf("%s: sweep%s: %v", c.Where, c.Args, err)
+		}
+	}
+}
+
+// TestOracleFlagsAreGone: the test-only oracle modes are not flags.
+func TestOracleFlagsAreGone(t *testing.T) {
+	for _, args := range [][]string{{"-reference"}} {
+		if _, err := parse(args); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("%v: parse error %v, want an undefined flag", args, err)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/inject"
 	"repro/internal/workload"
 )
@@ -14,21 +15,38 @@ const checkWindow = 1_200_000
 
 // TestCheckerCleanOnAllWorkloads runs every seed workload with the
 // invariant checker on: shadow memory, coherence and lock discipline must
-// all hold.
+// all hold. The checker's line probe indexes directly on the default
+// one-way L1+L2 and walks the ways otherwise, and the generic reference
+// paths answer it differently again, so each workload runs on all three.
 func TestCheckerCleanOnAllWorkloads(t *testing.T) {
+	twoWay := arch.Default()
+	twoWay.DCacheL1Assoc, twoWay.DCacheL2Assoc = 2, 2
+	inputs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"default", Config{}},
+		{"reference", Config{Reference: true}},
+		{"2way-l1l2", Config{Machine: twoWay}},
+	}
 	for _, kind := range []workload.Kind{workload.Pmake, workload.Multpgm, workload.Oracle} {
 		t.Run(kind.String(), func(t *testing.T) {
-			ch := Run(Config{Workload: kind, Window: checkWindow,
-				Warmup: checkWindow / 2, Seed: 5, Check: true})
-			chk := ch.Sim.Chk
-			if chk == nil {
-				t.Fatal("Check config did not attach a checker")
-			}
-			if chk.Violations != 0 {
-				t.Fatalf("%d violations, first: %v", chk.Violations, ch.CheckErrors[0])
-			}
-			if chk.Checks < 100_000 {
-				t.Errorf("only %d invariant evaluations ran; checker not wired in?", chk.Checks)
+			for _, in := range inputs {
+				t.Run(in.name, func(t *testing.T) {
+					cfg := in.cfg
+					cfg.Workload, cfg.Window, cfg.Warmup, cfg.Seed, cfg.Check = kind, checkWindow, checkWindow/2, 5, true
+					ch := Run(cfg)
+					chk := ch.Sim.Chk
+					if chk == nil {
+						t.Fatal("Check config did not attach a checker")
+					}
+					if chk.Violations != 0 {
+						t.Fatalf("%d violations, first: %v", chk.Violations, ch.CheckErrors[0])
+					}
+					if chk.Checks < 100_000 {
+						t.Errorf("only %d invariant evaluations ran; checker not wired in?", chk.Checks)
+					}
+				})
 			}
 		})
 	}

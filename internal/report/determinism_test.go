@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -60,31 +61,26 @@ func TestParallelRunSetByteIdentical(t *testing.T) {
 	diffLines(t, "report", render(1), render(8))
 }
 
+// renderAll renders every table and figure of the three runs of cfg on a
+// pool of par workers.
+func renderAll(cfg core.Config, par int) string {
+	return All(RunSetParallel(cfg, runner.Options{Parallelism: par}))
+}
+
 // TestStreamingMatchesBufferedReports is the streaming pipeline's oracle:
 // classifying every transaction inline, the cycle it occurs, must render
 // every table and figure byte-for-byte identically to the stop-and-drain
 // pipeline that materializes the monitor trace and replays it after the
-// run — for all three workloads, serially and under the worker pool.
+// run — for all three workloads, with and without the checker, serially
+// and under the worker pool.
 func TestStreamingMatchesBufferedReports(t *testing.T) {
-	for _, par := range []int{1, 8} {
-		render := func(buffered bool) string {
-			set := RunSetParallel(core.Config{
-				Window: 600_000, Warmup: 300_000, Seed: 11, Check: true,
-				Buffered: buffered,
-			}, runner.Options{Parallelism: par})
-			return All(set)
-		}
-		streaming, buffered := render(false), render(true)
-		if streaming != buffered {
-			la, lb := splitLines(streaming), splitLines(buffered)
-			for i := 0; i < len(la) && i < len(lb); i++ {
-				if la[i] != lb[i] {
-					t.Fatalf("parallelism %d: reports diverge at line %d:\n  streaming: %s\n  buffered:  %s",
-						par, i+1, la[i], lb[i])
-				}
-			}
-			t.Fatalf("parallelism %d: reports differ in length: %d vs %d bytes",
-				par, len(streaming), len(buffered))
+	for _, check := range []bool{false, true} {
+		for _, par := range []int{1, 8} {
+			cfg := core.Config{Window: 600_000, Warmup: 300_000, Seed: 11, Check: check}
+			buffered := cfg
+			buffered.Buffered = true
+			diffLines(t, fmt.Sprintf("check=%t parallelism %d: streaming vs buffered", check, par),
+				renderAll(cfg, par), renderAll(buffered, par))
 		}
 	}
 }
@@ -92,28 +88,17 @@ func TestStreamingMatchesBufferedReports(t *testing.T) {
 // TestFastMatchesReferenceReports is the memory-system fast path's oracle:
 // the presence-filtered snoops, direct-mapped cache specialization and
 // run-ahead scheduler must render every table and figure byte-for-byte
-// identically to the generic reference paths (-reference) — for all three
-// workloads, serially and under the worker pool.
+// identically to the generic reference paths (Config.Reference) — for all
+// three workloads, with and without the checker, serially and under the
+// worker pool.
 func TestFastMatchesReferenceReports(t *testing.T) {
-	for _, par := range []int{1, 8} {
-		render := func(ref bool) string {
-			set := RunSetParallel(core.Config{
-				Window: 600_000, Warmup: 300_000, Seed: 11, Check: true,
-				Reference: ref,
-			}, runner.Options{Parallelism: par})
-			return All(set)
-		}
-		fast, reference := render(false), render(true)
-		if fast != reference {
-			la, lb := splitLines(fast), splitLines(reference)
-			for i := 0; i < len(la) && i < len(lb); i++ {
-				if la[i] != lb[i] {
-					t.Fatalf("parallelism %d: reports diverge at line %d:\n  fast:      %s\n  reference: %s",
-						par, i+1, la[i], lb[i])
-				}
-			}
-			t.Fatalf("parallelism %d: reports differ in length: %d vs %d bytes",
-				par, len(fast), len(reference))
+	for _, check := range []bool{false, true} {
+		for _, par := range []int{1, 8} {
+			cfg := core.Config{Window: 600_000, Warmup: 300_000, Seed: 11, Check: check}
+			reference := cfg
+			reference.Reference = true
+			diffLines(t, fmt.Sprintf("check=%t parallelism %d: fast vs reference", check, par),
+				renderAll(cfg, par), renderAll(reference, par))
 		}
 	}
 }
@@ -168,23 +153,57 @@ func TestHitFilterIdentity(t *testing.T) {
 // the lock-contention sweep over CPU counts.
 func TestParallelFigure11ByteIdentical(t *testing.T) {
 	render := func(par int) string {
-		pts, _ := RunFigure11Parallel([]int{2, 3, 4}, 400_000, 7, runner.Options{Parallelism: par})
+		pts, _, _, err := RunFigure11Context(context.Background(), core.Config{Window: 400_000, Seed: 7},
+			[]int{2, 3, 4}, runner.Options{Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
 		return Figure11(pts)
 	}
 	diffLines(t, "figure 11", render(1), render(8))
 }
 
+// TestFigure11HonorsBase: every Figure 11 point is the base configuration
+// at another CPU count, so the machine and the checker reach the runs.
+func TestFigure11HonorsBase(t *testing.T) {
+	base := core.Config{Window: 400_000, Seed: 7}
+	counts := []int{2, 4}
+	m380, err := machineflag.Preset("4d380")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m380.DCacheL2Size = 1 << 20
+	big := base
+	big.Machine = m380
+	if Figure11(RunFigure11(big, counts)) == Figure11(RunFigure11(base, counts)) {
+		t.Error("a 4d380 base with a 1 MB L2 renders the default machine's Figure 11")
+	}
+
+	checked := base
+	checked.Check = true
+	_, _, runs, err := RunFigure11Context(context.Background(), checked, counts, runner.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ch := range runs {
+		chk := ch.Sim.Chk
+		if chk == nil {
+			t.Fatalf("ncpu %d: a Check base attached no checker", counts[i])
+		}
+		if chk.Checks == 0 || chk.Violations != 0 {
+			t.Errorf("ncpu %d: %d checks, %d violations; want >0 checks, 0 violations",
+				counts[i], chk.Checks, chk.Violations)
+		}
+	}
+}
+
 // TestFigure11WindowDefault pins the zero-window fallback to the one
-// canonical default; this path used to disagree with cmd/sweep (8M vs 12M).
+// canonical default (core's, arch.DefaultWindow), in the runs and in the
+// per-millisecond rates; this path once disagreed with cmd/sweep (8M vs 12M).
 func TestFigure11WindowDefault(t *testing.T) {
-	if got := figure11Window(0); got != arch.DefaultWindow {
-		t.Errorf("figure11Window(0) = %d, want arch.DefaultWindow (%d)", got, arch.DefaultWindow)
-	}
-	if got := figure11Window(-1); got != arch.DefaultWindow {
-		t.Errorf("figure11Window(-1) = %d, want %d", got, arch.DefaultWindow)
-	}
-	if got := figure11Window(100); got != 100 {
-		t.Errorf("figure11Window(100) = %d, want 100", got)
+	explicit := Figure11(RunFigure11(core.Config{Window: arch.DefaultWindow, Seed: 7}, []int{2}))
+	if got := Figure11(RunFigure11(core.Config{Seed: 7}, []int{2})); got != explicit {
+		t.Errorf("zero-window Figure 11:\n%s\nwant the arch.DefaultWindow one:\n%s", got, explicit)
 	}
 }
 

@@ -6,7 +6,6 @@ package report
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -161,30 +160,6 @@ func writeSampled(b *strings.Builder, ch *core.Characterization) {
 		fmt.Fprintf(b, "  %-8s app-i %-14s app-d %-14s os-i %-14s os-d %-14s\n",
 			cl, pm(ai, aiE), pm(ad, adE), pm(oi, oiE), pm(od, odE))
 	}
-}
-
-// ReportViolations writes a run's invariant violations to w and reports
-// whether there were any. At most max collected errors are printed (max <
-// 0 prints all). The checker caps its collected list independently of the
-// violation counter, so a positive count with an empty list prints the
-// count alone — never index CheckErrors unguarded.
-func ReportViolations(w io.Writer, name string, ch *core.Characterization, max int) bool {
-	if ch == nil || ch.Sim.Chk == nil || ch.Sim.Chk.Violations == 0 {
-		return false
-	}
-	chk := ch.Sim.Chk
-	fmt.Fprintf(w, "%s: %d invariant violations (%d checks)\n", name, chk.Violations, chk.Checks)
-	errs := ch.CheckErrors
-	if max >= 0 && len(errs) > max {
-		errs = errs[:max]
-	}
-	for _, e := range errs {
-		fmt.Fprintf(w, "  %v\n", e)
-	}
-	if dropped := chk.Violations - int64(len(ch.CheckErrors)); dropped > 0 {
-		fmt.Fprintf(w, "  ... %d more violations not collected (list capped)\n", dropped)
-	}
-	return true
 }
 
 // each iterates the set in paper order.
@@ -788,61 +763,45 @@ type Figure11Point struct {
 	AcquiresPerMS float64
 }
 
-// figure11Window resolves a zero window to the one canonical default
-// (arch.DefaultWindow), the same value core.Run and the CLI flags use.
-func figure11Window(w arch.Cycles) arch.Cycles {
-	if w <= 0 {
-		return arch.DefaultWindow
-	}
-	return w
-}
-
 // RunFigure11 sweeps the CPU count for Multpgm and reports failed
 // acquires per millisecond for the hottest locks (kernel Runqlk and
-// Memlock plus the user-level Mp3d locks). The counts run on the default
-// worker pool.
-func RunFigure11(cpuCounts []int, window arch.Cycles, seed int64) []Figure11Point {
-	pts, _ := RunFigure11Parallel(cpuCounts, window, seed, runner.Options{})
-	return pts
-}
-
-// RunFigure11Parallel is RunFigure11 with an explicit worker-pool size; it
-// also returns the batch timing record. Points come back in submission
-// order (one group of locks per CPU count), byte-identical to a serial
-// sweep.
-func RunFigure11Parallel(cpuCounts []int, window arch.Cycles, seed int64,
-	opts runner.Options) ([]Figure11Point, metrics.BatchStats) {
-	pts, batch, err := RunFigure11Context(context.Background(), cpuCounts, window, seed, opts)
+// Memlock plus the user-level Mp3d locks). Every point is base (machine,
+// window, seed, checker) with only the workload, CPU count and tracing
+// replaced. The counts run on the default worker pool.
+func RunFigure11(base core.Config, cpuCounts []int) []Figure11Point {
+	pts, _, _, err := RunFigure11Context(context.Background(), base, cpuCounts, runner.Options{})
 	if err != nil {
 		panic(err) // only a run panic can surface under a background ctx
 	}
-	return pts, batch
+	return pts
 }
 
-// RunFigure11Context is RunFigure11Parallel under a context; a canceled
-// or expired ctx returns the first run's structured error.
-func RunFigure11Context(ctx context.Context, cpuCounts []int, window arch.Cycles, seed int64,
-	opts runner.Options) ([]Figure11Point, metrics.BatchStats, error) {
-	window = figure11Window(window)
+// RunFigure11Context is RunFigure11 under a context and a worker pool; it
+// also returns the batch timing record and the runs, for their checkers.
+// Points come back in submission order (one group of locks per CPU
+// count), byte-identical to a serial sweep. A canceled or expired ctx
+// returns the first run's structured error.
+func RunFigure11Context(ctx context.Context, base core.Config, cpuCounts []int,
+	opts runner.Options) ([]Figure11Point, metrics.BatchStats, []*core.Characterization, error) {
 	cfgs := make([]core.Config, len(cpuCounts))
 	for i, n := range cpuCounts {
-		cfgs[i] = core.Config{
-			Workload: workload.Multpgm, NCPU: n, Seed: seed,
-			Window: window, NoTrace: true,
-		}
+		cfgs[i] = base
+		cfgs[i].Workload, cfgs[i].NCPU, cfgs[i].NoTrace = workload.Multpgm, n, true
 	}
 	res, batch := runner.ExperimentsContext(ctx, cfgs, opts)
 	for _, r := range res {
 		if r.Err != nil {
-			return nil, batch, r.Err
+			return nil, batch, nil, r.Err
 		}
 	}
 	var out []Figure11Point
+	runs := make([]*core.Characterization, len(res))
 	for i, r := range res {
 		n, ch := cpuCounts[i], r.Ch
+		runs[i] = ch
 		// The paper plots failed acquires per millisecond of run time
-		// (Y includes idle). Use the wall-clock window.
-		wallMS := float64(window.NS()) / 1e6
+		// (Y includes idle). Use the wall-clock window, defaults resolved.
+		wallMS := float64(ch.Cfg.Window.NS()) / 1e6
 		for _, lname := range []string{klock.Runqlk, klock.Memlock, klock.Ifree} {
 			st := ch.Sim.K.Locks.FamilyStats(lname)
 			out = append(out, Figure11Point{
@@ -861,7 +820,7 @@ func RunFigure11Context(ctx context.Context, cpuCounts []int, window arch.Cycles
 		out = append(out, Figure11Point{NCPU: n, Lock: "mp3d user locks",
 			FailedPerMS: float64(fails) / wallMS, AcquiresPerMS: float64(acqs) / wallMS})
 	}
-	return out, batch, nil
+	return out, batch, runs, nil
 }
 
 // Figure11 renders the contention sweep.
@@ -878,15 +837,27 @@ func Figure11(points []Figure11Point) string {
 // All renders every table and figure from one Set.
 func All(s *Set) string {
 	var b strings.Builder
-	secs := []string{
-		Table1(s), Figure1(s), Figure2(s), Figure3(s), Figure4(s),
-		Figure5(s), Figure7(s), Table3(), Figure8(s), Table4(s), Table5(s),
-		Table6(s), Table7(s), Figure9(s), Table9(s), Figure10(s),
-		Table10(s), Table11(), Table12(s),
-	}
-	for _, sec := range secs {
-		b.WriteString(sec)
+	for _, sec := range Sections {
+		b.WriteString(sec.Render(s))
 		b.WriteString("\n")
 	}
 	return b.String()
+}
+
+// Section is one table or figure All renders, under its charos -exp name.
+// Static sections (table3, table11) ignore the set and render from nil.
+type Section struct {
+	Name   string
+	Render func(*Set) string
+}
+
+// Sections are All's sections in paper order.
+var Sections = []Section{
+	{"table1", Table1}, {"figure1", Figure1}, {"figure2", Figure2},
+	{"figure3", Figure3}, {"figure4", Figure4}, {"figure5", Figure5},
+	{"figure7", Figure7}, {"table3", func(*Set) string { return Table3() }},
+	{"figure8", Figure8}, {"table4", Table4}, {"table5", Table5},
+	{"table6", Table6}, {"table7", Table7}, {"figure9", Figure9},
+	{"table9", Table9}, {"figure10", Figure10}, {"table10", Table10},
+	{"table11", func(*Set) string { return Table11() }}, {"table12", Table12},
 }

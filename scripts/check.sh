@@ -21,16 +21,20 @@ go test -race ./...
 echo "== checked fault-injection smoke (charos -check -inject all)"
 go run ./cmd/charos -exp table1 -window 2000000 -check -inject all >/dev/null
 
-echo "== checked smokes off the default geometry (2-way L1+L2; -reference)"
+echo "== checked smoke off the default geometry (2-way L1+L2)"
 # The checker's line probe indexes directly when both levels have one way
 # and walks the ways otherwise; the default machine only ever takes the
-# first path, so run the other two here. charos exits 1 on any violation.
-for extra in "-dcache-l1-assoc 2 -dcache-l2-assoc 2" "-reference"; do
-    # shellcheck disable=SC2086
-    go run ./cmd/charos -exp report -check -window 1M $extra 2>&1 >/dev/null |
-        grep -q 'invariant checker: [1-9][0-9]* checks, 0 violations' || {
-        echo "FAIL: charos -exp report -check $extra did not end in 0 violations" >&2; exit 1; }
-done
+# first path, so run the other here (TestCheckerCleanOnAllWorkloads covers
+# both and the reference oracle). charos exits 1 on any violation.
+go run ./cmd/charos -exp report -check -window 1M -dcache-l1-assoc 2 -dcache-l2-assoc 2 2>&1 >/dev/null |
+    grep -q 'invariant checker: [1-9][0-9]* checks, 0 violations' || {
+    echo "FAIL: charos -exp report -check on 2-way L1+L2 did not end in 0 violations" >&2; exit 1; }
+
+echo "== one end-of-run contract (lockstat -check)"
+# charos, sweep and lockstat end a checked run the same way (internal/runflag).
+go run ./cmd/lockstat -check -window 1M 2>&1 >/dev/null | tail -n 1 |
+    grep -q '^invariant checker: [1-9][0-9]* checks, 0 violations$' || {
+    echo "FAIL: lockstat -check did not end with the invariant checker line" >&2; exit 1; }
 
 echo "== fuzz the input surfaces and the one-pass Figure 6 sweep (5s each)"
 go test -run '^$' -fuzz '^FuzzParseCycles$' -fuzztime 5s ./internal/machineflag
@@ -54,21 +58,6 @@ serialeng=$(go run -race ./cmd/charos -exp table1 -window 1000000 -sim-workers 1
 paralleng=$(go run -race ./cmd/charos -exp table1 -window 1000000 -sim-workers 8 2>/dev/null)
 if [ "$serialeng" != "$paralleng" ]; then
     echo "FAIL: -sim-workers 8 output diverges from -sim-workers 1" >&2
-    exit 1
-fi
-
-echo "== streaming-vs-buffered determinism smoke (charos -buffered)"
-streaming=$(go run ./cmd/charos -exp table1 -window 2000000 2>/dev/null)
-buffered=$(go run ./cmd/charos -exp table1 -window 2000000 -buffered 2>/dev/null)
-if [ "$streaming" != "$buffered" ]; then
-    echo "FAIL: streaming pipeline output diverges from the buffered oracle" >&2
-    exit 1
-fi
-
-echo "== fast-vs-reference determinism smoke (charos -reference)"
-reference=$(go run ./cmd/charos -exp table1 -window 2000000 -reference 2>/dev/null)
-if [ "$streaming" != "$reference" ]; then
-    echo "FAIL: memory-system fast path output diverges from the -reference oracle" >&2
     exit 1
 fi
 
@@ -109,17 +98,11 @@ rc=0
 [ "$rc" = 2 ] && grep -q 'fits no measured interval' "$smoke/zero.err" || {
     echo "FAIL: a schedule with no measured interval in the window exited $rc" >&2; exit 1; }
 
-echo "== unsampled report gate (streaming vs buffered, serial vs -sim-workers)"
-# The per-run report must render byte-for-byte what the buffered oracle
-# renders, and what the parallel engine renders. The buffered flag is part
-# of the config identity, so the "config <hash>" lines differ by design
-# and are filtered out.
+echo "== unsampled report gate (serial vs -sim-workers)"
+# The per-run report must render byte-for-byte what the parallel engine
+# renders (the buffered and reference oracles are Go tests:
+# TestStreamingMatchesBufferedReports, TestFastMatchesReferenceReports).
 plainrep=$(go run ./cmd/charos -exp report -window 2000000 2>/dev/null)
-bufrep=$(go run ./cmd/charos -exp report -window 2000000 -buffered 2>/dev/null)
-if [ "$(echo "$plainrep" | grep -v '^config ')" != "$(echo "$bufrep" | grep -v '^config ')" ]; then
-    echo "FAIL: unsampled report diverges from the buffered oracle" >&2
-    exit 1
-fi
 workrep=$(go run ./cmd/charos -exp report -window 2000000 -sim-workers 8 2>/dev/null)
 if [ "$plainrep" != "$workrep" ]; then
     echo "FAIL: unsampled report diverges under -sim-workers 8" >&2
@@ -213,9 +196,9 @@ daemon=""
 grep -q 'drain complete: all accepted jobs resolved' "$smoke/charosd-load.log" || {
     echo "FAIL: post-load drain did not resolve all accepted jobs" >&2; exit 1; }
 
-echo "== hit-filter identity (filtered vs -reference and checked runs, race detector)"
-# The Go byte-identity oracles compare checked runs, where the filter is off
-# on both sides; this test and the -reference smoke above are what see it.
+echo "== hit-filter identity (filtered vs reference and checked runs, race detector)"
+# The filter is off in checked and reference runs; this test compares the
+# machine state it leaves with theirs.
 go test -race -run 'TestHitFilterIdentity' ./internal/report
 
 echo "== shed-race regression (service.Submit, race detector)"
