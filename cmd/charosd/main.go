@@ -8,24 +8,22 @@
 //
 // Server mode:
 //
-//	charosd [-addr :8416] [-workers N] [-workers-max N] [-queue N]
+//	charosd [-addr :8416] [-workers N] [-queue N]
 //	        [-sim-workers N] [-max-total-workers N]
-//	        [-shards N] [-cache-entries N] [-job-history N]
+//	        [-cache-entries N] [-job-history N]
 //	        [-job-timeout D] [-stall-timeout D]
 //	        [-drain-policy finish|cancel] [-drain-timeout D]
 //	        [-retry-after D] [-test-hooks]
 //
-// The result store is sharded (-shards, power of two) with a bounded
-// per-shard LRU over completed results (-cache-entries total); GET
-// /v1/metrics exposes per-shard and global hit/miss/eviction counters
-// plus p50/p90/p99 submit-to-terminal latency and throughput, and a
-// per-job list with each run's simulated-Mcycles/s and intra-run worker
-// count. With -workers-max above -workers an adaptive manager grows and
-// shrinks the worker pool between the two on queue-depth and p99
-// thresholds. Jobs run the conservative parallel engine when
-// -sim-workers > 1 (output is byte-identical either way);
-// -max-total-workers clamps per-job intra-run parallelism so pool ×
-// sim workers never oversubscribes the budget.
+// A fixed pool of -workers runs the jobs. The result store has a fixed
+// eight shards with a bounded per-shard LRU over completed results
+// (-cache-entries total); GET /v1/metrics exposes per-shard and global
+// hit/miss/eviction counters plus p50/p90/p99 submit-to-terminal latency
+// and throughput, and a per-job list with each run's simulated-Mcycles/s
+// and intra-run worker count. Jobs run the conservative parallel engine
+// when -sim-workers > 1 (output is byte-identical either way);
+// -max-total-workers clamps per-job intra-run parallelism so pool × sim
+// workers never oversubscribes the budget.
 //
 // Client mode (submit one job and wait):
 //
@@ -68,92 +66,131 @@ import (
 	"repro/internal/service"
 )
 
+// flags are charosd's flags.
+type flags struct {
+	// Server mode.
+	addr, drainPolicy                                  *string
+	workers, simWorkers, maxTotal                      *int
+	cacheEntries, jobHistory, queue                    *int
+	retryAfter, jobTimeout, stallTimeout, drainTimeout *time.Duration
+	testHooks                                          *bool
+	// The job that -submit and -load send.
+	wl, machine, sampleSpec *string
+	ncpu                    *int
+	seed, window, warmup    *int64
+	check                   *bool
+	// Client modes.
+	submit, nowait, testPanic            *bool
+	timeout                              *time.Duration
+	retries, load, loadHot, loadDistinct *int
+}
+
+func newFlags(fs *flag.FlagSet) *flags {
+	return &flags{
+		addr:    fs.String("addr", ":8416", "listen address (server) or server address (with -submit)"),
+		workers: fs.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)"),
+		simWorkers: fs.Int("sim-workers", 1,
+			"server: default intra-run worker count per job (conservative parallel engine; 1 = serial); client: the job's requested count"),
+		maxTotal: fs.Int("max-total-workers", 0,
+			"cap on pool workers × per-job sim workers: per-job intra-run parallelism is clamped to fit (0 = no cap)"),
+		cacheEntries: fs.Int("cache-entries", 4096, "completed results resident across all shards before LRU eviction"),
+		jobHistory:   fs.Int("job-history", 4096, "terminal jobs retained in the registry; older IDs return 404"),
+		queue:        fs.Int("queue", 64, "admission-queue depth; beyond it submissions shed with 429"),
+		retryAfter:   fs.Duration("retry-after", time.Second, "Retry-After hint advertised on shed"),
+		jobTimeout:   fs.Duration("job-timeout", 0, "default per-job wall-clock cap (0 = none)"),
+		stallTimeout: fs.Duration("stall-timeout", 10*time.Second,
+			"watchdog: kill runs whose simulated-cycle heartbeat stalls this long (<0 disables)"),
+		drainPolicy: fs.String("drain-policy", "finish",
+			"SIGTERM drain policy: finish (run accepted jobs to completion) or cancel"),
+		drainTimeout: fs.Duration("drain-timeout", 30*time.Second,
+			"drain hard deadline; past it in-flight runs are force-canceled (still resolved)"),
+		testHooks: fs.Bool("test-hooks", false, "enable test hooks (test_panic jobs) — never in production"),
+
+		submit:  fs.Bool("submit", false, "client mode: submit one job and print its report"),
+		wl:      fs.String("workload", "Pmake", "job workload: Pmake, Multpgm, Oracle, OracleStd"),
+		machine: fs.String("machine", "", "job machine preset: 4d340 (default), 4d380"),
+		ncpu:    fs.Int("ncpu", 0, "job CPU count (0 = preset's count)"),
+		seed:    fs.Int64("seed", 1, "job seed"),
+		window: machineflag.CyclesFlag(fs, "window", 0,
+			"job traced window in 30ns cycles, K/M/G suffixes ok (0 = default)"),
+		warmup: machineflag.CyclesFlag(fs, "warmup", 0,
+			"job warmup in 30ns cycles, K/M/G suffixes ok (0 = default)"),
+		sampleSpec: fs.String("sample", "",
+			"job sampling schedule \"warmup:len:period\" in cycles (e.g. 100K:200K:10M); empty = exact counts only, no interval estimate"),
+		check:        fs.Bool("check", false, "run the job under the invariant checker"),
+		timeout:      fs.Duration("timeout", 0, "client: job + wait deadline (0 = none); sent as the job's budget"),
+		retries:      fs.Int("retries", 0, "client: retry budget after shed/transport errors (0 = default 8, negative = none)"),
+		nowait:       fs.Bool("nowait", false, "client: return after admission instead of waiting for the result"),
+		testPanic:    fs.Bool("test-panic", false, "client: submit a job that panics mid-run (server must run -test-hooks)"),
+		load:         fs.Int("load", 0, "load-generator mode: fire N concurrent clients at the server and report"),
+		loadHot:      fs.Int("load-hot", 4, "load mode: distinct hot configs shared by 3/4 of the clients (dedup path)"),
+		loadDistinct: fs.Int("load-distinct", 16, "load mode: distinct cold configs spread over the rest (eviction path)"),
+	}
+}
+
+// loadRequest is the job every -load client submits, before the load
+// generator sets its seed.
+func (f *flags) loadRequest() service.Request {
+	return service.Request{
+		Workload: *f.wl, Machine: *f.machine, NCPU: *f.ncpu,
+		Window: *f.window, Warmup: *f.warmup, Sample: *f.sampleSpec,
+	}
+}
+
+// submitRequest is the one job -submit sends.
+func (f *flags) submitRequest() service.Request {
+	req := f.loadRequest()
+	req.Seed, req.Check, req.SimWorkers = *f.seed, *f.check, *f.simWorkers
+	req.TimeoutMS, req.TestPanic = int64(*f.timeout/time.Millisecond), *f.testPanic
+	return req
+}
+
+// options resolves the server-mode flags.
+func (f *flags) options() (service.Options, error) {
+	if *f.drainPolicy != "finish" && *f.drainPolicy != "cancel" {
+		return service.Options{}, fmt.Errorf("bad -drain-policy %q (want finish or cancel)", *f.drainPolicy)
+	}
+	return service.Options{
+		Workers: *f.workers, SimWorkers: *f.simWorkers, MaxTotalWorkers: *f.maxTotal,
+		CacheEntries: *f.cacheEntries, JobHistory: *f.jobHistory,
+		QueueDepth: *f.queue, RetryAfter: *f.retryAfter,
+		JobTimeout: *f.jobTimeout, StallTimeout: *f.stallTimeout,
+		DrainFinish: *f.drainPolicy == "finish", DrainTimeout: *f.drainTimeout,
+		TestHooks: *f.testHooks,
+	}, nil
+}
+
 func main() { os.Exit(run()) }
 
 func run() int {
-	addr := flag.String("addr", ":8416", "listen address (server) or server address (with -submit)")
-	workers := flag.Int("workers", 0, "worker-pool size, or the adaptive floor with -workers-max (0 = GOMAXPROCS)")
-	workersMax := flag.Int("workers-max", 0, "adaptive worker ceiling; 0 or <= -workers keeps a fixed pool")
-	simWorkers := flag.Int("sim-workers", 1,
-		"server: default intra-run worker count per job (conservative parallel engine; 1 = serial); client: the job's requested count")
-	maxTotal := flag.Int("max-total-workers", 0,
-		"cap on pool workers × per-job sim workers: per-job intra-run parallelism is clamped to fit (0 = no cap)")
-	shards := flag.Int("shards", 8, "result-store shard count (rounded up to a power of two)")
-	cacheEntries := flag.Int("cache-entries", 4096, "completed results resident across all shards before LRU eviction")
-	jobHistory := flag.Int("job-history", 4096, "terminal jobs retained in the registry; older IDs return 404")
-	queue := flag.Int("queue", 64, "admission-queue depth; beyond it submissions shed with 429")
-	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint advertised on shed")
-	jobTimeout := flag.Duration("job-timeout", 0, "default per-job wall-clock cap (0 = none)")
-	stallTimeout := flag.Duration("stall-timeout", 10*time.Second,
-		"watchdog: kill runs whose simulated-cycle heartbeat stalls this long (<0 disables)")
-	drainPolicy := flag.String("drain-policy", "finish",
-		"SIGTERM drain policy: finish (run accepted jobs to completion) or cancel")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second,
-		"drain hard deadline; past it in-flight runs are force-canceled (still resolved)")
-	testHooks := flag.Bool("test-hooks", false, "enable test hooks (test_panic jobs) — never in production")
-
-	submit := flag.Bool("submit", false, "client mode: submit one job and print its report")
-	wl := flag.String("workload", "Pmake", "job workload: Pmake, Multpgm, Oracle, OracleStd")
-	machine := flag.String("machine", "", "job machine preset: 4d340 (default), 4d380")
-	ncpu := flag.Int("ncpu", 0, "job CPU count (0 = preset's count)")
-	seed := flag.Int64("seed", 1, "job seed")
-	window := machineflag.CyclesFlag(flag.CommandLine, "window", 0,
-		"job traced window in 30ns cycles, K/M/G suffixes ok (0 = default)")
-	warmup := machineflag.CyclesFlag(flag.CommandLine, "warmup", 0,
-		"job warmup in 30ns cycles, K/M/G suffixes ok (0 = default)")
-	sampleSpec := flag.String("sample", "",
-		"job sampling schedule \"warmup:len:period\" in cycles (e.g. 100K:200K:10M); empty = exact counts only, no interval estimate")
-	checkFlag := flag.Bool("check", false, "run the job under the invariant checker")
-	timeout := flag.Duration("timeout", 0, "client: job + wait deadline (0 = none); sent as the job's budget")
-	retries := flag.Int("retries", 0, "client: retry budget after shed/transport errors (0 = default 8, negative = none)")
-	nowait := flag.Bool("nowait", false, "client: return after admission instead of waiting for the result")
-	testPanic := flag.Bool("test-panic", false, "client: submit a job that panics mid-run (server must run -test-hooks)")
-	load := flag.Int("load", 0, "load-generator mode: fire N concurrent clients at the server and report")
-	loadHot := flag.Int("load-hot", 4, "load mode: distinct hot configs shared by 3/4 of the clients (dedup path)")
-	loadDistinct := flag.Int("load-distinct", 16, "load mode: distinct cold configs spread over the rest (eviction path)")
+	f := newFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *load > 0 {
-		return loadMain(*addr, *load, *loadHot, *loadDistinct, service.Request{
-			Workload: *wl, Machine: *machine, NCPU: *ncpu,
-			Window: *window, Warmup: *warmup, Sample: *sampleSpec,
-		})
+	if *f.load > 0 {
+		return loadMain(*f.addr, *f.load, *f.loadHot, *f.loadDistinct, f.loadRequest())
 	}
-	if *submit {
-		return clientMain(*addr, service.Request{
-			Workload: *wl, Machine: *machine, NCPU: *ncpu, Seed: *seed,
-			Window: *window, Warmup: *warmup, Check: *checkFlag,
-			Sample:     *sampleSpec,
-			SimWorkers: *simWorkers,
-			TimeoutMS:  int64(*timeout / time.Millisecond), TestPanic: *testPanic,
-		}, *timeout, *retries, *nowait)
+	if *f.submit {
+		return clientMain(*f.addr, f.submitRequest(), *f.timeout, *f.retries, *f.nowait)
 	}
 
-	if *drainPolicy != "finish" && *drainPolicy != "cancel" {
-		fmt.Fprintf(os.Stderr, "bad -drain-policy %q (want finish or cancel)\n", *drainPolicy)
+	opts, err := f.options()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 	logger := log.New(os.Stderr, "charosd: ", log.LstdFlags|log.Lmicroseconds)
-	srv := service.New(service.Options{
-		Workers: *workers, MaxWorkers: *workersMax,
-		SimWorkers: *simWorkers, MaxTotalWorkers: *maxTotal,
-		Shards: *shards, CacheEntries: *cacheEntries, JobHistory: *jobHistory,
-		QueueDepth: *queue, RetryAfter: *retryAfter,
-		JobTimeout: *jobTimeout, StallTimeout: *stallTimeout,
-		DrainFinish: *drainPolicy == "finish", DrainTimeout: *drainTimeout,
-		TestHooks: *testHooks,
-		Logf:      logger.Printf,
-	})
+	opts.Logf = logger.Printf
+	srv := service.New(opts)
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", *f.addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 	httpSrv := srv.HTTPServer()
-	logger.Printf("serving on %s (workers=%d..%d shards=%d cache=%d history=%d queue=%d drain=%s/%s)",
-		ln.Addr(), *workers, *workersMax, *shards, *cacheEntries, *jobHistory,
-		*queue, *drainPolicy, *drainTimeout)
+	logger.Printf("serving on %s (workers=%d cache=%d history=%d queue=%d drain=%s/%s)",
+		ln.Addr(), *f.workers, *f.cacheEntries, *f.jobHistory,
+		*f.queue, *f.drainPolicy, *f.drainTimeout)
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()

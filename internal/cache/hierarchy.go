@@ -236,12 +236,6 @@ func (h *DataHierarchy) LineState(a arch.PAddr) LineState {
 	return st
 }
 
-// InvalidateAll empties both levels.
-func (h *DataHierarchy) InvalidateAll() {
-	h.L1.InvalidateAll()
-	h.L2.InvalidateAll()
-}
-
 // StateHash folds both levels' contents into a running fingerprint (see
 // Cache.StateHash).
 func (h *DataHierarchy) StateHash(v uint64) uint64 {

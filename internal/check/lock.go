@@ -122,13 +122,3 @@ func (k *Checker) OnInterruptExit(cpu arch.CPUID) {
 		k.intrDepth[cpu]--
 	}
 }
-
-// HeldLocks returns the names of kernel locks the checker believes cpu
-// holds (diagnostic aid for leak tests).
-func (k *Checker) HeldLocks(cpu arch.CPUID) []string {
-	var names []string
-	for _, h := range k.held[cpu] {
-		names = append(names, h.name)
-	}
-	return names
-}

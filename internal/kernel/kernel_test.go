@@ -58,7 +58,6 @@ func (f *fakePort) StoreBypass(a arch.PAddr, n int) {
 	f.uncached++
 	f.now += arch.Cycles(n / arch.BlockSize * 35)
 }
-func (f *fakePort) Advance(c arch.Cycles) { f.now += c }
 func (f *fakePort) Acquire(l *klock.Lock) {
 	at, _ := l.Acquire(f.cpu, f.now)
 	f.now = at + 1

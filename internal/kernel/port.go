@@ -32,10 +32,6 @@ type Port interface {
 	LoadBypass(a arch.PAddr, n int)
 	StoreBypass(a arch.PAddr, n int)
 
-	// Advance charges pure compute cycles (spin waits, fixed-cost
-	// microcode) without memory traffic.
-	Advance(c arch.Cycles)
-
 	// Acquire spins until the kernel lock is free, charging sync-bus
 	// time; Release frees it.
 	Acquire(l *klock.Lock)

@@ -221,7 +221,7 @@ func TestStatsNeverOverResolved(t *testing.T) {
 // shards sum to the global aggregate, quantiles are ordered, and the
 // counters reflect the traffic just served.
 func TestMetricsEndpoint(t *testing.T) {
-	_, cl := newTestServer(t, Options{Workers: 2, Shards: 4})
+	_, cl := newTestServer(t, Options{Workers: 2})
 	ctx := context.Background()
 	req := smallReq(780)
 	for i := 0; i < 3; i++ { // 1 miss + 2 pure hits
@@ -239,8 +239,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err := jsonDecode(resp, &m); err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Shards) != 4 {
-		t.Fatalf("metrics reports %d shards, want 4", len(m.Shards))
+	if len(m.Shards) != storeShards {
+		t.Fatalf("metrics reports %d shards, want %d", len(m.Shards), storeShards)
 	}
 	var hits, misses, resolved int64
 	var entries int
@@ -263,7 +263,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if m.Global.P99MS <= 0 || m.Global.ThroughputPerSec <= 0 {
 		t.Errorf("latency/throughput not populated: %+v", m.Global)
 	}
-	if m.Workers.Live != 2 || m.Workers.Adaptive {
+	if m.Workers.Live != 2 {
 		t.Errorf("worker metrics %+v, want fixed pool of 2", m.Workers)
 	}
 	if m.JobsRetained != 3 {

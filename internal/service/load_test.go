@@ -58,16 +58,12 @@ func TestLoadThousandsOfClients(t *testing.T) {
 	baseGoroutines := runtime.NumGoroutine()
 
 	srv := New(Options{
-		Workers:       2,
-		MaxWorkers:    4,
-		QueueDepth:    8,
-		Shards:        4,
-		CacheEntries:  16, // < hot+cold distinct configs -> LRU evictions
-		JobHistory:    64, // << total jobs -> registry evictions
-		RetryAfter:    20 * time.Millisecond,
-		AdaptInterval: 50 * time.Millisecond,
-		ScaleCooldown: 100 * time.Millisecond,
-		Logf:          func(string, ...any) {}, // 2000 clients would drown t.Logf
+		Workers:      2,
+		QueueDepth:   8,
+		CacheEntries: 16, // < hot+cold distinct configs -> LRU evictions
+		JobHistory:   64, // << total jobs -> registry evictions
+		RetryAfter:   20 * time.Millisecond,
+		Logf:         func(string, ...any) {}, // 2000 clients would drown t.Logf
 	})
 	hts := httptest.NewUnstartedServer(nil)
 	hts.Config = srv.HTTPServer()

@@ -110,16 +110,9 @@ type ShardMetrics struct {
 
 // WorkerMetrics describes the run-executing pool.
 type WorkerMetrics struct {
-	// Live is the current worker count; Floor and Ceiling its adaptive
-	// bounds (equal when the pool is fixed).
-	Live    int  `json:"live"`
-	Floor   int  `json:"floor"`
-	Ceiling int  `json:"ceiling"`
-	Adaptive bool `json:"adaptive"`
-	// ScaleUps/ScaleDowns count manager actions (a scale-up that merely
-	// cancels a pending retire still counts).
-	ScaleUps   int64 `json:"scale_ups"`
-	ScaleDowns int64 `json:"scale_downs"`
+	// Live is the number of running pool workers: Options.Workers while
+	// serving, 0 after Drain.
+	Live int `json:"live"`
 }
 
 // JobMetrics is one retained job's execution record: the intra-run
@@ -213,17 +206,4 @@ func (st *Store) Snapshot() (global ShardMetrics, shards []ShardMetrics) {
 	}
 	fillLatency(&global, gcounts, gsum, uptime)
 	return global, shards
-}
-
-// globalCounts merges every shard's histogram buckets — the adaptive
-// manager diffs successive snapshots to compute interval p99.
-func (st *Store) globalCounts() [histBuckets]int64 {
-	var out [histBuckets]int64
-	for i := range st.shards {
-		c := st.shards[i].hist.counts()
-		for b, v := range c {
-			out[b] += v
-		}
-	}
-	return out
 }

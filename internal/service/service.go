@@ -261,34 +261,15 @@ func deterministicErr(err error) bool {
 
 // Options tunes the server.
 type Options struct {
-	// Workers is the run-executing pool size (default GOMAXPROCS). With
-	// MaxWorkers above it, it is the adaptive pool's floor instead.
+	// Workers is the fixed run-executing pool size (default GOMAXPROCS).
 	Workers int
-	// MaxWorkers, when greater than Workers, enables the adaptive worker
-	// manager: the pool grows toward MaxWorkers under queue pressure or
-	// high interval p99 latency and shrinks back toward Workers when
-	// idle. Zero (or <= Workers) keeps a fixed pool.
-	MaxWorkers int
-	// AdaptInterval is the manager's sampling period (default 500ms).
-	AdaptInterval time.Duration
-	// ScaleCooldown is the minimum gap between scaling actions —
-	// together with the separate grow/shrink thresholds it keeps the
-	// manager from flapping (default 2s).
-	ScaleCooldown time.Duration
-	// ScaleP99High/ScaleP99Low are the grow/shrink latency thresholds on
-	// the interval p99 (defaults 5s and 1s).
-	ScaleP99High time.Duration
-	ScaleP99Low  time.Duration
 	// SimWorkers is the default intra-run worker count applied to jobs
 	// that do not request one (0 or 1 = serial engine).
 	SimWorkers int
 	// MaxTotalWorkers caps pool-level times intra-run parallelism: a
-	// job's effective SimWorkers is clamped so that MaxWorkers ×
-	// SimWorkers never exceeds it. 0 means no cap.
+	// job's effective SimWorkers is clamped so that Workers × SimWorkers
+	// never exceeds it. 0 means no cap.
 	MaxTotalWorkers int
-	// Shards is the result-store shard count, rounded up to a power of
-	// two (default 8).
-	Shards int
 	// CacheEntries bounds completed results resident across all shards;
 	// beyond it the per-shard LRU evicts (default 4096).
 	CacheEntries int
@@ -326,26 +307,8 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.MaxWorkers < o.Workers {
-		o.MaxWorkers = o.Workers // fixed pool
-	}
 	if o.SimWorkers < 1 {
 		o.SimWorkers = 1
-	}
-	if o.AdaptInterval <= 0 {
-		o.AdaptInterval = 500 * time.Millisecond
-	}
-	if o.ScaleCooldown <= 0 {
-		o.ScaleCooldown = 2 * time.Second
-	}
-	if o.ScaleP99High <= 0 {
-		o.ScaleP99High = 5 * time.Second
-	}
-	if o.ScaleP99Low <= 0 {
-		o.ScaleP99Low = time.Second
-	}
-	if o.Shards <= 0 {
-		o.Shards = 8
 	}
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = defaultCacheEntries
@@ -398,7 +361,9 @@ type Stats struct {
 type Server struct {
 	opts  Options
 	store *Store
-	pool  *poolManager
+	// live counts running pool workers: Options.Workers while serving,
+	// 0 once Drain has returned.
+	live atomic.Int64
 
 	// hardCtx is canceled to force-stop every run (drain hard deadline).
 	hardCtx  context.Context
@@ -428,43 +393,35 @@ func New(opts Options) *Server {
 	ctx, stop := context.WithCancelCause(context.Background())
 	s := &Server{
 		opts:     opts,
-		store:    NewStore(opts.Shards, opts.CacheEntries),
+		store:    NewStore(storeShards, opts.CacheEntries),
 		hardCtx:  ctx,
 		hardStop: stop,
 		queue:    make(chan *Job, opts.QueueDepth),
 		jobs:     make(map[string]*Job),
 	}
-	s.pool = newPoolManager(s, opts)
-	s.pool.start()
+	for i := 0; i < opts.Workers; i++ {
+		s.startWorker()
+	}
 	return s
 }
 
-// startWorker spawns one pool worker. Workers drain the queue until it
-// closes (drain) or, in an adaptive pool, until they receive a retire
-// token between jobs.
+// storeShards is the result store's shard count. A store hit costs
+// tens of nanoseconds inside a tens-of-microseconds HTTP hit, and
+// neither 1 nor 16 shards measurably beat 8 under charosd -load
+// (EXPERIMENTS.md, "charosd's scaling knobs, measured"), so the count
+// is not a knob.
+const storeShards = 8
+
+// startWorker spawns one pool worker, which drains the queue until Drain
+// closes it.
 func (s *Server) startWorker() {
 	s.workerWG.Add(1)
-	s.pool.live.Add(1)
+	s.live.Add(1)
 	go func() {
 		defer s.workerWG.Done()
-		defer s.pool.live.Add(-1)
-		for {
-			select {
-			case <-s.pool.retire:
-				s.pool.pendingRetire.Add(-1)
-				return
-			default:
-			}
-			select {
-			case job, ok := <-s.queue:
-				if !ok {
-					return
-				}
-				s.execute(job)
-			case <-s.pool.retire:
-				s.pool.pendingRetire.Add(-1)
-				return
-			}
+		defer s.live.Add(-1)
+		for job := range s.queue {
+			s.execute(job)
 		}
 	}()
 }
@@ -486,7 +443,7 @@ func (s *Server) Stats() Stats {
 		CacheHits:      s.store.Hits(),
 		CacheEvictions: s.store.Evictions(),
 		JobsEvicted:    s.jobsEvicted.Load(),
-		Workers:        int(s.pool.live.Load()),
+		Workers:        int(s.live.Load()),
 		QueueLen:       len(s.queue),
 		Draining:       s.draining.Load(),
 	}
@@ -518,7 +475,7 @@ func (s *Server) Metrics() Metrics {
 		UptimeSec:    time.Since(s.store.start).Seconds(),
 		Global:       global,
 		Shards:       shards,
-		Workers:      s.pool.metrics(),
+		Workers:      WorkerMetrics{Live: int(s.live.Load())},
 		QueueLen:     len(s.queue),
 		QueueDepth:   cap(s.queue),
 		JobsRetained: retained,
@@ -635,15 +592,14 @@ func (s *Server) Submit(req Request) (*Job, error) {
 
 // simWorkersFor resolves a job's effective intra-run worker count: the
 // request's, falling back to the server default, clamped so the worker
-// pool at its ceiling times the per-run engine stays inside the
-// MaxTotalWorkers budget.
+// pool times the per-run engine stays inside the MaxTotalWorkers budget.
 func (s *Server) simWorkersFor(req int) int {
 	w := req
 	if w <= 0 {
 		w = s.opts.SimWorkers
 	}
 	if b := s.opts.MaxTotalWorkers; b > 0 {
-		if lim := b / s.opts.MaxWorkers; w > lim {
+		if lim := b / s.opts.Workers; w > lim {
 			w = lim
 		}
 	}
@@ -835,10 +791,6 @@ func (s *Server) Drain() {
 	}
 	close(s.queue) // workers finish the backlog, then exit
 	s.mu.Unlock()
-	if s.pool.adaptive() {
-		close(s.pool.stop) // no scaling decisions during the drain
-		<-s.pool.done
-	}
 	s.opts.Logf("drain: admission stopped (policy=%s, hard deadline %s)",
 		map[bool]string{true: "finish", false: "cancel"}[s.opts.DrainFinish], s.opts.DrainTimeout)
 	if !s.opts.DrainFinish {

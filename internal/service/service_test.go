@@ -272,10 +272,16 @@ func TestDrainResolvesEveryAcceptedJob(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if n := srv.Stats().Workers; n != 2 {
+		t.Errorf("Stats().Workers = %d while serving, want the pool of 2", n)
+	}
 	srv.Drain()
 
 	if !srv.Draining() {
 		t.Error("server not draining after Drain")
+	}
+	if n, live := srv.Stats().Workers, srv.Metrics().Workers.Live; n != 0 || live != 0 {
+		t.Errorf("after Drain: Stats().Workers = %d, Metrics().Workers.Live = %d, want 0", n, live)
 	}
 	for _, job := range srv.Jobs() {
 		st := job.Snapshot()

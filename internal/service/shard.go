@@ -98,9 +98,6 @@ func NewStore(shards, totalEntries int) *Store {
 // a long-running server cannot grow without bound.
 const defaultCacheEntries = 4096
 
-// Shards returns the shard count (a power of two).
-func (st *Store) Shards() int { return len(st.shards) }
-
 // shardFor maps a canonical config hash (hex SHA-256) to its shard by
 // prefix. Non-hex hashes (tests) fall back to FNV-1a.
 func (st *Store) shardFor(hash string) *cacheShard {
@@ -189,16 +186,6 @@ func (e *cacheEntry) Wait() Outcome {
 	return e.outcome
 }
 
-// Resolved reports whether the entry already holds an outcome.
-func (e *cacheEntry) Resolved() bool {
-	select {
-	case <-e.done:
-		return true
-	default:
-		return false
-	}
-}
-
 // Hits returns how many submissions were served without a new execution.
 func (st *Store) Hits() int64 {
 	var n int64
@@ -218,18 +205,6 @@ func (st *Store) Evictions() int64 {
 		sh := &st.shards[i]
 		sh.mu.Lock()
 		n += sh.evictions
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// Len returns the number of resident entries (in-flight included).
-func (st *Store) Len() int {
-	n := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		n += len(sh.entries)
 		sh.mu.Unlock()
 	}
 	return n

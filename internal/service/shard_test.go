@@ -57,8 +57,8 @@ func TestShardCountRounding(t *testing.T) {
 	for _, tc := range []struct{ ask, want int }{
 		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {8, 8}, {9, 16},
 	} {
-		if got := NewStore(tc.ask, 64).Shards(); got != tc.want {
-			t.Errorf("NewStore(shards=%d) -> %d shards, want %d", tc.ask, got, tc.want)
+		if _, shards := NewStore(tc.ask, 64).Snapshot(); len(shards) != tc.want {
+			t.Errorf("NewStore(shards=%d) -> %d shards, want %d", tc.ask, len(shards), tc.want)
 		}
 	}
 }

@@ -242,9 +242,6 @@ func (c *CPU) UncachedRead(a arch.PAddr) {
 	c.advStall(out.Stall)
 }
 
-// Advance charges pure compute cycles.
-func (c *CPU) Advance(cy arch.Cycles) { c.adv(cy) }
-
 // RoutineName returns the kernel routine currently executing on this CPU
 // (empty outside the kernel), for checker diagnostics.
 func (c *CPU) RoutineName() string {

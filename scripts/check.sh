@@ -175,15 +175,15 @@ daemon=""
 grep -q 'drain complete: all accepted jobs resolved' "$smoke/charosd.log" || {
     echo "FAIL: drain did not resolve all accepted jobs" >&2; exit 1; }
 
-echo "== charosd load smoke (300 clients, sharded cache, adaptive pool)"
+echo "== charosd load smoke (300 clients, overflowing cache, history and queue)"
 # A fresh daemon sized so the load overflows everything on purpose: the
 # LRU cache (8 entries < 12 distinct configs), the job history (64 << 300
 # jobs) and the admission queue (sheds retried by the clients). The load
 # generator exits nonzero unless every client lands a byte-checked "done"
 # job having seen only 200s and 429s.
 laddr=127.0.0.1:18417
-"$smoke/charosd" -addr "$laddr" -workers 1 -workers-max 4 -queue 4 \
-    -shards 4 -cache-entries 8 -job-history 64 -retry-after 50ms \
+"$smoke/charosd" -addr "$laddr" -workers 1 -queue 4 \
+    -cache-entries 8 -job-history 64 -retry-after 50ms \
     2> "$smoke/charosd-load.log" &
 daemon=$!
 "$smoke/charosd" -submit -addr "$laddr" -seed 9 -window 250000 -warmup 100000 >/dev/null
