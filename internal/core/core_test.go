@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/metrics"
 	"repro/internal/sample"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -216,65 +218,158 @@ func TestTaxonomyConsistency(t *testing.T) {
 	}
 }
 
-func TestAblationConfigsRun(t *testing.T) {
-	// Every ablation knob must run the full pipeline cleanly.
-	for _, cfg := range []Config{
-		{Workload: workload.Pmake, OptimizedText: true},
-		{Workload: workload.Pmake, BlockOpBypass: true},
-		{Workload: workload.Multpgm, UpdateProtocol: true},
-		{Workload: workload.Multpgm, Affinity: true},
-	} {
-		cfg.Window = 2_000_000
-		cfg.Warmup = 1_000_000
-		cfg.Seed = 8
-		ch := Run(cfg)
-		if ch.Trace.Total == 0 {
-			t.Errorf("%+v: no misses", cfg)
+// ablation is one of the paper's proposed OS-side fixes, judged by the
+// direction of its paired effect against the unmodified run: the variant
+// must move its metric the predicted way at every seed.
+type ablation struct {
+	name    string
+	section string
+	kind    workload.Kind
+	enable  func(*Config)
+	metric  string
+	measure func(*Characterization) float64
+	up      bool // predicted direction: true if the variant raises metric
+}
+
+var ablations = []ablation{
+	{
+		name: "affinity", section: "§4.2.2", kind: workload.Multpgm,
+		enable: func(c *Config) { c.Affinity = true },
+		metric: "migration misses",
+		measure: func(ch *Characterization) float64 {
+			return float64(ch.Trace.MigrationTotal)
+		},
+	},
+	{
+		name: "optimized text", section: "§4.2.1", kind: workload.Pmake,
+		enable: func(c *Config) { c.OptimizedText = true },
+		metric: "OS I-Dispos %",
+		measure: func(ch *Characterization) float64 {
+			return metrics.PctOf(ch.Trace.Counts[1][1][trace.DispOS], ch.Trace.OSMissTotal)
+		},
+	},
+	{
+		name: "block-op bypass", section: "§4.2.2", kind: workload.Pmake,
+		enable: func(c *Config) { c.BlockOpBypass = true },
+		metric: "OS stall %",
+		measure: func(ch *Characterization) float64 {
+			_, osOnly, _ := ch.StallPct()
+			return osOnly
+		},
+	},
+	{
+		name: "write-update", section: "(protocol)", kind: workload.Multpgm,
+		enable: func(c *Config) { c.UpdateProtocol = true },
+		metric: "total stall %",
+		measure: func(ch *Characterization) float64 {
+			all, _, _ := ch.StallPct()
+			return all
+		},
+		up: true,
+	},
+}
+
+// ablationSeeds are the seeds every ablation is paired at.
+var ablationSeeds = []int64{1, 2, 3, 4}
+
+// ablationRuns memoises the paired runs, so a baseline is simulated once
+// per workload and seed however many rows and tests read it.
+var ablationRuns = map[string]*Characterization{}
+
+// ablationPair returns the named row's baseline and variant at seed
+// (2M window, 1M warmup).
+func ablationPair(name string, seed int64) (ablation, *Characterization, *Characterization) {
+	for _, a := range ablations {
+		if a.name != name {
+			continue
 		}
-		u, s, i := ch.TimeSplit()
-		if sum := u + s + i; sum < 99.9 || sum > 100.1 {
-			t.Errorf("%+v: time split %v", cfg, sum)
+		run := func(key string, enable func(*Config)) *Characterization {
+			key = fmt.Sprintf("%s/%s/%d", a.kind, key, seed)
+			if ch, ok := ablationRuns[key]; ok {
+				return ch
+			}
+			cfg := Config{Workload: a.kind, Window: 2_000_000, Warmup: 1_000_000, Seed: seed}
+			if enable != nil {
+				enable(&cfg)
+			}
+			ch := Run(cfg)
+			ablationRuns[key] = ch
+			return ch
+		}
+		return a, run("baseline", nil), run(a.name, a.enable)
+	}
+	panic("no ablation row " + name)
+}
+
+// TestAblationConfigsRun pairs every ablation against its baseline over
+// four seeds: each run must run the full pipeline cleanly and the variant
+// must move its metric the predicted way. `-v` logs baseline → variant for
+// each row and seed.
+func TestAblationConfigsRun(t *testing.T) {
+	for _, seed := range ablationSeeds {
+		for _, row := range ablations {
+			a, b, v := ablationPair(row.name, seed)
+			for _, ch := range []*Characterization{b, v} {
+				if ch.Trace.Total == 0 {
+					t.Fatalf("%s seed %d: no misses", a.name, seed)
+				}
+				u, s, i := ch.TimeSplit()
+				if sum := u + s + i; sum < 99.9 || sum > 100.1 {
+					t.Errorf("%s seed %d: time split sums to %v", a.name, seed, sum)
+				}
+			}
+			mb, mv := a.measure(b), a.measure(v)
+			t.Logf("%-15s %-10s %-7s seed %d: %s %.1f → %.1f",
+				a.name, a.section, a.kind, seed, a.metric, mb, mv)
+			if a.up && mv <= mb {
+				t.Errorf("%s seed %d: %s %.1f → %.1f, predicted up", a.name, seed, a.metric, mb, mv)
+			}
+			if !a.up && mv >= mb {
+				t.Errorf("%s seed %d: %s %.1f → %.1f, predicted down", a.name, seed, a.metric, mb, mv)
+			}
 		}
 	}
 }
 
 func TestUpdateProtocolRemovesReReadSharingMisses(t *testing.T) {
-	inv := Run(Config{Workload: workload.Multpgm, Window: 3_000_000,
-		Warmup: 1_500_000, Seed: 8})
-	upd := Run(Config{Workload: workload.Multpgm, Window: 3_000_000,
-		Warmup: 1_500_000, Seed: 8, UpdateProtocol: true})
-	// Under update coherence the data caches never lose copies to
-	// coherence, so ReadEx/Read fills classified Sharing (re-reads
-	// after invalidation) are impossible; all Sharing-class events are
-	// the broadcasts themselves, and update broadcasts outnumber the
-	// invalidate protocol's upgrades.
-	if upd.Sim.Bus.Stats.Updates <= inv.Sim.Bus.Stats.Upgrades {
-		t.Errorf("updates (%d) should exceed upgrades (%d) on a write-shared load",
-			upd.Sim.Bus.Stats.Updates, inv.Sim.Bus.Stats.Upgrades)
+	for _, seed := range ablationSeeds {
+		_, inv, upd := ablationPair("write-update", seed)
+		// Update coherence broadcasts every write to shared data, so on a
+		// write-shared load the updates outnumber the invalidate
+		// protocol's upgrades.
+		t.Logf("seed %d: upgrades %d → updates %d",
+			seed, inv.Sim.Bus.Stats.Upgrades, upd.Sim.Bus.Stats.Updates)
+		if upd.Sim.Bus.Stats.Updates <= inv.Sim.Bus.Stats.Upgrades {
+			t.Errorf("seed %d: updates (%d) should exceed upgrades (%d) on a write-shared load",
+				seed, upd.Sim.Bus.Stats.Updates, inv.Sim.Bus.Stats.Upgrades)
+		}
 	}
 }
 
 func TestBypassShiftsMissesToUncached(t *testing.T) {
-	std := Run(Config{Workload: workload.Pmake, Window: 3_000_000,
-		Warmup: 1_500_000, Seed: 8})
-	byp := Run(Config{Workload: workload.Pmake, Window: 3_000_000,
-		Warmup: 1_500_000, Seed: 8, BlockOpBypass: true})
-	stdUn := std.Trace.Counts[1][0][trace.Uncached]
-	bypUn := byp.Trace.Counts[1][0][trace.Uncached]
-	if bypUn <= stdUn*10 {
-		t.Errorf("bypass should move block-op misses to the Uncached class: %d vs %d",
-			bypUn, stdUn)
-	}
-	// And the block-op D-miss attribution shrinks to near nothing.
-	var stdB, bypB int64
-	for _, v := range std.Trace.BlockOpDMisses {
-		stdB += v
-	}
-	for _, v := range byp.Trace.BlockOpDMisses {
-		bypB += v
-	}
-	if bypB*2 > stdB {
-		t.Errorf("cached block-op misses should collapse under bypass: %d vs %d", bypB, stdB)
+	for _, seed := range ablationSeeds {
+		_, std, byp := ablationPair("block-op bypass", seed)
+		// The burst transfers appear as the paper's Uncached class...
+		stdUn := std.Trace.Counts[1][0][trace.Uncached]
+		bypUn := byp.Trace.Counts[1][0][trace.Uncached]
+		if bypUn <= stdUn*10 {
+			t.Errorf("seed %d: bypass should move block-op misses to the Uncached class: %d vs %d",
+				seed, bypUn, stdUn)
+		}
+		// ...and the cached block-op D-miss attribution collapses.
+		var stdB, bypB int64
+		for _, v := range std.Trace.BlockOpDMisses {
+			stdB += v
+		}
+		for _, v := range byp.Trace.BlockOpDMisses {
+			bypB += v
+		}
+		t.Logf("seed %d: OS Uncached misses %d → %d, cached block-op D-misses %d → %d",
+			seed, stdUn, bypUn, stdB, bypB)
+		if bypB*2 > stdB {
+			t.Errorf("seed %d: cached block-op misses should collapse under bypass: %d vs %d",
+				seed, bypB, stdB)
+		}
 	}
 }
 

@@ -712,12 +712,15 @@ func Table10(s *Set) string {
 	return t.String()
 }
 
+// table11Locks are the paper's ten most frequently acquired lock families.
+var table11Locks = []string{klock.Memlock, klock.Runqlk, klock.Ifree, klock.Dfbmaplk,
+	klock.Bfreelock, klock.Calock, klock.ShrX, klock.StreamsX, klock.InoX, klock.Semlock}
+
 // Table11 renders the lock functions.
 func Table11() string {
 	t := metrics.NewTable("Table 11: Functions performed by the most frequently-acquired locks",
 		"Lock", "What the lock protects")
-	for _, n := range []string{klock.Memlock, klock.Runqlk, klock.Ifree, klock.Dfbmaplk,
-		klock.Bfreelock, klock.Calock, klock.ShrX, klock.StreamsX, klock.InoX, klock.Semlock} {
+	for _, n := range table11Locks {
 		t.AddRow(n, klock.LockFunction[n])
 	}
 	return t.String()

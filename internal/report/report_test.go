@@ -1,12 +1,14 @@
 package report
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/kernel"
+	"repro/internal/klock"
 	"repro/internal/kmem"
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -136,6 +138,18 @@ func TestPaperShapeRegression(t *testing.T) {
 	if ops[kernel.OpSginap] <= ops[kernel.OpOtherSyscall] {
 		t.Errorf("sginap (%d) should exceed other syscalls (%d)",
 			ops[kernel.OpSginap], ops[kernel.OpOtherSyscall])
+	}
+
+	// Table 11: eight of the ten lock families are live in Pmake. Semlock
+	// guards Oracle's semaphores and Streams_x Multpgm's tty sessions.
+	var idle []string
+	for _, n := range table11Locks {
+		if s.Pmake.Sim.K.Locks.FamilyStats(n).Acquires == 0 {
+			idle = append(idle, n)
+		}
+	}
+	if want := []string{klock.StreamsX, klock.Semlock}; !slices.Equal(idle, want) {
+		t.Errorf("Table 11 families idle in Pmake: %v, want %v", idle, want)
 	}
 
 	// Table 10: cacheable RMW locks beat the sync bus everywhere.

@@ -76,13 +76,23 @@ func TestParallelEngineCancelNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := core.Config{
 		Workload: workload.Oracle, NCPU: 8,
-		// A window far past what the deadline allows: the run can only
+		// A window far past what the test waits for: the run can only
 		// end through the cancel path.
 		Window: 1 << 30, Seed: 7, SimWorkers: 4,
 	}
 	for i := 0; i < 4; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-		res := RunOne(ctx, cfg)
+		// Cancel once the run has simulated its first cycle, not after a
+		// wall-clock deadline: under the race detector a fixed deadline
+		// can expire before the 8-CPU run reaches a cycle.
+		ctx, cancel := context.WithCancel(context.Background())
+		res := RunOneMonitored(ctx, cfg, func(progress func() arch.Cycles) {
+			go func() {
+				for progress() == 0 {
+					time.Sleep(time.Millisecond)
+				}
+				cancel()
+			}()
+		})
 		cancel()
 		if res.Ch != nil {
 			t.Fatal("canceled run still produced a characterization")

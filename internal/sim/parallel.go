@@ -168,7 +168,7 @@ func (e *parEngine) eligible(c *CPU) bool {
 	if at, ok := s.K.NextEventTimeFor(c.id); ok && c.now >= at {
 		return false
 	}
-	if c.id == 1 && s.Cfg.NetPeriod > 0 && (s.nextNet == 0 || c.now >= s.nextNet) {
+	if c.id == 1 && (s.nextNet == 0 || c.now >= s.nextNet) {
 		return false
 	}
 	return true
@@ -250,7 +250,7 @@ func (e *parEngine) specRun(sp *specCPU) {
 	// steps, and a post targeting this CPU truncates its speculation.
 	dueAt, dueOK := s.K.NextEventTimeFor(c.id)
 	netAt := s.nextNet
-	netDue := c.id == 1 && s.Cfg.NetPeriod > 0
+	netDue := c.id == 1
 	for len(sp.cps) < maxSpecSteps {
 		if s.cancel.Load() {
 			sp.canceled = true

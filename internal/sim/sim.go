@@ -36,9 +36,6 @@ type Config struct {
 	// MasterThreshold is the buffer fill fraction at which the master
 	// process suspends the workload and dumps the trace.
 	MasterThreshold float64
-	// NetPeriod posts a network interrupt on CPU 1 every so many cycles
-	// (the trace-transfer daemons of Section 2.1). 0 disables.
-	NetPeriod arch.Cycles
 	// NoTrace disables the monitor entirely (kernel-counter-only runs,
 	// e.g. the Figure 11 CPU sweeps).
 	NoTrace bool
@@ -59,9 +56,6 @@ type Config struct {
 	// Check enables the invariant checker (shadow memory, coherence,
 	// lock discipline). Off by default: it costs time and memory.
 	Check bool
-	// CheckFailFast makes the first violation panic instead of being
-	// collected (useful under a debugger).
-	CheckFailFast bool
 	// Inject, when non-nil and enabled, perturbs the run with
 	// deterministic faults.
 	Inject *inject.Config
@@ -100,9 +94,6 @@ func (c Config) withDefaults() Config {
 	if c.MasterThreshold == 0 {
 		c.MasterThreshold = 0.75
 	}
-	if c.NetPeriod == 0 {
-		c.NetPeriod = 70_000 // ≈2 ms
-	}
 	c.Kernel.Machine = c.Machine
 	c.Kernel.NCPU = c.NCPU
 	c.Kernel.Seed = c.Seed
@@ -113,6 +104,10 @@ func (c Config) withDefaults() Config {
 // clock skew between CPUs (and therefore the lock-interval approximation
 // error).
 const userBurst = 2000
+
+// netPeriod is how often CPU 1 takes a network interrupt (≈2 ms): the
+// trace-transfer daemons of Section 2.1.
+const netPeriod = 70_000
 
 // idleStep is how far an idle CPU advances per poll of the run queue.
 const idleStep = 400
@@ -206,7 +201,6 @@ func New(cfg Config) *Simulator {
 	}
 	if cfg.Check {
 		s.Chk = check.New(s.Bus, cfg.Machine.MemFrames())
-		s.Chk.FailFast = cfg.CheckFailFast
 		s.Chk.RoutineOf = func(q arch.CPUID) string { return s.CPUs[q].RoutineName() }
 		s.Bus.Check = s.Chk
 	}
@@ -512,12 +506,12 @@ func (s *Simulator) step(c *CPU) {
 		return
 	}
 	// Periodic network activity on CPU 1.
-	if c.id == 1 && s.Cfg.NetPeriod > 0 {
+	if c.id == 1 {
 		if s.nextNet == 0 {
-			s.nextNet = c.now + s.Cfg.NetPeriod
+			s.nextNet = c.now + netPeriod
 		}
 		if c.now >= s.nextNet {
-			s.nextNet = c.now + s.Cfg.NetPeriod
+			s.nextNet = c.now + netPeriod
 			s.interrupt(c, kernel.IntrNet, func() { s.K.NetIntr(c) })
 			return
 		}

@@ -178,9 +178,9 @@ grep -q 'drain complete: all accepted jobs resolved' "$smoke/charosd.log" || {
 echo "== charosd load smoke (300 clients, overflowing cache, history and queue)"
 # A fresh daemon sized so the load overflows everything on purpose: the
 # LRU cache (8 entries < 12 distinct configs), the job history (64 << 300
-# jobs) and the admission queue (sheds retried by the clients). The load
-# generator exits nonzero unless every client lands a byte-checked "done"
-# job having seen only 200s and 429s.
+# jobs) and the admission queue (sheds, if any, retried by the clients).
+# The load generator exits nonzero unless every client lands a
+# byte-checked "done" job having seen only 200s and 429s.
 laddr=127.0.0.1:18417
 "$smoke/charosd" -addr "$laddr" -workers 1 -queue 4 \
     -cache-entries 8 -job-history 64 -retry-after 50ms \
