@@ -87,8 +87,8 @@ type Recorder interface {
 	Record(Txn)
 }
 
-// Stats aggregates raw bus activity (independent of the monitor, which can
-// be suspended or full).
+// Stats aggregates raw bus activity (independent of the recorder, which is
+// attached only for the traced window).
 type Stats struct {
 	Reads      int64
 	ReadExs    int64

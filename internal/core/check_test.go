@@ -26,7 +26,7 @@ func TestCheckerCleanOnAllWorkloads(t *testing.T) {
 		cfg  Config
 	}{
 		{"default", Config{}},
-		{"reference", Config{Reference: true}},
+		{"reference", Reference(Config{})},
 		{"2way-l1l2", Config{Machine: twoWay}},
 	}
 	for _, kind := range []workload.Kind{workload.Pmake, workload.Multpgm, workload.Oracle} {

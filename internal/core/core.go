@@ -57,19 +57,14 @@ type Config struct {
 	// NoTrace disables the monitor and the classification; only kernel
 	// and lock statistics are collected (used by the Figure 11 sweeps).
 	NoTrace bool
-	// Buffered selects the original stop-and-drain pipeline: the monitor
-	// materializes the full transaction trace and the classifier replays
-	// it after the run, exactly as the paper's SRAM monitor + postprocess
-	// flow. The default is the streaming pipeline — the classifier rides
-	// the bus as a recorder and classifies each miss the cycle it occurs,
-	// so no trace buffer is ever allocated. Buffered remains as the
-	// oracle: both paths must produce byte-identical reports.
+	// Buffered selects the postprocess pipeline: the monitor records the
+	// window's whole transaction trace and the classifier replays it
+	// after the run, as the paper's monitor + postprocess flow did. The
+	// default is the streaming pipeline — the classifier rides the bus as
+	// a recorder and classifies each miss the cycle it occurs, so no trace
+	// is ever stored. Both paths must produce byte-identical reports;
+	// -exp section6 uses Buffered because it reprices the trace itself.
 	Buffered bool
-	// Reference runs the generic oracle paths (way-loop caches, full
-	// snoop broadcasts, rescan-every-step scheduler) instead of the
-	// memory-system fast path. Reports must be byte-identical either way;
-	// the flag exists to prove it and to debug the fast path.
-	Reference bool
 	// CollectIResim records the I-miss stream for Figure 6 sweeps.
 	CollectIResim bool
 	// CollectDResim records the data-miss stream for the §4.2.2
@@ -95,6 +90,12 @@ type Config struct {
 	// streaming classifier: incompatible with NoTrace and Buffered.
 	// Included in Hash() — a sampled run's report is not a full run's.
 	Sample sample.Schedule
+
+	// reference runs the generic oracle paths (way-loop caches, full snoop
+	// broadcasts, rescan-every-step scheduler) instead of the memory-system
+	// fast path. Reports must be byte-identical either way, so it is not a
+	// product mode: only the package's differential test sets it.
+	reference bool
 }
 
 // Validate names what makes a configuration unrunnable, after defaults
@@ -159,9 +160,11 @@ func (c Config) Hash() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "workload=%s;machine=%+v;ncpu=%d;seed=%d;window=%d;warmup=%d;",
 		c.Workload, c.Machine, c.NCPU, c.Seed, c.Window, c.Warmup)
-	fmt.Fprintf(h, "affinity=%t;opttext=%t;blockop=%t;update=%t;notrace=%t;buffered=%t;reference=%t;iresim=%t;dresim=%t;check=%t;",
+	// reference=false is a literal: the reference paths render the same
+	// report, so a reference run shares its default twin's content address.
+	fmt.Fprintf(h, "affinity=%t;opttext=%t;blockop=%t;update=%t;notrace=%t;buffered=%t;reference=false;iresim=%t;dresim=%t;check=%t;",
 		c.Affinity, c.OptimizedText, c.BlockOpBypass, c.UpdateProtocol, c.NoTrace,
-		c.Buffered, c.Reference, c.CollectIResim, c.CollectDResim, c.Check)
+		c.Buffered, c.CollectIResim, c.CollectDResim, c.Check)
 	if c.Inject != nil {
 		fmt.Fprintf(h, "inject=%+v;", *c.Inject)
 	}
@@ -286,7 +289,7 @@ func RunMonitored(ctx context.Context, cfg Config, onStart func(progress func() 
 		NoTrace:        cfg.NoTrace,
 		Streaming:      streaming,
 		UpdateProtocol: cfg.UpdateProtocol,
-		Reference:      cfg.Reference,
+		Reference:      cfg.reference,
 		Check:          cfg.Check,
 		Inject:         cfg.Inject,
 		SimWorkers:     cfg.SimWorkers,
@@ -348,8 +351,8 @@ func RunMonitored(ctx context.Context, cfg Config, onStart func(progress func() 
 	}
 	if cl != nil {
 		if !streaming {
-			// Oracle path: replay the monitor's materialized trace, the
-			// paper's stop-and-drain postprocess.
+			// Postprocess path: replay the monitor's recorded trace, as
+			// the paper's postprocessor did.
 			for _, t := range s.Mon.Trace() {
 				cl.Feed(t)
 			}

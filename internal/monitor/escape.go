@@ -81,11 +81,6 @@ const (
 	EvPageAlloc
 	// EvPageFree records freeing of a physical frame. Args: frame.
 	EvPageFree
-	// EvSuspend marks the master process suspending the workload.
-	// No args.
-	EvSuspend
-	// EvResume marks the master process resuming the workload. No args.
-	EvResume
 
 	numEvents
 )
@@ -108,8 +103,6 @@ var eventArity = [numEvents]int{
 	EvBlockOp:      2,
 	EvPageAlloc:    2,
 	EvPageFree:     1,
-	EvSuspend:      0,
-	EvResume:       0,
 }
 
 // Arity returns the operand count of an event.
@@ -126,7 +119,7 @@ func (e Event) String() string {
 		"TraceStart", "EnterOS", "ExitOS", "UTLB", "EnterIdle",
 		"ExitIdle", "RunProc", "TLBChange", "EnterIntr", "ExitIntr",
 		"ICacheInval", "RoutineEnter", "RoutineExit", "BlockOp",
-		"PageAlloc", "PageFree", "Suspend", "Resume",
+		"PageAlloc", "PageFree",
 	}
 	if int(e) < len(names) {
 		return names[e]

@@ -1,122 +1,35 @@
-// Package monitor models the hardware monitor of Section 2.1: a bounded
-// buffer that records the physical address, originating CPU and 60 ns
-// timestamp of every bus transaction, plus the escape-reference encoding of
-// Section 2.2 that the instrumented kernel uses to smuggle events (OS
-// entries and exits, process identity, TLB changes, routine boundaries,
-// ...) into the address trace as uncached byte reads from odd addresses.
+// Package monitor models the hardware monitor of Section 2.1: a recorder of
+// the physical address, originating CPU and 60 ns timestamp of every bus
+// transaction, plus the escape-reference encoding of Section 2.2 that the
+// instrumented kernel uses to smuggle events (OS entries and exits, process
+// identity, TLB changes, routine boundaries, ...) into the address trace as
+// uncached byte reads from odd physical addresses.
 //
-// The monitor never perturbs the machine; when its buffer nears capacity a
-// master process (modeled in the sim package) suspends the workload, dumps
-// the buffer to the "remote disk" (the Segments slice here) and resumes.
+// The real monitor's 2M-transaction SRAM buffer and the master process that
+// suspended the workload to dump it are not modelled: a dump takes no
+// simulated time here, so it would measure nothing, and the escapes it
+// added were the one thing that made a buffered run differ from a
+// streaming one. The recorder is unbounded instead, and never perturbs the
+// machine.
 package monitor
 
 import (
 	"repro/internal/bus"
 )
 
-// DefaultCapacity is the trace-buffer size of the real monitor ("over 2
-// million bus transactions").
-const DefaultCapacity = 2 * 1024 * 1024
-
-// Monitor is the trace buffer plus the accumulated dumped segments.
+// Monitor records every transaction offered to it, in arrival order. The
+// simulator attaches it to the bus at trace start, so warmup traffic is
+// never recorded.
 type Monitor struct {
-	capacity int
-	buf      []bus.Txn
-
-	// Dropped counts transactions lost because the buffer was full (the
-	// master-process threshold is chosen so this stays zero).
-	Dropped int64
-	// Total counts every transaction offered.
-	Total int64
-	// Segments holds the dumped trace segments in order, i.e. the
-	// "remote disk" the master process streams the trace to.
-	Segments [][]bus.Txn
-	// Suspends counts how many times the master dumped the buffer.
-	Suspends int64
-
-	enabled bool
-}
-
-// New returns a monitor with the given buffer capacity (DefaultCapacity if
-// capacity <= 0). The monitor starts enabled.
-func New(capacity int) *Monitor {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	return &Monitor{
-		capacity: capacity,
-		buf:      make([]bus.Txn, 0, min(capacity, 1<<20)),
-		enabled:  true,
-	}
+	trace []bus.Txn
 }
 
 // Record implements bus.Recorder.
-func (m *Monitor) Record(t bus.Txn) {
-	m.Total++
-	if !m.enabled {
-		return
-	}
-	if len(m.buf) >= m.capacity {
-		m.Dropped++
-		return
-	}
-	m.buf = append(m.buf, t)
-}
+func (m *Monitor) Record(t bus.Txn) { m.trace = append(m.trace, t) }
 
-// SetEnabled turns tracing on or off (tracing is disabled while the
-// workload warms up, so cold-start transients can be excluded).
-func (m *Monitor) SetEnabled(on bool) { m.enabled = on }
-
-// FillFraction returns how full the buffer is, 0..1.
-func (m *Monitor) FillFraction() float64 {
-	return float64(len(m.buf)) / float64(m.capacity)
-}
-
-// Pending returns the number of buffered, undumped transactions.
-func (m *Monitor) Pending() int { return len(m.buf) }
-
-// Dump moves the current buffer contents to Segments, emptying the buffer.
-// This is what the master process does after suspending the workload.
-func (m *Monitor) Dump() {
-	if len(m.buf) == 0 {
-		return
-	}
-	seg := make([]bus.Txn, len(m.buf))
-	copy(seg, m.buf)
-	m.Segments = append(m.Segments, seg)
-	m.buf = m.buf[:0]
-	m.Suspends++
-}
-
-// Trace returns the full trace: all dumped segments followed by whatever
-// remains in the buffer, in arrival order.
-func (m *Monitor) Trace() []bus.Txn {
-	n := len(m.buf)
-	for _, s := range m.Segments {
-		n += len(s)
-	}
-	out := make([]bus.Txn, 0, n)
-	for _, s := range m.Segments {
-		out = append(out, s...)
-	}
-	return append(out, m.buf...)
-}
-
-// Len returns the total number of recorded (kept) transactions.
-func (m *Monitor) Len() int {
-	n := len(m.buf)
-	for _, s := range m.Segments {
-		n += len(s)
-	}
-	return n
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
+// Trace returns the recorded transactions in arrival order. The slice is
+// the monitor's own; callers must not modify it.
+func (m *Monitor) Trace() []bus.Txn { return m.trace }
 
 var _ bus.Recorder = (*Monitor)(nil)
 

@@ -9,52 +9,6 @@ import (
 	"repro/internal/bus"
 )
 
-func TestBufferFillDumpTrace(t *testing.T) {
-	m := New(4)
-	for i := 0; i < 3; i++ {
-		m.Record(bus.Txn{Addr: arch.PAddr(i * 16), Kind: bus.TxnRead})
-	}
-	if f := m.FillFraction(); f != 0.75 {
-		t.Errorf("FillFraction = %v, want 0.75", f)
-	}
-	m.Dump()
-	if m.Pending() != 0 || len(m.Segments) != 1 || m.Suspends != 1 {
-		t.Fatalf("after dump: pending=%d segments=%d suspends=%d", m.Pending(), len(m.Segments), m.Suspends)
-	}
-	m.Record(bus.Txn{Addr: 0x100, Kind: bus.TxnRead})
-	tr := m.Trace()
-	if len(tr) != 4 || tr[3].Addr != 0x100 {
-		t.Fatalf("Trace() = %d txns, want 4 ending at 0x100", len(tr))
-	}
-	if m.Len() != 4 {
-		t.Errorf("Len() = %d, want 4", m.Len())
-	}
-}
-
-func TestBufferDrop(t *testing.T) {
-	m := New(2)
-	for i := 0; i < 5; i++ {
-		m.Record(bus.Txn{Addr: arch.PAddr(i)})
-	}
-	if m.Dropped != 3 || m.Total != 5 || m.Pending() != 2 {
-		t.Errorf("dropped=%d total=%d pending=%d", m.Dropped, m.Total, m.Pending())
-	}
-}
-
-func TestDisable(t *testing.T) {
-	m := New(10)
-	m.SetEnabled(false)
-	m.Record(bus.Txn{})
-	if m.Pending() != 0 || m.Total != 1 {
-		t.Errorf("disabled monitor kept a txn: pending=%d total=%d", m.Pending(), m.Total)
-	}
-	m.SetEnabled(true)
-	m.Record(bus.Txn{})
-	if m.Pending() != 1 {
-		t.Error("re-enabled monitor did not record")
-	}
-}
-
 func TestEventAddressesAreOddAndDistinct(t *testing.T) {
 	seen := map[arch.PAddr]bool{}
 	for e := Event(0); e < numEvents; e++ {

@@ -19,7 +19,7 @@ import (
 // failure can always be reproduced from its seed alone.
 func TestReportsByteIdenticalPerSeed(t *testing.T) {
 	run := func() string {
-		return All(RunSet(core.Config{Window: 600_000, Warmup: 300_000, Seed: 11, Check: true}))
+		return All(RunSetParallel(core.Config{Window: 600_000, Warmup: 300_000, Seed: 11, Check: true}, runner.Options{}))
 	}
 	a, b := run(), run()
 	if a != b {
@@ -61,55 +61,14 @@ func TestParallelRunSetByteIdentical(t *testing.T) {
 	diffLines(t, "report", render(1), render(8))
 }
 
-// renderAll renders every table and figure of the three runs of cfg on a
-// pool of par workers.
-func renderAll(cfg core.Config, par int) string {
-	return All(RunSetParallel(cfg, runner.Options{Parallelism: par}))
-}
-
-// TestStreamingMatchesBufferedReports is the streaming pipeline's oracle:
-// classifying every transaction inline, the cycle it occurs, must render
-// every table and figure byte-for-byte identically to the stop-and-drain
-// pipeline that materializes the monitor trace and replays it after the
-// run — for all three workloads, with and without the checker, serially
-// and under the worker pool.
-func TestStreamingMatchesBufferedReports(t *testing.T) {
-	for _, check := range []bool{false, true} {
-		for _, par := range []int{1, 8} {
-			cfg := core.Config{Window: 600_000, Warmup: 300_000, Seed: 11, Check: check}
-			buffered := cfg
-			buffered.Buffered = true
-			diffLines(t, fmt.Sprintf("check=%t parallelism %d: streaming vs buffered", check, par),
-				renderAll(cfg, par), renderAll(buffered, par))
-		}
-	}
-}
-
-// TestFastMatchesReferenceReports is the memory-system fast path's oracle:
-// the presence-filtered snoops, direct-mapped cache specialization and
-// run-ahead scheduler must render every table and figure byte-for-byte
-// identically to the generic reference paths (Config.Reference) — for all
-// three workloads, with and without the checker, serially and under the
-// worker pool.
-func TestFastMatchesReferenceReports(t *testing.T) {
-	for _, check := range []bool{false, true} {
-		for _, par := range []int{1, 8} {
-			cfg := core.Config{Window: 600_000, Warmup: 300_000, Seed: 11, Check: check}
-			reference := cfg
-			reference.Reference = true
-			diffLines(t, fmt.Sprintf("check=%t parallelism %d: fast vs reference", check, par),
-				renderAll(cfg, par), renderAll(reference, par))
-		}
-	}
-}
-
-// TestHitFilterIdentity is the hit filter's end-to-end oracle. A default
-// run answers state-free hits at the CPU; a -reference run and a checked
-// run both send every reference through the bus (the oracles above compare
-// checked runs with each other, so on their own they never see the filter).
-// With the filter on or off the machine must end in the same state, with
-// the same bus statistics and per-CPU time, and render the same report —
-// for all three workloads on the 4D/340 and the 8-CPU 4D/380.
+// TestHitFilterIdentity is the hit filter's end-to-end oracle at the
+// report's full window. A default run answers state-free hits at the CPU;
+// a checked run sends every reference through the bus. With the filter on
+// or off the machine must end in the same state, with the same bus
+// statistics and per-CPU time, and render the same report — for all three
+// workloads on the 4D/340 and the 8-CPU 4D/380. The reference paths turn
+// the filter off too; they are reachable only from core's own tests, so
+// that leg is core's TestDifferential.
 func TestHitFilterIdentity(t *testing.T) {
 	m380, err := machineflag.Preset("4d380")
 	if err != nil {
@@ -125,26 +84,24 @@ func TestHitFilterIdentity(t *testing.T) {
 		for _, k := range []workload.Kind{workload.Pmake, workload.Multpgm, workload.Oracle} {
 			cfg := core.Config{Workload: k, Machine: m, Window: 2_000_000, Warmup: 1_000_000, Seed: 11}
 			filtered := core.Run(cfg)
-			for _, mode := range []string{"reference", "check"} {
-				off := cfg
-				off.Reference, off.Check = mode == "reference", mode == "check"
-				plain := core.Run(off)
-				what := fmt.Sprintf("%v/ncpu%d filtered vs %s", k, m.NCPU, mode)
-				if a, b := filtered.Sim.StateHash(), plain.Sim.StateHash(); a != b {
-					t.Errorf("%s: machine state %#x vs %#x", what, a, b)
-				}
-				if a, b := filtered.Sim.Bus.Stats, plain.Sim.Bus.Stats; a != b {
-					t.Errorf("%s: bus stats %+v vs %+v", what, a, b)
-				}
-				for i, c := range filtered.Sim.CPUs {
-					p := plain.Sim.CPUs[i]
-					if c.Time != p.Time || c.Stall != p.Stall || c.L2Stall != p.L2Stall {
-						t.Errorf("%s: cpu %d time/stall/l2stall %v %v %v vs %v %v %v",
-							what, i, c.Time, c.Stall, c.L2Stall, p.Time, p.Stall, p.L2Stall)
-					}
-				}
-				diffLines(t, what, body(filtered), body(plain))
+			off := cfg
+			off.Check = true
+			plain := core.Run(off)
+			what := fmt.Sprintf("%v/ncpu%d filtered vs check", k, m.NCPU)
+			if a, b := filtered.Sim.StateHash(), plain.Sim.StateHash(); a != b {
+				t.Errorf("%s: machine state %#x vs %#x", what, a, b)
 			}
+			if a, b := filtered.Sim.Bus.Stats, plain.Sim.Bus.Stats; a != b {
+				t.Errorf("%s: bus stats %+v vs %+v", what, a, b)
+			}
+			for i, c := range filtered.Sim.CPUs {
+				p := plain.Sim.CPUs[i]
+				if c.Time != p.Time || c.Stall != p.Stall || c.L2Stall != p.L2Stall {
+					t.Errorf("%s: cpu %d time/stall/l2stall %v %v %v vs %v %v %v",
+						what, i, c.Time, c.Stall, c.L2Stall, p.Time, p.Stall, p.L2Stall)
+				}
+			}
+			diffLines(t, what, body(filtered), body(plain))
 		}
 	}
 }
@@ -163,6 +120,17 @@ func TestParallelFigure11ByteIdentical(t *testing.T) {
 	diffLines(t, "figure 11", render(1), render(8))
 }
 
+// figure11 renders the Figure 11 sweep of base over counts on the default
+// worker pool.
+func figure11(t *testing.T, base core.Config, counts []int) string {
+	t.Helper()
+	pts, _, _, err := RunFigure11Context(context.Background(), base, counts, runner.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Figure11(pts)
+}
+
 // TestFigure11HonorsBase: every Figure 11 point is the base configuration
 // at another CPU count, so the machine and the checker reach the runs.
 func TestFigure11HonorsBase(t *testing.T) {
@@ -175,7 +143,7 @@ func TestFigure11HonorsBase(t *testing.T) {
 	m380.DCacheL2Size = 1 << 20
 	big := base
 	big.Machine = m380
-	if Figure11(RunFigure11(big, counts)) == Figure11(RunFigure11(base, counts)) {
+	if figure11(t, big, counts) == figure11(t, base, counts) {
 		t.Error("a 4d380 base with a 1 MB L2 renders the default machine's Figure 11")
 	}
 
@@ -201,8 +169,8 @@ func TestFigure11HonorsBase(t *testing.T) {
 // canonical default (core's, arch.DefaultWindow), in the runs and in the
 // per-millisecond rates; this path once disagreed with cmd/sweep (8M vs 12M).
 func TestFigure11WindowDefault(t *testing.T) {
-	explicit := Figure11(RunFigure11(core.Config{Window: arch.DefaultWindow, Seed: 7}, []int{2}))
-	if got := Figure11(RunFigure11(core.Config{Seed: 7}, []int{2})); got != explicit {
+	explicit := figure11(t, core.Config{Window: arch.DefaultWindow, Seed: 7}, []int{2})
+	if got := figure11(t, core.Config{Seed: 7}, []int{2}); got != explicit {
 		t.Errorf("zero-window Figure 11:\n%s\nwant the arch.DefaultWindow one:\n%s", got, explicit)
 	}
 }
@@ -217,20 +185,4 @@ func splitLines(s string) []string {
 		}
 	}
 	return append(out, s[start:])
-}
-
-// TestDefaultMachineMatchesSeed is the machine-descriptor oracle: a config
-// that spells out arch.Default() explicitly must produce byte-identical
-// reports to the zero-Machine config (the historical constants path) for
-// all three workloads — proof the runtime descriptor refactor preserves
-// behavior exactly.
-func TestDefaultMachineMatchesSeed(t *testing.T) {
-	render := func(m arch.Machine) string {
-		set := RunSetParallel(core.Config{
-			Machine: m,
-			Window:  600_000, Warmup: 300_000, Seed: 11, Check: true,
-		}, runner.Options{Parallelism: 8})
-		return All(set)
-	}
-	diffLines(t, "default machine vs constants", render(arch.Machine{}), render(arch.Default()))
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machineflag"
+	"repro/internal/runner"
 )
 
 // workerCounts is the fuzz grid: the interesting small counts plus the
@@ -48,11 +49,11 @@ func TestParallelEngineByteIdentical(t *testing.T) {
 		}
 		for _, seed := range c.seeds {
 			cfg := core.Config{Machine: m, Window: 500_000, Warmup: 250_000, Seed: seed}
-			serial := All(RunSet(cfg))
+			serial := All(RunSetParallel(cfg, runner.Options{}))
 			for _, w := range workerCounts() {
 				pcfg := cfg
 				pcfg.SimWorkers = w
-				set := RunSet(pcfg)
+				set := RunSetParallel(pcfg, runner.Options{})
 				var committed int64
 				for _, ch := range []*core.Characterization{set.Pmake, set.Multpgm, set.Oracle} {
 					if got := ch.Sim.SimWorkers(); got < 2 {

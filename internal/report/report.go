@@ -36,15 +36,10 @@ type Set struct {
 	Parallelism int
 }
 
-// RunSet executes all three workloads with the given base config, fanning
-// them across the runner's default worker pool. Output is byte-identical
-// to a serial execution (each run is seeded independently).
-func RunSet(cfg core.Config) *Set {
-	return RunSetParallel(cfg, runner.Options{})
-}
-
-// RunSetParallel is RunSet with an explicit worker-pool size
-// (Parallelism 1 restores strictly serial execution).
+// RunSetParallel executes all three workloads with the given base config,
+// fanning them across a worker pool of opts.Parallelism (<= 0 means
+// GOMAXPROCS; 1 restores strictly serial execution). Output is
+// byte-identical on any worker count: each run is seeded independently.
 func RunSetParallel(cfg core.Config, opts runner.Options) *Set {
 	set, err := RunSetContext(context.Background(), cfg, opts)
 	if err != nil {
@@ -766,21 +761,12 @@ type Figure11Point struct {
 	AcquiresPerMS float64
 }
 
-// RunFigure11 sweeps the CPU count for Multpgm and reports failed
+// RunFigure11Context sweeps the CPU count for Multpgm and reports failed
 // acquires per millisecond for the hottest locks (kernel Runqlk and
 // Memlock plus the user-level Mp3d locks). Every point is base (machine,
 // window, seed, checker) with only the workload, CPU count and tracing
-// replaced. The counts run on the default worker pool.
-func RunFigure11(base core.Config, cpuCounts []int) []Figure11Point {
-	pts, _, _, err := RunFigure11Context(context.Background(), base, cpuCounts, runner.Options{})
-	if err != nil {
-		panic(err) // only a run panic can surface under a background ctx
-	}
-	return pts
-}
-
-// RunFigure11Context is RunFigure11 under a context and a worker pool; it
-// also returns the batch timing record and the runs, for their checkers.
+// replaced. It runs under a context and a worker pool, and also returns
+// the batch timing record and the runs, for their checkers.
 // Points come back in submission order (one group of locks per CPU
 // count), byte-identical to a serial sweep. A canceled or expired ctx
 // returns the first run's structured error.

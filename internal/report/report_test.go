@@ -11,6 +11,7 @@ import (
 	"repro/internal/klock"
 	"repro/internal/kmem"
 	"repro/internal/metrics"
+	"repro/internal/runner"
 	"repro/internal/trace"
 )
 
@@ -23,8 +24,8 @@ var (
 // package's tests (each run costs ~1.5s).
 func testSet() *Set {
 	setOnce.Do(func() {
-		sharedSet = RunSet(core.Config{Seed: 5, Window: 6_000_000,
-			Warmup: 3_000_000, CollectIResim: true})
+		sharedSet = RunSetParallel(core.Config{Seed: 5, Window: 6_000_000,
+			Warmup: 3_000_000, CollectIResim: true}, runner.Options{})
 	})
 	return sharedSet
 }

@@ -15,7 +15,7 @@ import (
 
 func TestRunOnePanicIsolation(t *testing.T) {
 	cfg := core.Config{Workload: workload.Pmake, Window: 400_000, Warmup: 200_000, Seed: 5}
-	res := RunOne(context.Background(), cfg, func() { panic("boom") })
+	res := RunOneMonitored(context.Background(), cfg, nil, func() { panic("boom") })
 	if res.Ch != nil {
 		t.Fatal("panicked run still produced a characterization")
 	}

@@ -75,26 +75,10 @@ func CapTotal(parallelism, simWorkers int) int {
 	return parallelism
 }
 
-// DeriveSeed mixes a base seed and a run index into an independent,
-// reproducible per-run seed (splitmix64 finalizer). Sweeps that want
-// statistically independent runs derive one seed per submission index, so
-// the whole sweep replays from the base seed alone — on any worker count.
-func DeriveSeed(base int64, i int) int64 {
-	z := uint64(base) + uint64(i+1)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	s := int64(z &^ (1 << 63))
-	if s == 0 {
-		return 1 // seed 0 means "default" to the simulator
-	}
-	return s
-}
-
 // PanicError is the structured error of a run whose pipeline panicked:
 // the panic value, the goroutine stack at the point of the panic, and
-// the run's provenance (config hash, seed, cycle reached). RunOne and
-// ExperimentsContext convert panics into PanicErrors so one broken
+// the run's provenance (config hash, seed, cycle reached). RunOneMonitored
+// and ExperimentsContext convert panics into PanicErrors so one broken
 // configuration cannot take down a batch or a worker pool.
 type PanicError struct {
 	core.Provenance
@@ -187,20 +171,14 @@ type Result struct {
 	Err error
 }
 
-// RunOne executes one config through core.RunContext with panic
-// isolation: a panic anywhere in the pipeline comes back as a
-// *PanicError in Result.Err instead of unwinding into the caller. The
-// optional preRun hooks fire inside the recovery scope before the
-// simulation starts — the service's test hooks use them to force
-// failures down the production error path.
-func RunOne(ctx context.Context, cfg core.Config, preRun ...func()) Result {
-	return RunOneMonitored(ctx, cfg, nil, preRun...)
-}
-
-// RunOneMonitored is RunOne plus core.RunMonitored's progress probe:
-// onStart (if non-nil) receives the run's simulated-cycle heartbeat
-// function just before simulation begins — the service watchdog feeds
-// on it.
+// RunOneMonitored executes one config through core.RunMonitored with panic
+// isolation: a panic anywhere in the pipeline comes back as a *PanicError
+// in Result.Err instead of unwinding into the caller. onStart (if non-nil)
+// receives the run's simulated-cycle heartbeat function just before
+// simulation begins — the service watchdog feeds on it. The optional
+// preRun hooks fire inside the recovery scope before the simulation
+// starts — the service's test hooks use them to force failures down the
+// production error path.
 func RunOneMonitored(ctx context.Context, cfg core.Config, onStart func(progress func() arch.Cycles), preRun ...func()) (res Result) {
 	canonical := cfg.Canonical()
 	var progress func() arch.Cycles
@@ -290,7 +268,7 @@ func ExperimentsContext(ctx context.Context, cfgs []core.Config, opts Options) (
 		if serial {
 			runtime.ReadMemStats(&m0)
 		}
-		out[i] = RunOne(ctx, cfgs[i])
+		out[i] = RunOneMonitored(ctx, cfgs[i], nil)
 		if serial && out[i].Err == nil {
 			var m1 runtime.MemStats
 			runtime.ReadMemStats(&m1)

@@ -57,26 +57,6 @@ func TestWorkersResolution(t *testing.T) {
 	}
 }
 
-func TestDeriveSeed(t *testing.T) {
-	seen := map[int64]bool{}
-	for i := 0; i < 1000; i++ {
-		s := DeriveSeed(42, i)
-		if s <= 0 {
-			t.Fatalf("seed %d for index %d not positive", s, i)
-		}
-		if s != DeriveSeed(42, i) {
-			t.Fatalf("index %d not deterministic", i)
-		}
-		if seen[s] {
-			t.Fatalf("index %d collides with an earlier index", i)
-		}
-		seen[s] = true
-	}
-	if DeriveSeed(1, 0) == DeriveSeed(2, 0) {
-		t.Error("different bases produced the same first seed")
-	}
-}
-
 // smallCfgs builds a checked four-run batch small enough for the race
 // detector: two workloads at two CPU counts each.
 func smallCfgs() []core.Config {
@@ -84,7 +64,7 @@ func smallCfgs() []core.Config {
 	for i, k := range []workload.Kind{workload.Pmake, workload.Multpgm} {
 		for _, n := range []int{2, 4} {
 			out = append(out, core.Config{
-				Workload: k, NCPU: n, Seed: DeriveSeed(9, i),
+				Workload: k, NCPU: n, Seed: int64(9 + i),
 				Window: 400_000, Warmup: 200_000, Check: true,
 			})
 		}

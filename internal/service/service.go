@@ -610,7 +610,7 @@ func (s *Server) simWorkersFor(req int) int {
 }
 
 // execute runs one leader job to a terminal outcome. Panics inside the
-// run surface as the job's PanicError (runner.RunOne recovers them), so
+// run surface as the job's PanicError (runner.RunOneMonitored recovers them), so
 // the worker goroutine itself never dies.
 func (s *Server) execute(job *Job) {
 	defer s.jobWG.Done()

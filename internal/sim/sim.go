@@ -15,7 +15,9 @@ import (
 	"repro/internal/tlb"
 )
 
-// Config tunes the simulator.
+// Config tunes the simulator. Window and Warmup have no defaults here:
+// core.Config.withDefaults is the one place they are chosen, and every
+// caller passes both.
 type Config struct {
 	// Machine is the simulated hardware; the zero value means
 	// arch.Default() (the measured 4D/340). NCPU, when set, overrides
@@ -30,20 +32,12 @@ type Config struct {
 	// Warmup runs before tracing is enabled so that cold-start
 	// transients are excluded (the paper traces a running system).
 	Warmup arch.Cycles
-	// MonitorCap is the trace-buffer capacity (0 → the real monitor's
-	// 2M transactions).
-	MonitorCap int
-	// MasterThreshold is the buffer fill fraction at which the master
-	// process suspends the workload and dumps the trace.
-	MasterThreshold float64
 	// NoTrace disables the monitor entirely (kernel-counter-only runs,
 	// e.g. the Figure 11 CPU sweeps).
 	NoTrace bool
-	// Streaming skips the monitor's trace buffer: no Monitor is built,
-	// and the recorder assigned to Simulator.Stream (e.g. an inline
-	// trace.Classifier) is attached to the bus when tracing starts. The
-	// master-process dump logic is a no-op in this mode — there is no
-	// buffer to fill, so the workload is never suspended.
+	// Streaming skips the monitor: no Monitor is built, and the recorder
+	// assigned to Simulator.Stream (e.g. an inline trace.Classifier) is
+	// attached to the bus when tracing starts instead.
 	Streaming bool
 	// UpdateProtocol switches the bus to write-update coherence (the
 	// protocol ablation).
@@ -51,7 +45,7 @@ type Config struct {
 	// Reference runs the generic oracle paths end to end: way-loop/LRU
 	// caches, full snoop broadcasts with no presence filter, and the
 	// rescan-every-step scheduler. The fast path must produce
-	// byte-identical reports; -reference exists to prove it.
+	// byte-identical reports; core's differential test proves it.
 	Reference bool
 	// Check enables the invariant checker (shadow memory, coherence,
 	// lock discipline). Off by default: it costs time and memory.
@@ -85,15 +79,6 @@ func (c Config) withDefaults() Config {
 	} else {
 		c.Machine.NCPU = c.NCPU
 	}
-	if c.Window == 0 {
-		c.Window = arch.DefaultWindow
-	}
-	if c.Warmup == 0 {
-		c.Warmup = c.Window / 4
-	}
-	if c.MasterThreshold == 0 {
-		c.MasterThreshold = 0.75
-	}
 	c.Kernel.Machine = c.Machine
 	c.Kernel.NCPU = c.NCPU
 	c.Kernel.Seed = c.Seed
@@ -117,6 +102,8 @@ type Simulator struct {
 	Cfg Config
 	K   *kernel.Kernel
 	Bus *bus.System
+	// Mon records the traced window's transactions (nil on streaming and
+	// no-trace runs).
 	Mon *monitor.Monitor
 	// Stream, when non-nil, is attached to the bus at trace start (after
 	// warmup) and consumes every transaction inline. Set it before Run —
@@ -184,14 +171,11 @@ func New(cfg Config) *Simulator {
 	s.rIdleLoop = s.K.T.R("idle_loop")
 	s.rLockAcquire = s.K.T.R("lock_acquire")
 	s.rLockRelease = s.K.T.R("lock_release")
-	if cfg.NoTrace || cfg.Streaming {
-		// Streaming mode has no trace buffer; the inline recorder is
-		// attached at trace start (Run), once warmup is over.
-		s.Bus = bus.NewSystem(cfg.Machine, nil)
-	} else {
-		s.Mon = monitor.New(cfg.MonitorCap)
-		s.Mon.SetEnabled(false)
-		s.Bus = bus.NewSystem(cfg.Machine, s.Mon)
+	// The recorder (the monitor, or the streaming Stream) is attached at
+	// trace start (Run), once warmup is over.
+	s.Bus = bus.NewSystem(cfg.Machine, nil)
+	if !cfg.NoTrace && !cfg.Streaming {
+		s.Mon = &monitor.Monitor{}
 	}
 	if cfg.UpdateProtocol {
 		s.Bus.Proto = bus.WriteUpdate
@@ -302,15 +286,14 @@ func (s *Simulator) Run() {
 		s.beginOS(c, kernel.OpOtherSyscall)
 		s.scheduleNext(c, nil, false)
 	}
-	// Warmup, monitor off.
+	// Warmup, no recorder attached.
 	s.end = s.Cfg.Warmup
 	s.loop()
-	// Enable tracing, synchronize per-CPU state into the trace.
+	// Attach the recorder, synchronize per-CPU state into the trace.
 	s.traceEscapes = true
 	if s.Mon != nil {
-		s.Mon.SetEnabled(true)
-	}
-	if s.Stream != nil {
+		s.Bus.SetRecorder(s.Mon)
+	} else if s.Stream != nil {
 		s.Bus.SetRecorder(s.Stream)
 	}
 	s.TraceStartAt = s.minClock()
@@ -431,7 +414,7 @@ func (s *Simulator) loop() {
 }
 
 // loopReference is the original O(N)-per-step scheduler, kept verbatim as
-// the -reference oracle for the batching loop above.
+// the reference oracle for the batching loop above.
 func (s *Simulator) loopReference() {
 	for {
 		var c *CPU
@@ -456,14 +439,6 @@ func (s *Simulator) step(c *CPU) {
 	if c.needSync {
 		c.needSync = false
 		s.syncEscape(c)
-	}
-	// The master process: dump the trace buffer before it overflows.
-	// Without a buffer (streaming or no-trace runs) there is nothing to
-	// fill, so the suspend/dump logic must never fire.
-	if s.Mon != nil && s.Mon.FillFraction() > s.Cfg.MasterThreshold {
-		c.Escape(monitor.EvSuspend)
-		s.Mon.Dump()
-		c.Escape(monitor.EvResume)
 	}
 	// Fault injection: deterministic perturbations delivered at step
 	// boundaries, where an interrupt could also arrive. Faults may move

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/bus"
 	"repro/internal/kernel"
 	"repro/internal/klock"
 	"repro/internal/monitor"
@@ -85,7 +84,7 @@ func TestComputeOnlyWorkloadRuns(t *testing.T) {
 	if s.Bus.Stats.Transactions() == 0 {
 		t.Error("no bus transactions")
 	}
-	if s.Mon.Len() == 0 {
+	if len(s.Mon.Trace()) == 0 {
 		t.Error("monitor recorded nothing")
 	}
 	if s.K.OpCounts[kernel.OpInterrupt] == 0 {
@@ -142,64 +141,8 @@ func TestUserLocksProduceSginap(t *testing.T) {
 	}
 }
 
-// suspendProbe is a streaming recorder that decodes escapes on the fly and
-// counts master-process suspend events.
-type suspendProbe struct {
-	dec      monitor.Decoder
-	total    int
-	suspends int
-}
-
-func (p *suspendProbe) Record(t bus.Txn) {
-	p.total++
-	if r, ok := p.dec.Feed(t); ok && r.IsEvent && r.Event == monitor.EvSuspend {
-		p.suspends++
-	}
-}
-
-// TestStreamingNeverSuspends pins the master-process/streaming interaction:
-// the dump logic exists to drain the monitor's buffer before it overflows,
-// so with no buffer (streaming mode) it must be a no-op — even under a
-// capacity and threshold that force constant dumping in buffered mode.
-func TestStreamingNeverSuspends(t *testing.T) {
-	spawn := func(s *Simulator) {
-		for i := 0; i < 4; i++ {
-			s.K.CreateProc(&kernel.ProcSpec{
-				Name:      "mix",
-				Image:     s.K.NewImage("mix", 8),
-				DataPages: 8,
-				Behavior: &loopBehavior{compute: 10_000,
-					req:   kernel.SyscallReq{Kind: kernel.SysWrite},
-					inode: i},
-			})
-		}
-	}
-	// Buffered control: this configuration dumps repeatedly.
-	b := smallSim(t, Config{MonitorCap: 1 << 16})
-	spawn(b)
-	b.Run()
-	if b.Mon.Suspends == 0 {
-		t.Fatal("control run never dumped; the threshold was not exercised")
-	}
-	// Same machine, streaming: no monitor, no dumps, no suspensions.
-	s := smallSim(t, Config{MonitorCap: 1 << 16, Streaming: true})
-	probe := &suspendProbe{}
-	s.Stream = probe
-	spawn(s)
-	s.Run()
-	if s.Mon != nil {
-		t.Fatal("streaming run built a trace buffer")
-	}
-	if probe.total == 0 {
-		t.Fatal("stream recorder saw no transactions")
-	}
-	if probe.suspends != 0 {
-		t.Errorf("streaming run suspended the workload %d times; want 0", probe.suspends)
-	}
-}
-
 func TestTraceDecodes(t *testing.T) {
-	s := smallSim(t, Config{MonitorCap: 1 << 16})
+	s := smallSim(t, Config{})
 	for i := 0; i < 4; i++ {
 		s.K.CreateProc(&kernel.ProcSpec{
 			Name:      "mix",
@@ -214,13 +157,6 @@ func TestTraceDecodes(t *testing.T) {
 	trace := s.Mon.Trace()
 	if len(trace) == 0 {
 		t.Fatal("empty trace")
-	}
-	// The master must have dumped at least once with a 64K buffer.
-	if s.Mon.Suspends == 0 {
-		t.Error("master never dumped the small buffer")
-	}
-	if s.Mon.Dropped != 0 {
-		t.Errorf("monitor dropped %d transactions", s.Mon.Dropped)
 	}
 	d := monitor.NewDecoder()
 	events := map[monitor.Event]int{}
@@ -272,7 +208,7 @@ func TestDeterminism(t *testing.T) {
 			})
 		}
 		s.Run()
-		return s.Bus.Stats.Transactions(), s.Mon.Len()
+		return s.Bus.Stats.Transactions(), len(s.Mon.Trace())
 	}
 	t1, l1 := run()
 	t2, l2 := run()
@@ -408,14 +344,5 @@ func TestNoKernelLockLeaks(t *testing.T) {
 		if s.K.Locks.Get(name).Held() {
 			t.Errorf("lock %s still held after the run", name)
 		}
-	}
-}
-
-// TestZeroWindowDefault pins the simulator's zero-window fallback to the
-// shared arch.DefaultWindow (it used to carry its own 8M-cycle copy).
-func TestZeroWindowDefault(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	if cfg.Window != arch.DefaultWindow {
-		t.Errorf("Window = %d, want arch.DefaultWindow (%d)", cfg.Window, arch.DefaultWindow)
 	}
 }

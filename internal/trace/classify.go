@@ -138,8 +138,6 @@ type Result struct {
 	// IdleMisses happened in the idle loop (excluded from stall shares).
 	IdleMisses int64
 
-	// Suspends counts master-process trace dumps seen in the trace.
-	Suspends int64
 	// Malformed counts undecodable escape sequences (should be 0).
 	Malformed int
 	// ReusedWithinInvocation counts OS misses on blocks already missed
@@ -593,9 +591,6 @@ func (c *Classifier) event(rec monitor.Record) {
 	case monitor.EvBlockOp:
 		// Sizes are reported by the kernel log (Table 7); the escape
 		// exists so a pure-trace consumer could recover them too.
-	case monitor.EvSuspend:
-		c.res.Suspends++
-	case monitor.EvResume:
 	case monitor.EvTLBChange:
 		// Virtual-to-physical tracking is not needed: user code frames
 		// are identified by the page-allocation events.

@@ -24,8 +24,8 @@ go run ./cmd/charos -exp table1 -window 2000000 -check -inject all >/dev/null
 echo "== checked smoke off the default geometry (2-way L1+L2)"
 # The checker's line probe indexes directly when both levels have one way
 # and walks the ways otherwise; the default machine only ever takes the
-# first path, so run the other here (TestCheckerCleanOnAllWorkloads covers
-# both and the reference oracle). charos exits 1 on any violation.
+# first path, so run the other here (core's TestDifferential covers both
+# and the reference oracle). charos exits 1 on any violation.
 go run ./cmd/charos -exp report -check -window 1M -dcache-l1-assoc 2 -dcache-l2-assoc 2 2>&1 >/dev/null |
     grep -q 'invariant checker: [1-9][0-9]* checks, 0 violations' || {
     echo "FAIL: charos -exp report -check on 2-way L1+L2 did not end in 0 violations" >&2; exit 1; }
@@ -100,8 +100,8 @@ rc=0
 
 echo "== unsampled report gate (serial vs -sim-workers)"
 # The per-run report must render byte-for-byte what the parallel engine
-# renders (the buffered and reference oracles are Go tests:
-# TestStreamingMatchesBufferedReports, TestFastMatchesReferenceReports).
+# renders (the buffered, reference and checked oracles are one Go test,
+# core's TestDifferential, which the race suite above runs).
 plainrep=$(go run ./cmd/charos -exp report -window 2000000 2>/dev/null)
 workrep=$(go run ./cmd/charos -exp report -window 2000000 -sim-workers 8 2>/dev/null)
 if [ "$plainrep" != "$workrep" ]; then
@@ -110,9 +110,6 @@ if [ "$plainrep" != "$workrep" ]; then
 fi
 echo "$plainrep" | grep -q 'sampling:' && {
     echo "FAIL: unsampled report mentions sampling" >&2; exit 1; }
-
-echo "== default-machine oracle (zero Machine vs explicit arch.Default reports)"
-go test -run 'TestDefaultMachineMatchesSeed' ./internal/report
 
 echo "== geometry sweep smoke (sweep -exp geometry, checker on; -sample)"
 # sweep exits 1 on any violation. The 4d380 stall share reads the whole-
@@ -196,17 +193,10 @@ daemon=""
 grep -q 'drain complete: all accepted jobs resolved' "$smoke/charosd-load.log" || {
     echo "FAIL: post-load drain did not resolve all accepted jobs" >&2; exit 1; }
 
-echo "== hit-filter identity (filtered vs reference and checked runs, race detector)"
-# The filter is off in checked and reference runs; this test compares the
-# machine state it leaves with theirs.
-go test -race -run 'TestHitFilterIdentity' ./internal/report
-
 echo "== shed-race regression (service.Submit, race detector)"
 go test -race -count=10 -run 'TestShedNeverAdmitsFollower' ./internal/service
 
-echo "== checker probe property, one-pass sweep differential + hostile-client tests (race detector)"
-go test -race -run 'TestLinesMatchesCacheQueries' ./internal/bus
-go test -race -run 'TestFigure6OnePassMatchesReference' ./internal/cachesweep
+echo "== hostile-client tests, repeated (race detector)"
 go test -race -count=10 -run 'TestOversizedBodyRejected|TestSlowHeaderClientDropped' ./internal/service
 
 echo "== benchmark smoke (bench/run.sh -smoke: every workload, both modes, output checks)"
