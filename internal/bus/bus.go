@@ -166,11 +166,7 @@ func (s *System) NCPUs() int { return s.N }
 // Lines implements check.BusView: every hierarchy's state of the block
 // containing a, read straight from the caches — never from the presence
 // filter, which is among the things the checker validates.
-func (s *System) Lines(a arch.PAddr, out []check.Line) {
-	for q, d := range s.D {
-		out[q] = check.Line(d.LineState(a))
-	}
-}
+func (s *System) Lines(a arch.PAddr, out []check.Line) { cache.LineStates(s.D, a, out) }
 
 // check.Line and cache.LineState share one bit layout, so Lines converts
 // without decoding; a layout change in either package fails to compile here.
@@ -552,7 +548,7 @@ func (s *System) Bypass(c arch.CPUID, a arch.PAddr, blocks int, write bool, now 
 // (the source of the Inval class, Table 2, and the reason Figure 6's
 // large-cache curves saturate). It returns the number of blocks
 // invalidated.
-func (s *System) InvalidateCodeFrame(f uint32) int {
+func (s *System) InvalidateCodeFrame(f uint32, now arch.Cycles) int {
 	n := 0
 	for q := 0; q < s.N; q++ {
 		s.touchAll(arch.CPUID(q))
@@ -560,7 +556,7 @@ func (s *System) InvalidateCodeFrame(f uint32) int {
 		s.I[q].InvalidateAll()
 	}
 	if s.Check != nil {
-		s.Check.OnIFlush(-1)
+		s.Check.OnIFlush(-1, now)
 	}
 	return n
 }
@@ -610,12 +606,12 @@ func (s *System) InjectEvictRandom(rng *rand.Rand, c arch.CPUID, burst int, now 
 // InjectIFlush forcibly flushes CPU c's instruction cache (fault
 // injection), telling the checker so stale-fetch tracking stays exact.
 // It returns the number of blocks flushed.
-func (s *System) InjectIFlush(c arch.CPUID) int {
+func (s *System) InjectIFlush(c arch.CPUID, now arch.Cycles) int {
 	s.touchAll(c)
 	n := s.I[c].ResidentBlocks()
 	s.I[c].InvalidateAll()
 	if s.Check != nil {
-		s.Check.OnIFlush(int(c))
+		s.Check.OnIFlush(int(c), now)
 	}
 	return n
 }

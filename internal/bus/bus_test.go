@@ -196,7 +196,7 @@ func TestInvalidateCodeFrameFlushesEverything(t *testing.T) {
 		s.Fetch(1, base+arch.PAddr(i*arch.BlockSize), 0)
 	}
 	s.Fetch(0, other, 0)
-	if n := s.InvalidateCodeFrame(f); n != 17 {
+	if n := s.InvalidateCodeFrame(f, 1); n != 17 {
 		t.Errorf("InvalidateCodeFrame = %d, want 17 (total flush)", n)
 	}
 	if out := s.Fetch(0, base, 1); !out.Missed {
@@ -207,7 +207,7 @@ func TestInvalidateCodeFrameFlushesEverything(t *testing.T) {
 	}
 	// Data caches are unaffected (snooping keeps them coherent).
 	s.Read(0, 0x9000, 2)
-	s.InvalidateCodeFrame(f)
+	s.InvalidateCodeFrame(f, 3)
 	if out := s.Read(0, 0x9000, 3); out.Missed {
 		t.Error("data cache was flushed by I-cache invalidation")
 	}

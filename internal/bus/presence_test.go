@@ -109,7 +109,7 @@ func TestPresenceFilterReferenceModeDisabled(t *testing.T) {
 // caches report zero, and a second flush reports zero again.
 func TestInvalidateCodeFrameCounts(t *testing.T) {
 	s := NewSystem(testMachine(2), nil)
-	if n := s.InvalidateCodeFrame(3); n != 0 {
+	if n := s.InvalidateCodeFrame(3, 0); n != 0 {
 		t.Fatalf("flush of empty caches reported %d blocks, want 0", n)
 	}
 	// CPU 0 caches three blocks of frame 3, CPU 1 caches one of them plus
@@ -121,10 +121,10 @@ func TestInvalidateCodeFrameCounts(t *testing.T) {
 	s.Fetch(1, base, 3)
 	other := arch.PAddr(5) << arch.PageShift
 	s.Fetch(1, other, 4)
-	if n := s.InvalidateCodeFrame(3); n != 5 {
+	if n := s.InvalidateCodeFrame(3, 5); n != 5 {
 		t.Fatalf("flush reported %d blocks, want 5 (3+1 on cpu0/1 of frame 3, plus 1 of frame 5)", n)
 	}
-	if n := s.InvalidateCodeFrame(3); n != 0 {
+	if n := s.InvalidateCodeFrame(3, 6); n != 0 {
 		t.Fatalf("second flush reported %d blocks, want 0", n)
 	}
 	if s.I[1].Lookup(other) {

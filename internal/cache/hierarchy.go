@@ -212,20 +212,29 @@ const (
 	StateL1     LineState = 1 << 3
 )
 
-// LineState reads the state of the block containing a without changing
-// anything, LRU stamps included. Each level's line word is taken once — a
-// direct index when both levels have one way, the way loop otherwise,
-// whichever access path SetGeneric selected — so the bits are one
-// consistent observation of the line.
-func (h *DataHierarchy) LineState(a arch.PAddr) LineState {
+// LineStates reads every hierarchy's state of the block containing a into
+// out (out[q] for hs[q]) without changing anything, LRU stamps included. S
+// is any type with LineState's bit layout. The hierarchies share one
+// geometry: when both levels have one way, the set indices are computed
+// once and each hierarchy costs two line-word loads; otherwise each level
+// takes the way loop. Either way each level's line word is taken once, so
+// the bits are one consistent observation of the line.
+func LineStates[S ~uint8](hs []*DataHierarchy, a arch.PAddr, out []S) {
 	b := a.Block()
-	l1, l2 := h.L1, h.L2
-	var w1, w2 uint32
-	if l1.assoc == 1 && l2.assoc == 1 {
-		w1, w2 = l1.line[l1.SetOf(b)], l2.line[l2.SetOf(b)]
-	} else {
-		w1, w2 = l1.way(b), l2.way(b)
+	if l1, l2 := hs[0].L1, hs[0].L2; l1.assoc == 1 && l2.assoc == 1 {
+		i1, i2 := l1.SetOf(b), l2.SetOf(b)
+		for q, h := range hs {
+			out[q] = S(lineState(h.L1.line[i1], h.L2.line[i2], b))
+		}
+		return
 	}
+	for q, h := range hs {
+		out[q] = S(lineState(h.L1.way(b), h.L2.way(b), b))
+	}
+}
+
+// lineState packs block b's state from its L1 and L2 line words.
+func lineState(w1, w2 uint32, b arch.PAddr) LineState {
 	var st LineState
 	if holds(w2, b) {
 		st = LineState(w2 & lineFlags)

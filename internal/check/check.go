@@ -22,13 +22,13 @@
 //     accepted while the CPU holds a lock that interrupt handlers take
 //     (the spl/interrupt-masking rule).
 //
-// Violations are reported as structured *CheckError values — cycle, CPU,
-// address, routine, last-writer provenance — either collected (the
-// default) or raised immediately (FailFast).
+// Violations are collected as structured *CheckError values — cycle, CPU,
+// address (none for an I-cache flush), routine, last-writer provenance.
 package check
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/arch"
 )
@@ -166,47 +166,42 @@ const blocksPerPage = int(arch.PageSize / arch.BlockSize)
 // shadowPage is the shadow state of one page frame's blocks: version
 // numbers and last-writer provenance in fixed arrays indexed by the block's
 // offset within the page, plus flattened per-CPU copy-version tables
-// (index bi*n+q) allocated lazily per reference class. It replaces the old
-// map[PAddr]*line — the per-event hot path is now two array indexings with
-// no hashing and, after the page's first touch, no allocation.
+// (index bi*n+q) allocated lazily per reference class. The per-event hot
+// path is two array indexings with no hashing and, after the page's first
+// touch, no allocation.
+//
+// Versions and flush epochs are 32-bit and the writer and its routine are
+// 16-bit IDs, so a page costs 4 KB of provenance plus 4 bytes per CPU and
+// block for each copy table: 8 KB for a data frame and 12 KB for a code
+// frame at four CPUs. A counter that would wrap is reported (see store and
+// flushEpoch) and the block or CPU renumbered, so no version ever aliases.
 type shadowPage struct {
-	ver      [blocksPerPage]int64
-	writer   [blocksPerPage]arch.CPUID
+	ver      [blocksPerPage]uint32
+	writer   [blocksPerPage]uint16
+	wroutine [blocksPerPage]uint16 // index into Checker.routines
 	wcycle   [blocksPerPage]arch.Cycles
-	wroutine [blocksPerPage]string
 	// dcopy[bi*n+q] is the version CPU q's data-cache copy of block bi
 	// was filled or written with; icopy/iepoch the same for the
 	// instruction cache, where iepoch must match the CPU's current flush
 	// epoch for the copy to be considered live.
-	dcopy  []int64
-	icopy  []int64
-	iepoch []int64
+	dcopy  []uint32
+	icopy  []uint32
+	iepoch []uint32
 }
 
-func (p *shadowPage) data(n int) []int64 {
+func (p *shadowPage) data(n int) []uint32 {
 	if p.dcopy == nil {
-		p.dcopy = make([]int64, blocksPerPage*n)
+		p.dcopy = make([]uint32, blocksPerPage*n)
 	}
 	return p.dcopy
 }
 
-func (p *shadowPage) instr(n int) ([]int64, []int64) {
+func (p *shadowPage) instr(n int) ([]uint32, []uint32) {
 	if p.icopy == nil {
-		p.icopy = make([]int64, blocksPerPage*n)
-		p.iepoch = make([]int64, blocksPerPage*n)
+		p.icopy = make([]uint32, blocksPerPage*n)
+		p.iepoch = make([]uint32, blocksPerPage*n)
 	}
 	return p.icopy, p.iepoch
-}
-
-// provenance copies block bi's last-writer fields into an error.
-func (p *shadowPage) provenance(bi int, e *CheckError) *CheckError {
-	if p.ver[bi] > 0 {
-		e.Owner = p.writer[bi]
-		e.OwnerCycle = p.wcycle[bi]
-		e.OwnerRoutine = p.wroutine[bi]
-		e.HasOwner = true
-	}
-	return e
 }
 
 // maxErrors bounds the collected error list; Violations keeps counting.
@@ -223,13 +218,14 @@ type Checker struct {
 	pages []*shadowPage
 	// iEpochNow[q] is bumped by every full flush of q's I-cache;
 	// copies filled under an older epoch are dead.
-	iEpochNow []int64
+	iEpochNow []uint32
 
-	// RoutineOf, when set, resolves the kernel routine currently
-	// executing on a CPU (for diagnostics).
-	RoutineOf func(arch.CPUID) string
-	// FailFast panics with the first *CheckError instead of collecting.
-	FailFast bool
+	// RoutineOf, when set, returns the ID of the kernel routine currently
+	// executing on a CPU, 0 for none; a store records it as the block's
+	// last-writer routine. RoutineName resolves a nonzero ID to its name,
+	// only when a diagnostic is built.
+	RoutineOf   func(arch.CPUID) uint16
+	RoutineName func(uint16) string
 
 	// Checks counts invariant evaluations; Violations counts failures
 	// (including ones dropped from the capped error list).
@@ -249,12 +245,15 @@ type Checker struct {
 // fabricated test addresses).
 func New(view BusView, frames int) *Checker {
 	n := view.NCPUs()
+	if n > math.MaxUint16+1 {
+		panic(fmt.Sprintf("check: %d CPUs do not fit the 16-bit writer ID", n))
+	}
 	return &Checker{
 		view:      view,
 		n:         n,
 		lines:     make([]Line, n),
 		pages:     make([]*shadowPage, frames),
-		iEpochNow: make([]int64, n),
+		iEpochNow: make([]uint32, n),
 		held:      make([][]heldLock, n),
 		intrDepth: make([]int, n),
 	}
@@ -264,14 +263,27 @@ func New(view BusView, frames int) *Checker {
 // has the true count).
 func (k *Checker) Errors() []*CheckError { return k.errs }
 
+// Finish ends the run: it drops the shadow pages, the state that grows
+// with the machine's touched footprint. Checks, Violations and Errors stay
+// readable; no event may follow.
+func (k *Checker) Finish() { k.pages = nil }
+
 func (k *Checker) report(e *CheckError) {
 	k.Violations++
-	if k.FailFast {
-		panic(e)
-	}
 	if len(k.errs) < maxErrors {
 		k.errs = append(k.errs, e)
 	}
+}
+
+// provenance copies block bi's last-writer fields into an error.
+func (k *Checker) provenance(pg *shadowPage, bi int, e *CheckError) *CheckError {
+	if pg.ver[bi] > 0 {
+		e.Owner = arch.CPUID(pg.writer[bi])
+		e.OwnerCycle = pg.wcycle[bi]
+		e.OwnerRoutine = k.routineName(pg.wroutine[bi])
+		e.HasOwner = true
+	}
+	return e
 }
 
 // page returns the shadow page of the frame containing a (allocating it on
@@ -292,11 +304,53 @@ func (k *Checker) page(a arch.PAddr) (*shadowPage, int) {
 	return pg, bi
 }
 
-func (k *Checker) routine(cpu arch.CPUID) string {
+// routineID is the ID of the routine executing on cpu (0 when unknown).
+func (k *Checker) routineID(cpu arch.CPUID) uint16 {
 	if k.RoutineOf == nil {
-		return ""
+		return 0
 	}
 	return k.RoutineOf(cpu)
+}
+
+// routineName resolves a routine ID for a diagnostic.
+func (k *Checker) routineName(id uint16) string {
+	if id == 0 || k.RoutineName == nil {
+		return ""
+	}
+	return k.RoutineName(id)
+}
+
+// routine names the routine executing on cpu.
+func (k *Checker) routine(cpu arch.CPUID) string { return k.routineName(k.routineID(cpu)) }
+
+// store records cpu's store to block bi and returns the block's new
+// version. A version that would wrap is reported and the block renumbered
+// first — copies holding the current version to 1, every other copy to 0 —
+// so no stale copy can match a later version.
+func (k *Checker) store(pg *shadowPage, bi int, cpu arch.CPUID, a arch.PAddr, now arch.Cycles) uint32 {
+	if pg.ver[bi] == math.MaxUint32 {
+		k.report(k.provenance(pg, bi, &CheckError{
+			Kind: Shadow, Cycle: now, CPU: cpu, Addr: a,
+			Routine: k.routine(cpu),
+			Detail:  "store would wrap the block's 32-bit version (block renumbered)",
+		}))
+		for _, copies := range [][]uint32{pg.dcopy, pg.icopy} {
+			if copies == nil {
+				continue
+			}
+			for i := bi * k.n; i < (bi+1)*k.n; i++ {
+				if copies[i] == pg.ver[bi] {
+					copies[i] = 1
+				} else {
+					copies[i] = 0
+				}
+			}
+		}
+		pg.ver[bi] = 1
+	}
+	pg.ver[bi]++
+	pg.writer[bi], pg.wcycle[bi], pg.wroutine[bi] = uint16(cpu), now, k.routineID(cpu)
+	return pg.ver[bi]
 }
 
 // OnData observes one data reference after the bus has updated all cache
@@ -313,21 +367,20 @@ func (k *Checker) OnData(cpu arch.CPUID, a arch.PAddr, write bool, lvl Level, no
 		// A write that hits must be modifying the latest version (a
 		// read-modify-write of stale data is as wrong as a stale load).
 		if lvl != LevelFill && d[base+int(cpu)] != pg.ver[bi] {
-			k.report(pg.provenance(bi, &CheckError{
+			k.report(k.provenance(pg, bi, &CheckError{
 				Kind: Shadow, Cycle: now, CPU: cpu, Addr: a,
 				Routine: k.routine(cpu),
 				Detail: fmt.Sprintf("store hit a stale copy (copy version %d, memory version %d)",
 					d[base+int(cpu)], pg.ver[bi]),
 			}))
 		}
-		pg.ver[bi]++
-		pg.writer[bi], pg.wcycle[bi], pg.wroutine[bi] = cpu, now, k.routine(cpu)
+		v := k.store(pg, bi, cpu, a, now)
 		// Coherence means the store is propagated: every copy still
 		// resident after the transaction (the writer's under
 		// invalidation; everyone's under update) holds the new version.
 		for q, l := range k.lines {
 			if l&LineL2 != 0 {
-				d[base+q] = pg.ver[bi]
+				d[base+q] = v
 			}
 		}
 	} else if lvl == LevelFill {
@@ -336,7 +389,7 @@ func (k *Checker) OnData(cpu arch.CPUID, a arch.PAddr, write bool, lvl Level, no
 		// write-backs) does.
 		d[base+int(cpu)] = pg.ver[bi]
 	} else if d[base+int(cpu)] != pg.ver[bi] {
-		k.report(pg.provenance(bi, &CheckError{
+		k.report(k.provenance(pg, bi, &CheckError{
 			Kind: Shadow, Cycle: now, CPU: cpu, Addr: a,
 			Routine: k.routine(cpu),
 			Detail: fmt.Sprintf("load observed a stale copy (copy version %d, memory version %d)",
@@ -353,8 +406,7 @@ func (k *Checker) OnBypass(cpu arch.CPUID, a arch.PAddr, write bool, now arch.Cy
 	k.Checks++
 	if write {
 		pg, bi := k.page(a)
-		pg.ver[bi]++
-		pg.writer[bi], pg.wcycle[bi], pg.wroutine[bi] = cpu, now, k.routine(cpu)
+		k.store(pg, bi, cpu, a, now)
 	}
 	k.view.Lines(a, k.lines)
 	k.scan(cpu, a, now)
@@ -384,13 +436,13 @@ func (k *Checker) OnFetch(cpu arch.CPUID, a arch.PAddr, hit bool, now arch.Cycle
 		return
 	}
 	if ep[i] != k.iEpochNow[cpu] {
-		k.report(pg.provenance(bi, &CheckError{
+		k.report(k.provenance(pg, bi, &CheckError{
 			Kind: Shadow, Cycle: now, CPU: cpu, Addr: a,
 			Routine: k.routine(cpu),
 			Detail:  "instruction fetch hit a copy that should have been flushed",
 		}))
 	} else if ic[i] != pg.ver[bi] {
-		k.report(pg.provenance(bi, &CheckError{
+		k.report(k.provenance(pg, bi, &CheckError{
 			Kind: Shadow, Cycle: now, CPU: cpu, Addr: a,
 			Routine: k.routine(cpu),
 			Detail: fmt.Sprintf("instruction fetch observed stale code (copy version %d, memory version %d)",
@@ -401,15 +453,40 @@ func (k *Checker) OnFetch(cpu arch.CPUID, a arch.PAddr, hit bool, now arch.Cycle
 }
 
 // OnIFlush records a full instruction-cache flush of one CPU (cpu >= 0)
-// or of every CPU (cpu < 0, the machine's code-frame-reallocation flush).
-func (k *Checker) OnIFlush(cpu int) {
+// or of every CPU (cpu < 0, the machine's code-frame-reallocation flush)
+// at cycle now.
+func (k *Checker) OnIFlush(cpu int, now arch.Cycles) {
 	if cpu < 0 {
 		for q := range k.iEpochNow {
-			k.iEpochNow[q]++
+			k.flushEpoch(q, now)
 		}
 		return
 	}
-	k.iEpochNow[cpu]++
+	k.flushEpoch(cpu, now)
+}
+
+// flushEpoch starts CPU q's next I-cache epoch. An epoch that would wrap
+// is reported and q renumbered: the flush kills every copy q holds, so all
+// of them go to epoch 0 and q to epoch 1. The error has no address: the
+// flush empties the whole cache.
+func (k *Checker) flushEpoch(q int, now arch.Cycles) {
+	if k.iEpochNow[q] < math.MaxUint32 {
+		k.iEpochNow[q]++
+		return
+	}
+	k.report(&CheckError{
+		Kind: Shadow, Cycle: now, CPU: arch.CPUID(q), Routine: k.routine(arch.CPUID(q)),
+		Detail: "I-cache flush would wrap the CPU's 32-bit flush epoch (copies renumbered)",
+	})
+	for _, pg := range k.pages {
+		if pg == nil {
+			continue
+		}
+		for i := q; i < len(pg.iepoch); i += k.n {
+			pg.iepoch[i] = 0
+		}
+	}
+	k.iEpochNow[q] = 1
 }
 
 // scan verifies the per-line coherence invariant of block a on the
@@ -457,7 +534,7 @@ func (k *Checker) scan(cpu arch.CPUID, a arch.PAddr, now arch.Cycles) {
 
 func (k *Checker) memErr(kind Kind, cpu arch.CPUID, a arch.PAddr, now arch.Cycles, detail string) *CheckError {
 	pg, bi := k.page(a)
-	return pg.provenance(bi, &CheckError{
+	return k.provenance(pg, bi, &CheckError{
 		Kind: kind, Cycle: now, CPU: cpu, Addr: a,
 		Routine: k.routine(cpu), Detail: detail,
 	})

@@ -1,7 +1,10 @@
 package check_test
 
 import (
+	"fmt"
+	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/arch"
@@ -49,10 +52,10 @@ func TestCoherenceSequences(t *testing.T) {
 			name: "legal write-invalidate round trip",
 			run: func(s *bus.System) {
 				s.Write(0, blk, 10)
-				s.Read(1, blk, 20) // dirty supply, both Shared
+				s.Read(1, blk, 20)  // dirty supply, both Shared
 				s.Write(1, blk, 30) // upgrade, invalidates CPU 0
-				s.Read(0, blk, 40) // sharing miss, refill
-				s.Read(0, blk, 50) // hit, current version
+				s.Read(0, blk, 40)  // sharing miss, refill
+				s.Read(0, blk, 50)  // hit, current version
 			},
 		},
 		{
@@ -85,7 +88,7 @@ func TestCoherenceSequences(t *testing.T) {
 			name: "legal code-frame flush and refetch",
 			run: func(s *bus.System) {
 				s.Fetch(0, blk, 10)
-				s.InvalidateCodeFrame(uint32(blk.Frame()))
+				s.InvalidateCodeFrame(uint32(blk.Frame()), 15)
 				s.Fetch(0, blk, 20) // miss: the flush emptied the cache
 			},
 		},
@@ -188,8 +191,9 @@ func TestCoherenceSequences(t *testing.T) {
 // last-writer provenance: who stored last, when.
 func TestShadowNamesLastWriter(t *testing.T) {
 	s, k := sys()
-	k.RoutineOf = func(c arch.CPUID) string {
-		return []string{"reader", "writer", "", ""}[c]
+	k.RoutineOf = func(c arch.CPUID) uint16 { return uint16(c) + 1 }
+	k.RoutineName = func(id uint16) string {
+		return []string{"", "reader", "writer", "", ""}[id]
 	}
 	s.Read(0, blk, 10)
 	s.Write(1, blk, 77)       // CPU 1 is the last writer, at cycle 77
@@ -299,26 +303,6 @@ func TestLockInvariants(t *testing.T) {
 	})
 }
 
-// TestFailFastPanics verifies FailFast converts the first violation into
-// a panic carrying the *CheckError.
-func TestFailFastPanics(t *testing.T) {
-	s, k := sys()
-	k.FailFast = true
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("FailFast did not panic")
-		}
-		if _, ok := r.(*check.CheckError); !ok {
-			t.Fatalf("panic value %T, want *check.CheckError", r)
-		}
-	}()
-	s.Read(1, blk, 10)
-	s.Write(0, blk, 20)
-	s.D[1].Access(blk, false)
-	s.Read(1, blk, 30)
-}
-
 // TestViolationCap keeps the error list bounded while counting everything.
 func TestViolationCap(t *testing.T) {
 	_, k := sys()
@@ -330,5 +314,107 @@ func TestViolationCap(t *testing.T) {
 	}
 	if len(k.Errors()) > 100 {
 		t.Fatalf("error list unbounded: %d", len(k.Errors()))
+	}
+}
+
+// TestShadowCounterWrap drives a block version and a CPU's flush epoch to
+// the 32-bit wrap point. The store or flush that would wrap is reported,
+// and the renumbering behind it keeps a stale copy stale: without it the
+// wrapped counter would come back to 0, the value an untouched copy holds,
+// and the corrupted hit below would pass unseen.
+func TestShadowCounterWrap(t *testing.T) {
+	t.Run("version", func(t *testing.T) {
+		s, k := sys()
+		k.SetVersion(blk, math.MaxUint32)
+		s.Write(0, blk, 10)       // the store that would wrap
+		s.D[1].Access(blk, false) // corrupt: CPU 1 fills without the bus
+		s.Read(1, blk, 20)        // hit on a copy never filled with data
+		wantWrapThenStale(t, k, 10, "version", "load observed a stale copy")
+	})
+	t.Run("epoch", func(t *testing.T) {
+		s, k := sys()
+		k.SetEpoch(1, math.MaxUint32)
+		s.InvalidateCodeFrame(uint32(blk.Frame()), 10) // the flush that would wrap CPU 1
+		s.I[1].Access(blk, false)                      // corrupt: CPU 1 fetches without the bus
+		s.Fetch(1, blk, 20)                            // hit on a copy no fill recorded
+		wantWrapThenStale(t, k, 10, "epoch", "should have been flushed")
+	})
+}
+
+// wantWrapThenStale asserts the first violation reports a wrapping counter
+// (at the given cycle) and that a later one still catches the stale hit.
+func wantWrapThenStale(t *testing.T, k *check.Checker, cycle arch.Cycles, counter, stale string) {
+	t.Helper()
+	errs := k.Errors()
+	if len(errs) == 0 {
+		t.Fatal("wrap not reported")
+	}
+	if e := errs[0]; e.Kind != check.Shadow || e.Cycle != cycle || !strings.Contains(e.Detail, "wrap") ||
+		!strings.Contains(e.Detail, counter) {
+		t.Errorf("first violation is not the %s wrap at cycle %d: %v", counter, cycle, e)
+	}
+	for _, e := range errs[1:] {
+		if strings.Contains(e.Detail, stale) {
+			return
+		}
+	}
+	t.Errorf("stale hit after the %s wrap not detected; violations: %v", counter, errs)
+}
+
+// TestCheckersResolveOwnRoutines runs two checkers at once, each with its
+// own routine names, under the race detector in CI: the routine-ID table
+// is per checker, so neither may see the other's names.
+func TestCheckersResolveOwnRoutines(t *testing.T) {
+	var wg sync.WaitGroup
+	for _, prefix := range []string{"left", "right"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s, k := sys()
+			var step int
+			// ID 1+7c+j is CPU c's routine j of 7.
+			k.RoutineOf = func(c arch.CPUID) uint16 { return uint16(1 + 7*int(c) + step%7) }
+			k.RoutineName = func(id uint16) string {
+				return fmt.Sprintf("%s_%d_%d", prefix, (id-1)/7, (id-1)%7)
+			}
+			for step = 1; step < 2000; step++ {
+				s.Write(arch.CPUID(step%4), blk+arch.PAddr(step%64)*arch.BlockSize, arch.Cycles(step))
+			}
+			s.Read(0, blk, 3000)
+			s.Write(1, blk, 3001)     // CPU 1 stores last ...
+			s.D[0].Access(blk, false) // ... and CPU 0 refills behind the bus
+			s.Read(0, blk, 3002)
+			if k.Violations == 0 {
+				t.Errorf("%s: stale read not detected", prefix)
+				return
+			}
+			e := k.Errors()[0]
+			if want := fmt.Sprintf("%s_1_%d", prefix, 3001%7); e.OwnerRoutine != want {
+				t.Errorf("%s: last writer's routine = %q, want %q", prefix, e.OwnerRoutine, want)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestFinishDropsShadowState checks what a finished checker keeps: its
+// counts and errors, not its shadow pages.
+func TestFinishDropsShadowState(t *testing.T) {
+	s, k := sys()
+	s.Read(0, blk, 10)
+	s.Write(1, blk, 20)
+	s.D[0].Access(blk, false) // corrupt: CPU 0 refills without the bus
+	s.Read(0, blk, 30)
+	if k.ShadowPages() == 0 {
+		t.Fatal("no shadow page before Finish")
+	}
+	checks, violations, errs := k.Checks, k.Violations, len(k.Errors())
+	k.Finish()
+	if n := k.ShadowPages(); n != 0 {
+		t.Errorf("checker holds %d shadow pages after Finish", n)
+	}
+	if k.Checks != checks || k.Violations != violations || len(k.Errors()) != errs || violations == 0 {
+		t.Errorf("Finish changed the results: checks %d→%d, violations %d→%d, errors %d→%d",
+			checks, k.Checks, violations, k.Violations, errs, len(k.Errors()))
 	}
 }

@@ -299,7 +299,7 @@ func RunMonitored(ctx context.Context, cfg Config, onStart func(progress func() 
 	})
 	var cl *trace.Classifier
 	if !cfg.NoTrace {
-		cl = trace.NewClassifier(s.K.T, s.K.L, cfg.NCPU)
+		cl = newClassifier(s.K.T, s.K.L, cfg.NCPU)
 		cl.CollectIResim = cfg.CollectIResim
 		cl.CollectDResim = cfg.CollectDResim
 		if streaming {
@@ -362,8 +362,20 @@ func RunMonitored(ctx context.Context, cfg Config, onStart func(progress func() 
 	if acc != nil {
 		ch.Sampled = acc.Estimate()
 	}
+	// The run is over: cut every edge from the kept simulator to state
+	// no report reads, so the classifier and the checker's shadow pages
+	// are collected while the Characterization lives on.
+	s.Stream, s.OnMeasure = nil, nil
+	s.Bus.SetRecorder(nil)
+	if s.Chk != nil {
+		s.Chk.Finish()
+	}
 	return ch, nil
 }
+
+// newClassifier builds a run's classifier; the package's tests wrap it to
+// watch the classifier's lifetime.
+var newClassifier = trace.NewClassifier
 
 // NonIdle returns the non-idle execution cycles of the traced window
 // (summed over CPUs).

@@ -243,12 +243,21 @@ func (c *CPU) UncachedRead(a arch.PAddr) {
 }
 
 // RoutineName returns the kernel routine currently executing on this CPU
-// (empty outside the kernel), for checker diagnostics.
+// (empty outside the kernel), for lock-owner diagnostics.
 func (c *CPU) RoutineName() string {
 	if c.curRoutine == nil {
 		return ""
 	}
 	return c.curRoutine.Name
+}
+
+// RoutineID returns the kernel routine currently executing on this CPU as
+// its ID plus one (0 outside the kernel), the checker's routine ID.
+func (c *CPU) RoutineID() uint16 {
+	if c.curRoutine == nil {
+		return 0
+	}
+	return uint16(c.curRoutine.ID + 1)
 }
 
 // Acquire spins on a kernel lock via the synchronization bus. Wait time is
@@ -327,7 +336,7 @@ func (c *CPU) TLBInvalidateFrame(frame uint32) {
 // ICacheInvalFrame flushes every instruction cache (code-page
 // reallocation) and records the event for the Inval classification.
 func (c *CPU) ICacheInvalFrame(frame uint32) {
-	c.sim.Bus.InvalidateCodeFrame(frame)
+	c.sim.Bus.InvalidateCodeFrame(frame, c.now)
 	c.sim.ICacheFlushes++
 	c.Escape(monitor.EvICacheInval, frame)
 }

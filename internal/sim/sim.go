@@ -185,7 +185,11 @@ func New(cfg Config) *Simulator {
 	}
 	if cfg.Check {
 		s.Chk = check.New(s.Bus, cfg.Machine.MemFrames())
-		s.Chk.RoutineOf = func(q arch.CPUID) string { return s.CPUs[q].RoutineName() }
+		if len(s.K.T.Routines) >= math.MaxUint16 {
+			panic("sim: kernel routine IDs overflow the checker's 16-bit routine ID")
+		}
+		s.Chk.RoutineOf = func(q arch.CPUID) uint16 { return s.CPUs[q].RoutineID() }
+		s.Chk.RoutineName = func(id uint16) string { return s.K.T.ByID(int(id) - 1).Name }
 		s.Bus.Check = s.Chk
 	}
 	if cfg.Inject != nil && cfg.Inject.Enabled() {
@@ -450,7 +454,7 @@ func (s *Simulator) step(c *CPU) {
 		}
 		if in.DueIFlush(int(c.id), c.now) {
 			in.Stats.IFlushes++
-			s.Bus.InjectIFlush(c.id)
+			s.Bus.InjectIFlush(c.id, c.now)
 		}
 		if in.DueIntr(int(c.id), c.now) {
 			in.Stats.ExtraInterrupts++

@@ -36,6 +36,14 @@ go run ./cmd/lockstat -check -window 1M 2>&1 >/dev/null | tail -n 1 |
     grep -q '^invariant checker: [1-9][0-9]* checks, 0 violations$' || {
     echo "FAIL: lockstat -check did not end with the invariant checker line" >&2; exit 1; }
 
+echo "== concurrent checkers under the race detector (charos -check -parallel 3)"
+# Three workloads run at once, each with its own checker resolving routine
+# IDs through its own kernel text; the race detector fails the run if any
+# state is shared.
+go run -race ./cmd/charos -exp report -check -window 1M -parallel 3 2>&1 >/dev/null | tail -n 1 |
+    grep -q '^invariant checker: [1-9][0-9]* checks, 0 violations$' || {
+    echo "FAIL: charos -check -parallel 3 under -race did not end with 0 violations" >&2; exit 1; }
+
 echo "== fuzz the input surfaces and the one-pass Figure 6 sweep (5s each)"
 go test -run '^$' -fuzz '^FuzzParseCycles$' -fuzztime 5s ./internal/machineflag
 go test -run '^$' -fuzz '^FuzzSampleParse$' -fuzztime 5s ./internal/sample
