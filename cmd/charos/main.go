@@ -8,6 +8,7 @@
 //
 //	charos [-exp all|table1|figure1|...|table12] [-window N] [-seed N]
 //	charos -exp figure6            # includes the cache sweeps
+//	charos -exp locks              # Tables 10-12 plus every lock family
 //	charos -exp table1 -window 24000000
 //	charos -exp table1 -check      # run under the invariant checker
 //	charos -exp table1 -check -inject all   # checked fault-injection run
@@ -25,6 +26,7 @@ import (
 	"repro/internal/inject"
 	"repro/internal/report"
 	"repro/internal/runflag"
+	"repro/internal/sample"
 	"repro/internal/workload"
 )
 
@@ -36,6 +38,7 @@ type flags struct {
 	affinity  *bool
 	inject    *string
 	faultSeed *int64
+	sample    *string
 
 	// Set by resolve: the experiment, its renderer when it is one section
 	// of the three workload runs, and their configuration.
@@ -45,16 +48,15 @@ type flags struct {
 }
 
 func newFlags(fs *flag.FlagSet) *flags {
-	f := &flags{
+	return &flags{
 		run:       runflag.Register(fs),
-		exp:       fs.String("exp", "all", "experiment to reproduce: all, report, table1, figure1, figure2, figure3, figure4, figure5, figure6, figure7, table3, figure8, table4, table5, table6, table7, figure9, table9, figure10, table10, table11, table12, section6"),
+		exp:       fs.String("exp", "all", "experiment to reproduce: all, report, table1, figure1, figure2, figure3, figure4, figure5, figure6, figure7, table3, figure8, table4, table5, table6, table7, figure9, table9, figure10, table10, table11, table12, locks, section6"),
 		ncpu:      fs.Int("ncpu", 0, "number of CPUs (0 = the -machine preset's count)"),
 		affinity:  fs.Bool("affinity", false, "enable cache-affinity scheduling"),
 		inject:    fs.String("inject", "", "fault-injection modes: evict, jitter, intr, migrate, all, or a comma list"),
 		faultSeed: fs.Int64("fault-seed", 0, "fault-injector seed (0 derives one from -seed)"),
+		sample:    fs.String("sample", "", "sampled simulation schedule \"warmup:len:period\" in cycles (e.g. 100K:200K:10M); requires -exp report"),
 	}
-	f.run.Sample(fs, "sampled simulation schedule \"warmup:len:period\" in cycles (e.g. 100K:200K:10M); requires -exp report")
-	return f
 }
 
 // resolve reads the parsed flags into the validated configuration and the
@@ -62,9 +64,15 @@ func newFlags(fs *flag.FlagSet) *flags {
 func (f *flags) resolve() (err error) {
 	f.name = strings.ToLower(*f.exp)
 	switch f.name {
-	case "all", "report", "section6":
+	case "all", "report":
+	case "section6":
+		if *f.ncpu != 0 || *f.affinity {
+			return errors.New("-exp section6 runs its own 8-CPU study without affinity; -ncpu and -affinity do not apply")
+		}
 	case "figure6":
 		f.section = report.TimedFigure6
+	case "locks":
+		f.section = report.Locks
 	default:
 		for _, sec := range report.Sections {
 			if sec.Name == f.name {
@@ -75,7 +83,10 @@ func (f *flags) resolve() (err error) {
 			return fmt.Errorf("unknown experiment %q", *f.exp)
 		}
 	}
-	f.cfg, err = f.run.Config(func(c *core.Config) error {
+	f.cfg, err = f.run.Config(func(c *core.Config) (err error) {
+		if c.Sample, err = sample.Parse(*f.sample); err != nil {
+			return err
+		}
 		icfg, err := inject.Preset(*f.inject)
 		if err != nil {
 			return err

@@ -54,3 +54,38 @@ func TestOracleFlagsAreGone(t *testing.T) {
 		}
 	}
 }
+
+// TestResolveUsageErrors: flags the chosen experiment would ignore or
+// cannot honour are usage errors, found before anything simulates.
+func TestResolveUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-exp", "section6", "-ncpu", "16"}, "-ncpu and -affinity do not apply"},
+		{[]string{"-exp", "section6", "-affinity"}, "-ncpu and -affinity do not apply"},
+		{[]string{"-exp", "report", "-sample", "1:2"}, "sample"},
+		{[]string{"-exp", "report", "-window", "250000", "-sample", "100K:200K:10M"}, "fits no measured interval"},
+		{[]string{"-exp", "locks", "-sample", "100K:200K:1M"}, "-sample requires -exp report"},
+	} {
+		f, err := parse(tc.args)
+		if err == nil {
+			err = f.resolve()
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err %v, want %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestResolveSample: -sample, charos's own flag, reaches the report's
+// configuration.
+func TestResolveSample(t *testing.T) {
+	f, err := parse([]string{"-exp", "report", "-sample", "100K:200K:1M"})
+	if err == nil {
+		err = f.resolve()
+	}
+	if err != nil || f.cfg.Sample.String() != "100K:200K:1M" {
+		t.Errorf("-exp report -sample: err %v, schedule %q", err, f.cfg.Sample)
+	}
+}

@@ -1,14 +1,12 @@
-// Command sweep runs the parameter-sweep experiments: the Figure 6
-// I-cache size/associativity re-simulation, the Figure 11 lock
-// contention sweep over CPU counts, and the full-system geometry sweep
-// that re-runs the simulator at each data-cache configuration and
+// Command sweep re-runs the system across machine parameters: the Figure
+// 11 lock contention sweep over CPU counts, and the full-system geometry
+// sweep that re-runs the simulator at each data-cache configuration and
 // cross-validates the §4.2.2 replay oracle. Independent runs fan out
 // across a worker pool; -parallel 1 restores serial execution (output
 // is byte-identical either way).
 //
 // Usage:
 //
-//	sweep -exp figure6 [-window N] [-parallel N]
 //	sweep -exp figure11 [-cpus 2,4,6,8,12,16] [-parallel N]
 //	sweep -exp geometry [-machine 4d340|4d380] [-window N] [-parallel N]
 package main
@@ -17,7 +15,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -28,8 +26,6 @@ import (
 	"repro/internal/report"
 	"repro/internal/runflag"
 	"repro/internal/runner"
-	"repro/internal/sample"
-	"repro/internal/trace"
 )
 
 // flags are sweep's own flags beside the shared run flags.
@@ -45,20 +41,18 @@ type flags struct {
 }
 
 func newFlags(fs *flag.FlagSet) *flags {
-	f := &flags{
+	return &flags{
 		run:  runflag.Register(fs),
-		exp:  fs.String("exp", "figure6", "figure6, figure11 or geometry"),
+		exp:  fs.String("exp", "figure11", "figure11 or geometry"),
 		cpus: fs.String("cpus", "2,4,6,8,12,16", "CPU counts for figure11"),
 	}
-	f.run.Sample(fs, "sampled simulation schedule \"warmup:len:period\" for the geometry sweep's full-system re-runs (e.g. 100K:200K:10M)")
-	return f
 }
 
 // resolve reads the parsed flags into the validated base configuration
 // and the CPU counts; it simulates nothing.
 func (f *flags) resolve() (err error) {
 	switch *f.exp {
-	case "figure6", "geometry":
+	case "geometry":
 	case "figure11":
 		for _, part := range strings.Split(*f.cpus, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
@@ -70,14 +64,7 @@ func (f *flags) resolve() (err error) {
 	default:
 		return fmt.Errorf("unknown experiment %q", *f.exp)
 	}
-	f.cfg, err = f.run.Config(func(c *core.Config) error {
-		if c.Sample.Enabled() && *f.exp != "geometry" {
-			// figure6 re-simulates the materialized I-stream and figure11
-			// compares exact lock counts — both need the full trace.
-			return fmt.Errorf("-sample only applies to -exp geometry (%s needs the exact trace)", *f.exp)
-		}
-		return nil
-	})
+	f.cfg, err = f.run.Config(nil)
 	return err
 }
 
@@ -90,16 +77,6 @@ func main() {
 func (f *flags) main(r runflag.Run) int {
 	cfg := f.cfg
 	switch *f.exp {
-	case "figure6":
-		cfg.CollectIResim = true
-		set, err := report.RunSetContext(r.Ctx, cfg, r.Opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Print(report.TimedFigure6(set))
-		fmt.Fprint(os.Stderr, set.Stats.Table())
-		return runflag.Finish(runflag.Workloads(set)...)
 	case "figure11":
 		pts, batch, runs, err := report.RunFigure11Context(r.Ctx, cfg, f.counts, r.Opts)
 		if err != nil {
@@ -114,53 +91,34 @@ func (f *flags) main(r runflag.Run) int {
 		}
 		return runflag.Finish(named...)
 	default:
-		return geometry(r, cfg)
-	}
-}
-
-// osDMisses sums the classified OS data misses of one full-system run: the
-// interval estimate when the run was sampled, the exact count otherwise.
-func osDMisses(ch *core.Characterization) int64 {
-	if ch.Sampled != nil {
-		var t float64
-		for cl := 0; cl < sample.NumClasses; cl++ {
-			c, _ := ch.Sampled.ClassTotal(1, 0, cl)
-			t += c
+		runs, err := geometry(r, cfg, os.Stdout)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
 		}
-		return int64(math.Round(t))
+		return runflag.Finish(runs...)
 	}
-	var n int64
-	for cl := trace.MissClass(0); cl < trace.NumClasses; cl++ {
-		n += ch.Trace.Counts[1][0][cl]
-	}
-	return n
 }
 
 // geometry runs the data-cache sweep twice — once by replaying the
 // baseline machine's miss stream against each cache configuration (the
 // paper's §4.2.2 trace-driven method) and once by re-running the whole
 // system with the coherence-level cache actually resized — then prints
-// the two relative-miss curves side by side. The replay mirrors are
+// the two relative-miss curves side by side on w. The replay mirrors are
 // direct-mapped models, so set-associative points run replay-only. A
 // final run exercises the 4d380 preset (8 CPUs, 64 MB) end to end. The
-// invariant checker rides every full-system run, -check or not; any
-// violation fails the sweep.
-func geometry(r runflag.Run, cfg core.Config) int {
+// invariant checker rides every full-system run, -check or not; the runs
+// come back for Finish, so any violation fails the sweep.
+func geometry(r runflag.Run, cfg core.Config, w io.Writer) ([]runflag.Named, error) {
 	m := cfg.Machine
 	fmt.Fprintf(os.Stderr, "geometry sweep on %s, window %d, seed %d\n", m, cfg.Window, cfg.Seed)
-	if cfg.Sample.Enabled() {
-		// The replay oracle is compared with exact counts, so only the
-		// direct re-runs and the preset run print the interval estimate.
-		fmt.Fprintf(os.Stderr, "sampling %s on the direct re-runs (baseline stays full for the replay oracle)\n", cfg.Sample)
-	}
 	cfg.Check = true
 
 	baseCfg := cfg
-	baseCfg.Sample, baseCfg.CollectDResim = sample.Schedule{}, true
+	baseCfg.CollectDResim = true
 	base, err := core.RunContext(r.Ctx, baseCfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return nil, err
 	}
 	runs := []runflag.Named{{Name: "baseline " + m.String(), Ch: base}}
 
@@ -189,16 +147,14 @@ func geometry(r runflag.Run, cfg core.Config) int {
 		if err != nil {
 			return directPoint{err: err}
 		}
-		return directPoint{ch: ch, misses: osDMisses(ch)}
+		return directPoint{ch: ch, misses: ch.Trace.ClassSum(1, 0)}
 	})
 	if mapErr != nil {
-		fmt.Fprintln(os.Stderr, mapErr)
-		return 1
+		return nil, mapErr
 	}
 	for _, p := range direct {
 		if p.err != nil {
-			fmt.Fprintln(os.Stderr, p.err)
-			return 1
+			return nil, p.err
 		}
 	}
 	var directBase int64
@@ -208,26 +164,26 @@ func geometry(r runflag.Run, cfg core.Config) int {
 		}
 	}
 
-	fmt.Printf("Data-cache geometry sweep: replay oracle vs direct full-system re-run\n")
-	fmt.Printf("(OS data misses relative to the %s point of each method)\n\n",
+	fmt.Fprintf(w, "Data-cache geometry sweep: replay oracle vs direct full-system re-run\n")
+	fmt.Fprintf(w, "(OS data misses relative to the %s point of each method)\n\n",
 		sizeLabel(m.DCacheL2Size))
-	fmt.Printf("  %-12s %14s %9s %14s %9s\n",
+	fmt.Fprintf(w, "  %-12s %14s %9s %14s %9s\n",
 		"cache", "replay misses", "rel", "direct misses", "rel")
 	di := 0
 	for i, c := range cfgs {
 		label := fmt.Sprintf("%s/%d-way", sizeLabel(c.Size), c.Assoc)
-		fmt.Printf("  %-12s %14d %9.2f", label, replay[i].OSMisses, replay[i].Relative)
+		fmt.Fprintf(w, "  %-12s %14d %9.2f", label, replay[i].OSMisses, replay[i].Relative)
 		if c.Assoc == 1 {
 			p := direct[di]
 			rel := 0.0
 			if directBase > 0 {
 				rel = float64(p.misses) / float64(directBase)
 			}
-			fmt.Printf(" %14d %9.2f\n", p.misses, rel)
+			fmt.Fprintf(w, " %14d %9.2f\n", p.misses, rel)
 			runs = append(runs, runflag.Named{Name: "direct " + label, Ch: p.ch})
 			di++
 		} else {
-			fmt.Printf(" %14s %9s\n", "-", "-")
+			fmt.Fprintf(w, " %14s %9s\n", "-", "-")
 		}
 	}
 
@@ -237,17 +193,16 @@ func geometry(r runflag.Run, cfg core.Config) int {
 	bigCfg.Machine = big
 	bch, err := core.RunContext(r.Ctx, bigCfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return nil, err
 	}
 	runs = append(runs, runflag.Named{Name: "preset " + big.String(), Ch: bch})
 	user, sys, idle := bch.TimeSplit()
 	all, osOnly, _ := bch.StallPct()
-	fmt.Printf("\n4d380 preset (%s):\n", big)
-	fmt.Printf("  time split user/sys/idle: %.1f%% / %.1f%% / %.1f%%\n", user, sys, idle)
-	fmt.Printf("  memory-stall share: %.1f%% of non-idle cycles (OS %.1f%%)\n", all, osOnly)
-	fmt.Printf("  OS data misses: %d\n", osDMisses(bch))
-	return runflag.Finish(runs...)
+	fmt.Fprintf(w, "\n4d380 preset (%s):\n", big)
+	fmt.Fprintf(w, "  time split user/sys/idle: %.1f%% / %.1f%% / %.1f%%\n", user, sys, idle)
+	fmt.Fprintf(w, "  memory-stall share: %.1f%% of non-idle cycles (OS %.1f%%)\n", all, osOnly)
+	fmt.Fprintf(w, "  OS data misses: %d\n", bch.Trace.ClassSum(1, 0))
+	return runs, nil
 }
 
 func sizeLabel(n int) string {

@@ -1,6 +1,6 @@
 // Package machineflag is the CLI surface of the runtime machine model: a
 // -machine preset flag plus individual geometry override flags, registered
-// for charos, sweep and lockstat by internal/runflag.
+// for charos and sweep by internal/runflag.
 package machineflag
 
 import (

@@ -753,6 +753,32 @@ func Table12(s *Set) string {
 	return t.String()
 }
 
+// Locks renders the synchronization study of Section 5: Tables 10, 11 and
+// 12, then every acquired kernel lock family of each workload, most
+// acquired first. It is charos -exp locks, not one of All's Sections.
+func Locks(s *Set) string {
+	var b strings.Builder
+	b.WriteString(Table10(s))
+	b.WriteString(Table11())
+	b.WriteString(Table12(s))
+	s.each(func(name string, ch *core.Characterization) {
+		t := metrics.NewTable(fmt.Sprintf("All kernel lock families (%s), most acquired first", name),
+			"Lock", "Acquires", "kCyc between", "Failed%", "SameCPU%", "Cached/Uncached%")
+		for _, st := range ch.Sim.K.Locks.AllStats() {
+			if st.Acquires == 0 {
+				continue
+			}
+			t.AddRow(st.Name, st.Acquires,
+				fmt.Sprintf("%.1f", st.CyclesBetweenAcq/1000),
+				fmt.Sprintf("%.1f", st.PctFailed),
+				fmt.Sprintf("%.1f", st.PctSameCPU),
+				fmt.Sprintf("%.0f", st.PctCachedVsUncached))
+		}
+		b.WriteString(t.String())
+	})
+	return b.String()
+}
+
 // Figure11Point is one lock's contention at one CPU count.
 type Figure11Point struct {
 	NCPU          int

@@ -33,11 +33,17 @@ func testSet() *Set {
 func TestAllRenders(t *testing.T) {
 	s := testSet()
 	out := All(s)
+	if strings.Contains(out, "All kernel lock families") {
+		t.Error("All renders the lock-family tables; they are -exp locks only")
+	}
 	out += Figure6(s)
+	out += Locks(s)
 	for _, want := range []string{"Table 1", "Figure 1", "Figure 2", "Figure 3a",
 		"Figure 4a", "Figure 5", "Figure 6 (Pmake)", "Figure 7a", "Table 3", "Figure 8",
 		"Table 4", "Table 5", "Table 6", "Table 7", "Figure 9", "Table 9",
-		"Figure 10", "Table 10", "Table 11", "Table 12"} {
+		"Figure 10", "Table 10", "Table 11", "Table 12",
+		"All kernel lock families (Pmake)", "All kernel lock families (Multpgm)",
+		"All kernel lock families (Oracle)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing section %q", want)
 		}

@@ -13,12 +13,16 @@ import (
 // comment or the end of an inline code span.
 type DocCommand struct{ Where, Args string }
 
+// docs are the documents, relative to the repository root, that describe
+// running the binaries.
+var docs = []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"}
+
 // DocCommands returns every invocation of bin in the documents under root
 // that describe running it, for the binary's tests to parse.
 func DocCommands(root, bin string) ([]DocCommand, error) {
 	re := regexp.MustCompile(`go run \./cmd/` + bin + "\\b([^`;|&>#]*)")
 	var out []DocCommand
-	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
+	for _, doc := range docs {
 		b, err := os.ReadFile(filepath.Join(root, doc))
 		if err != nil {
 			return nil, err

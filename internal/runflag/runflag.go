@@ -1,10 +1,10 @@
 // Package runflag is the command-line surface the simulating binaries
-// (charos, sweep, lockstat) share: -window, -seed, -check, -parallel,
-// -sim-workers, -timeout, -cpuprofile, -memprofile, the -machine preset
-// with its geometry overrides, and -sample where the output reads it. A
-// binary registers them beside its own flags, resolves them after Parse
-// into the validated base core.Config, runs under Main (worker pool,
-// -timeout context, profiling) and ends with Finish.
+// (charos, sweep) share: -window, -seed, -check, -parallel, -sim-workers,
+// -timeout, -cpuprofile, -memprofile, and the -machine preset with its
+// geometry overrides. A binary registers them beside its own flags,
+// resolves them after Parse into the validated base core.Config, runs
+// under Main (worker pool, -timeout context, profiling) and ends with
+// Finish.
 package runflag
 
 import (
@@ -22,7 +22,6 @@ import (
 	"repro/internal/machineflag"
 	"repro/internal/report"
 	"repro/internal/runner"
-	"repro/internal/sample"
 )
 
 // MaxListed caps how many collected violations Finish lists per run; the
@@ -37,7 +36,6 @@ type Flags struct {
 	parallel, simWorkers   *int
 	timeout                *time.Duration
 	cpuprofile, memprofile *string
-	sample                 *string // nil unless the binary registered -sample
 	machine                *machineflag.Flags
 }
 
@@ -59,15 +57,10 @@ func Register(fs *flag.FlagSet) *Flags {
 	}
 }
 
-// Sample installs -sample on fs; usage says where the binary applies it.
-func (f *Flags) Sample(fs *flag.FlagSet, usage string) {
-	f.sample = fs.String("sample", "", usage)
-}
-
-// Config resolves the machine, -window, -seed, -check, -sim-workers and
-// -sample into the base configuration, lets the binary set its own fields
-// through adjust (nil for none) and validates the result. Nothing has run
-// yet, so every error is a usage error.
+// Config resolves the machine, -window, -seed, -check and -sim-workers
+// into the base configuration, lets the binary set its own fields through
+// adjust (nil for none) and validates the result. Nothing has run yet, so
+// every error is a usage error.
 func (f *Flags) Config(adjust func(*core.Config) error) (core.Config, error) {
 	machine, err := f.machine.Machine()
 	if err != nil {
@@ -75,11 +68,6 @@ func (f *Flags) Config(adjust func(*core.Config) error) (core.Config, error) {
 	}
 	cfg := core.Config{Machine: machine, Window: arch.Cycles(*f.window), Seed: *f.seed,
 		Check: *f.check, SimWorkers: *f.simWorkers}
-	if f.sample != nil {
-		if cfg.Sample, err = sample.Parse(*f.sample); err != nil {
-			return core.Config{}, err
-		}
-	}
 	if adjust != nil {
 		if err := adjust(&cfg); err != nil {
 			return core.Config{}, err

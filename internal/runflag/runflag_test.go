@@ -4,6 +4,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -20,7 +23,6 @@ func parse(t *testing.T, args ...string) *Flags {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	f := Register(fs)
-	f.Sample(fs, "schedule")
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +31,7 @@ func parse(t *testing.T, args ...string) *Flags {
 
 func TestConfigResolvesSharedFlags(t *testing.T) {
 	f := parse(t, "-window", "2M", "-seed", "23", "-check", "-sim-workers", "3",
-		"-machine", "4d380", "-dcache-l2", "1M", "-sample", "100K:200K:1M")
+		"-machine", "4d380", "-dcache-l2", "1M")
 	cfg, err := f.Config(func(c *core.Config) error { c.NCPU = 2; return nil })
 	if err != nil {
 		t.Fatal(err)
@@ -37,8 +39,33 @@ func TestConfigResolvesSharedFlags(t *testing.T) {
 	m := arch.Default()
 	m.NCPU, m.MemBytes, m.DCacheL2Size = 8, 64<<20, 1<<20
 	if cfg.Machine != m || cfg.Window != 2_000_000 || cfg.Seed != 23 || !cfg.Check ||
-		cfg.SimWorkers != 3 || cfg.NCPU != 2 || cfg.Sample.String() != "100K:200K:1M" {
+		cfg.SimWorkers != 3 || cfg.NCPU != 2 {
 		t.Errorf("resolved %+v", cfg)
+	}
+}
+
+// TestDocumentedBinariesExist: every `go run ./cmd/<x>` and `go run
+// ./examples/<x>` in the documents DocCommands scans names an existing
+// directory, so no document points at a deleted binary.
+func TestDocumentedBinariesExist(t *testing.T) {
+	re := regexp.MustCompile(`go run (?:-race )?\./((?:cmd|examples)/[\w-]+)`)
+	found := 0
+	for _, doc := range docs {
+		b, err := os.ReadFile(filepath.Join("../..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(b), "\n") {
+			for _, m := range re.FindAllStringSubmatch(line, -1) {
+				found++
+				if st, err := os.Stat(filepath.Join("../..", m[1])); err != nil || !st.IsDir() {
+					t.Errorf("%s:%d: go run ./%s names no directory", doc, i+1, m[1])
+				}
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatal("no documented go run command found")
 	}
 }
 
@@ -63,8 +90,6 @@ func TestConfigUsageErrors(t *testing.T) {
 		want   string
 	}{
 		{[]string{"-machine", "4d999"}, nil, "unknown machine preset"},
-		{[]string{"-sample", "1:2"}, nil, "sample"},
-		{[]string{"-window", "250000", "-sample", "100K:200K:10M"}, nil, "fits no measured interval"},
 		{nil, func(c *core.Config) error { c.NCPU, c.CollectIResim = 300, true; return nil }, "resim streams"},
 		{nil, func(*core.Config) error { return fmt.Errorf("own flag") }, "own flag"},
 	} {

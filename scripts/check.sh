@@ -30,11 +30,11 @@ go run ./cmd/charos -exp report -check -window 1M -dcache-l1-assoc 2 -dcache-l2-
     grep -q 'invariant checker: [1-9][0-9]* checks, 0 violations' || {
     echo "FAIL: charos -exp report -check on 2-way L1+L2 did not end in 0 violations" >&2; exit 1; }
 
-echo "== one end-of-run contract (lockstat -check)"
-# charos, sweep and lockstat end a checked run the same way (internal/runflag).
-go run ./cmd/lockstat -check -window 1M 2>&1 >/dev/null | tail -n 1 |
+echo "== one end-of-run contract (sweep -exp figure11 -check)"
+# charos and sweep end a checked run the same way (internal/runflag).
+go run ./cmd/sweep -exp figure11 -check -cpus 2,4 -window 1M 2>&1 >/dev/null | tail -n 1 |
     grep -q '^invariant checker: [1-9][0-9]* checks, 0 violations$' || {
-    echo "FAIL: lockstat -check did not end with the invariant checker line" >&2; exit 1; }
+    echo "FAIL: sweep -exp figure11 -check did not end with the invariant checker line" >&2; exit 1; }
 
 echo "== concurrent checkers under the race detector (charos -check -parallel 3)"
 # Three workloads run at once, each with its own checker resolving routine
@@ -119,14 +119,12 @@ fi
 echo "$plainrep" | grep -q 'sampling:' && {
     echo "FAIL: unsampled report mentions sampling" >&2; exit 1; }
 
-echo "== geometry sweep smoke (sweep -exp geometry, checker on; -sample)"
-# sweep exits 1 on any violation. The 4d380 stall share reads the whole-
-# window trace total, so a sampled sweep must print the unsampled line.
-"$smoke/sweep" -exp geometry -window 1000000 >"$smoke/geom.out" 2>/dev/null
-"$smoke/sweep" -exp geometry -window 1000000 -sample 50K:100K:250K >"$smoke/geom-sampled.out" 2>/dev/null
-stall=$(grep 'memory-stall share:' "$smoke/geom.out") &&
-    [ "$stall" = "$(grep 'memory-stall share:' "$smoke/geom-sampled.out")" ] || {
-    echo "FAIL: sampled geometry sweep prints a different memory-stall share" >&2; exit 1; }
+echo "== geometry sweep smoke (sweep -exp geometry, checker on)"
+# The checker rides every run of the sweep, -check or not; sweep exits 1 on
+# any violation.
+"$smoke/sweep" -exp geometry -window 1000000 2>&1 >/dev/null | tail -n 1 |
+    grep -q '^invariant checker: [1-9][0-9]* checks, 0 violations$' || {
+    echo "FAIL: sweep -exp geometry did not end with 0 violations" >&2; exit 1; }
 
 echo "== charosd smoke (panic isolation, 429 shed, SIGTERM drain)"
 go build -o "$smoke/charosd" ./cmd/charosd
