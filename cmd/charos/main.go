@@ -95,6 +95,9 @@ func (f *flags) resolve() (err error) {
 		if icfg.Enabled() {
 			c.Inject = &icfg
 		}
+		if (f.name == "table3" || f.name == "table11") && (c.Check || *f.inject != "") {
+			return fmt.Errorf("-exp %s is static (no simulation); -check and -inject do not apply", f.name)
+		}
 		if c.Sample.Enabled() && f.name != "report" {
 			// The paper tables print the exact counts; only the per-run
 			// report renders the interval estimate and its error bars.

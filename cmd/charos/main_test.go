@@ -67,6 +67,10 @@ func TestResolveUsageErrors(t *testing.T) {
 		{[]string{"-exp", "report", "-sample", "1:2"}, "sample"},
 		{[]string{"-exp", "report", "-window", "250000", "-sample", "100K:200K:10M"}, "fits no measured interval"},
 		{[]string{"-exp", "locks", "-sample", "100K:200K:1M"}, "-sample requires -exp report"},
+		{[]string{"-exp", "table3", "-check"}, "-check and -inject do not apply"},
+		{[]string{"-exp", "table11", "-check"}, "-check and -inject do not apply"},
+		{[]string{"-exp", "table3", "-inject", "evict"}, "-check and -inject do not apply"},
+		{[]string{"-exp", "table11", "-inject", "all"}, "-check and -inject do not apply"},
 	} {
 		f, err := parse(tc.args)
 		if err == nil {

@@ -15,6 +15,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/cachesweep"
@@ -60,10 +61,11 @@ type Config struct {
 	// Buffered selects the postprocess pipeline: the monitor records the
 	// window's whole transaction trace and the classifier replays it
 	// after the run, as the paper's monitor + postprocess flow did. The
-	// default is the streaming pipeline — the classifier rides the bus as
-	// a recorder and classifies each miss the cycle it occurs, so no trace
-	// is ever stored. Both paths must produce byte-identical reports;
-	// -exp section6 uses Buffered because it reprices the trace itself.
+	// default is the streaming pipeline — the bus streams its transactions
+	// through a bounded chunk pipe to the classifier on its own goroutine,
+	// so no trace is ever stored. Both paths must produce byte-identical
+	// reports; -exp section6 uses Buffered because it reprices the trace
+	// itself.
 	Buffered bool
 	// CollectIResim records the I-miss stream for Figure 6 sweeps.
 	CollectIResim bool
@@ -234,6 +236,10 @@ type Characterization struct {
 	// is off). Trace is the exact whole-window result either way, so
 	// the estimate can be read against the counts it approximates.
 	Sampled *sample.Estimate
+	// ClassifyWait is the wall-clock the simulating goroutine spent
+	// blocked on the streaming classifier: a full chunk ring, the sample
+	// barriers and the final drain (zero on buffered and no-trace runs).
+	ClassifyWait time.Duration
 }
 
 // Run executes the full pipeline.
@@ -298,23 +304,29 @@ func RunMonitored(ctx context.Context, cfg Config, onStart func(progress func() 
 			BlockOpBypass: cfg.BlockOpBypass},
 	})
 	var cl *trace.Classifier
+	var p *pipe
 	if !cfg.NoTrace {
 		cl = newClassifier(s.K.T, s.K.L, cfg.NCPU)
 		cl.CollectIResim = cfg.CollectIResim
 		cl.CollectDResim = cfg.CollectDResim
 		if streaming {
-			// The classifier rides the bus: every transaction is
-			// classified inline, the cycle it occurs.
-			s.Stream = cl
+			// The classifier runs behind the chunk pipe on its own
+			// goroutine, fed every transaction in bus order. The pipe
+			// is closed on every exit path, so no run leaves its
+			// consumer behind.
+			p = newPipe(ctx, cl)
+			defer p.close()
+			s.Stream = p
 		}
 	}
 	var acc *sample.Accumulator
 	if cfg.Sample.Enabled() {
 		// Each measured interval's tally is the classifier-count delta
-		// across that interval alone.
+		// across that interval alone, read once the pipe has drained.
 		acc = sample.NewAccumulator(cfg.Sample, cfg.Window)
 		var snap sample.Counts
 		s.OnMeasure = func(measuring bool) {
+			p.sync()
 			if measuring {
 				snap = cl.CountsSnapshot()
 				return
@@ -350,7 +362,10 @@ func RunMonitored(ctx context.Context, cfg Config, onStart func(progress func() 
 		CheckErrors: s.CheckErrors(),
 	}
 	if cl != nil {
-		if !streaming {
+		if streaming {
+			p.close()
+			ch.ClassifyWait = p.wait
+		} else {
 			// Postprocess path: replay the monitor's recorded trace, as
 			// the paper's postprocessor did.
 			for _, t := range s.Mon.Trace() {

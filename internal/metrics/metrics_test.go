@@ -146,7 +146,7 @@ func TestBatchStatsSpeedupAndTable(t *testing.T) {
 		AllocBytes:  2_000_000,
 		Runs: []RunStats{
 			{Label: "Pmake/ncpu4/seed1", Wall: time.Second, SimCycles: 18_000_000, MCyclesPerSec: 18, Allocs: 500, AllocBytes: 1_000_000,
-				BusTxns: 123_456, Checks: 7_654_321},
+				BusTxns: 123_456, Checks: 7_654_321, ClassifyWait: 2345 * time.Microsecond},
 			{Label: "Oracle/ncpu4/seed1", Wall: 2 * time.Second, SimCycles: 18_000_000, MCyclesPerSec: 9},
 		},
 	}
@@ -158,7 +158,7 @@ func TestBatchStatsSpeedupAndTable(t *testing.T) {
 	}
 	out := b.Table()
 	for _, want := range []string{"4 workers", "Pmake/ncpu4/seed1", "speedup 3.00x", "500", "-",
-		"Txns", "Checks", "123456", "7654321"} {
+		"Txns", "Checks", "123456", "7654321", "Wait", "2.3ms"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q:\n%s", want, out)
 		}

@@ -45,6 +45,10 @@ type RunStats struct {
 	// checked run's cost reads as ns per check and not only as a slowdown.
 	BusTxns int64
 	Checks  int64
+	// ClassifyWait is the wall-clock the simulating goroutine spent
+	// blocked on the streaming classifier's goroutine (zero when the run
+	// streamed nothing): the part of Wall that classification still costs.
+	ClassifyWait time.Duration
 }
 
 // Throughput fills MCyclesPerSec from Wall and SimCycles.
@@ -105,7 +109,7 @@ func countCell(n int64) string {
 // Table renders the batch as an aligned table with a summary footnote.
 func (b BatchStats) Table() string {
 	t := NewTable(fmt.Sprintf("Experiment timing (%d workers)", b.Parallelism),
-		"Run", "Wall", "Mcycles/s", "SimW", "Allocs", "Alloc MB", "Txns", "Checks")
+		"Run", "Wall", "Wait", "Mcycles/s", "SimW", "Allocs", "Alloc MB", "Txns", "Checks")
 	for _, r := range b.Runs {
 		allocs, mb := "-", "-"
 		if r.Allocs > 0 {
@@ -116,7 +120,11 @@ func (b BatchStats) Table() string {
 		if r.SimWorkers > 1 {
 			simw = fmt.Sprintf("%d(%.0f)", r.SimWorkers, r.HorizonBatch())
 		}
-		t.AddRow(r.Label, r.Wall.Round(time.Millisecond).String(),
+		wait := "-"
+		if r.ClassifyWait > 0 {
+			wait = r.ClassifyWait.Round(100 * time.Microsecond).String()
+		}
+		t.AddRow(r.Label, r.Wall.Round(time.Millisecond).String(), wait,
 			fmt.Sprintf("%.1f", r.MCyclesPerSec), simw, allocs, mb,
 			countCell(r.BusTxns), countCell(r.Checks))
 	}

@@ -221,6 +221,7 @@ func RunOneMonitored(ctx context.Context, cfg core.Config, onStart func(progress
 	sp := ch.Sim.SpecStats()
 	st.SpecPhases, st.SpecSteps, st.SpecCommitted = sp.Phases, sp.SpecSteps, sp.CommittedSteps
 	st.BusTxns = ch.Sim.Bus.Stats.Transactions()
+	st.ClassifyWait = ch.ClassifyWait
 	if ch.Sim.Chk != nil {
 		st.Checks = ch.Sim.Chk.Checks
 	}

@@ -38,8 +38,8 @@ go run ./cmd/sweep -exp figure11 -check -cpus 2,4 -window 1M 2>&1 >/dev/null | t
 
 echo "== concurrent checkers under the race detector (charos -check -parallel 3)"
 # Three workloads run at once, each with its own checker resolving routine
-# IDs through its own kernel text; the race detector fails the run if any
-# state is shared.
+# IDs through its own kernel text and its own classifier goroutine behind
+# the chunk pipe; the race detector fails the run if any state is shared.
 go run -race ./cmd/charos -exp report -check -window 1M -parallel 3 2>&1 >/dev/null | tail -n 1 |
     grep -q '^invariant checker: [1-9][0-9]* checks, 0 violations$' || {
     echo "FAIL: charos -check -parallel 3 under -race did not end with 0 violations" >&2; exit 1; }
@@ -55,6 +55,17 @@ serial=$(go run ./cmd/sweep -exp figure11 -cpus 2,4 -window 1000000 -parallel 1 
 pooled=$(go run ./cmd/sweep -exp figure11 -cpus 2,4 -window 1000000 -parallel 8 2>/dev/null)
 if [ "$serial" != "$pooled" ]; then
     echo "FAIL: -parallel 8 output diverges from -parallel 1" >&2
+    exit 1
+fi
+
+echo "== scheduling determinism smoke (charos -exp all, GOMAXPROCS=1 vs -parallel 3)"
+# The first run puts every simulator and its classifier goroutine on one P;
+# the second oversubscribes two cores with three runs and three
+# classifiers. The reports must not depend on how they interleave.
+onep=$(GOMAXPROCS=1 go run ./cmd/charos -exp all -window 1M -parallel 1 2>/dev/null)
+oversub=$(go run ./cmd/charos -exp all -window 1M -parallel 3 2>/dev/null)
+if [ "$onep" != "$oversub" ]; then
+    echo "FAIL: charos -exp all under GOMAXPROCS=1 diverges from -parallel 3" >&2
     exit 1
 fi
 
