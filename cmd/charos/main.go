@@ -126,20 +126,16 @@ func (f *flags) main(r runflag.Run) int {
 		fmt.Print(f.section(nil)) // static: no simulation
 		return 0
 	case "section6":
-		// The cluster what-if study runs its own 8-CPU simulation. It
-		// reprices the materialized transaction trace, so it always runs
-		// the buffered pipeline.
-		ch, err := core.RunContext(r.Ctx, core.Config{
-			Workload: workload.Multpgm, Machine: cfg.Machine, NCPU: 8,
-			Window: cfg.Window, Seed: cfg.Seed,
-			Check: cfg.Check, Inject: cfg.Inject, Buffered: true,
-		})
+		// The cluster what-if study runs its own 8-CPU Multpgm run; the
+		// policy ladder is a sink of the streaming pipeline.
+		cfg.Workload, cfg.NCPU = workload.Multpgm, 8
+		study := cluster.NewStudy(cfg.Canonical().Machine, 2)
+		ch, err := core.RunMonitored(r.Ctx, cfg, nil, study)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		results := cluster.Study(ch.Sim.Mon.Trace(), ch.Sim.K.L, 8, 2)
-		fmt.Print(cluster.Render(results, "Multpgm, 4 clusters of 2"))
+		fmt.Print(cluster.Render(study.Results(), "Multpgm, 4 clusters of 2"))
 		return runflag.Finish(runflag.Named{Name: "section6", Ch: ch})
 	}
 

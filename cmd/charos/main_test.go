@@ -1,9 +1,13 @@
 package main
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -91,5 +95,59 @@ func TestResolveSample(t *testing.T) {
 	}
 	if err != nil || f.cfg.Sample.String() != "100K:200K:1M" {
 		t.Errorf("-exp report -sample: err %v, schedule %q", err, f.cfg.Sample)
+	}
+}
+
+// runSection6 runs charos -exp section6 with args and returns its stdout.
+func runSection6(t *testing.T, args ...string) string {
+	t.Helper()
+	f, err := parse(append([]string{"-exp", "section6"}, args...))
+	if err == nil {
+		err = f.resolve()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	defer func(stdout *os.File) { os.Stdout = stdout }(os.Stdout)
+	os.Stdout = out
+	if rc := f.main(runflag.Run{Ctx: context.Background()}); rc != 0 {
+		t.Fatalf("charos -exp section6 %v exited %d", args, rc)
+	}
+	b, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestSection6Pinned pins the SHA-256 of -exp section6's stdout, which
+// the streaming ladder must keep byte-identical to the recorded-trace
+// repricing it replaced.
+func TestSection6Pinned(t *testing.T) {
+	for seed, want := range map[string]string{
+		"1":  "5cf1294a38f201ccfef5150fd329185da89f41bf47944e60974a52ca80cf3d1e",
+		"23": "84c00d0c74bf2ee323a5572c80f36f734daf48b3895a6cc593ae9ec061fade33",
+	} {
+		sum := sha256.Sum256([]byte(runSection6(t, "-window", "2M", "-seed", seed)))
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("seed %s: section6 digest %s, pinned %s", seed, got, want)
+		}
+	}
+}
+
+// TestSection6LargeMemory: the ladder homes every frame of a machine with
+// more than the default 32 MB.
+func TestSection6LargeMemory(t *testing.T) {
+	out := runSection6(t, "-machine", "4d380", "-window", "1M")
+	for _, row := range []string{"centralized (baseline)", "replicated OS text",
+		"replicated text + distributed runq", "all §6 optimizations"} {
+		if !strings.Contains(out, row) {
+			t.Errorf("4d380 section6 has no %q row:\n%s", row, out)
+		}
 	}
 }

@@ -102,128 +102,124 @@ func (r Result) AvgLatency() float64 {
 	return float64(r.StallCycles) / float64(r.Misses)
 }
 
-// Analyzer reprices a monitor trace for a clustered machine.
+// Analyzer reprices a monitored transaction stream for a clustered machine
+// under one policy: a bus.Recorder fed the traced window in bus order. The
+// stream should come from the default coherence configuration: under the
+// write-update protocol or cache-bypassing block transfers, write-miss
+// fills surface as TxnUpdate/TxnUncached transactions that this repricing
+// prices as coherence broadcasts and device accesses respectively.
 type Analyzer struct {
 	layout *kmem.Layout
-	ncpu   int
-
+	dec    *monitor.Decoder
+	res    Result // its Policy is the analyzer's
 	// frameHome maps each physical frame to the cluster that first
 	// touched it (the natural first-touch placement policy).
 	frameHome []int16
 }
 
-// NewAnalyzer builds an analyzer for a machine with ncpu CPUs.
-func NewAnalyzer(layout *kmem.Layout, ncpu int) *Analyzer {
-	fh := make([]int16, arch.MemFrames)
-	for i := range fh {
-		fh[i] = -1
-	}
-	return &Analyzer{layout: layout, ncpu: ncpu, frameHome: fh}
-}
-
-// Analyze reprices the trace under a policy. It can be called repeatedly
-// with different policies (first-touch state resets each time). The trace
-// should come from the default machine configuration: under the write-
-// update protocol or cache-bypassing block transfers, write-miss fills
-// surface as TxnUpdate/TxnUncached transactions that this repricing
-// prices as coherence broadcasts and device accesses respectively.
-func (a *Analyzer) Analyze(trace []bus.Txn, p Policy) Result {
+// NewAnalyzer builds an analyzer for policy p on machine m, the machine
+// whose run it is fed.
+func NewAnalyzer(p Policy, m arch.Machine) *Analyzer {
 	if p.ClusterSize <= 0 {
 		p.ClusterSize = 2
 	}
-	for i := range a.frameHome {
-		a.frameHome[i] = -1
+	fh := make([]int16, m.MemFrames())
+	for i := range fh {
+		fh[i] = -1
 	}
-	res := Result{Policy: p}
-	kernelEnd := a.layout.KernelEnd
-	textEnd := a.layout.KernelText.End()
-	dec := monitor.NewDecoder()
-	for _, raw := range trace {
-		rec, done := dec.Feed(raw)
-		if !done {
-			continue // operand word of a pending escape event
-		}
-		if rec.IsEvent {
-			// The page-allocation escape is the §6 "allocate block-
-			// transfer pages locally" hook: under the policy, a frame
-			// handed out by the allocator is homed in the requesting
-			// CPU's cluster, so the bcopy/bclear that initializes it
-			// (and the process that uses it) run against local memory.
-			if p.LocalBlockTransfers && rec.Event == monitor.EvPageAlloc {
-				if f := rec.Args[0]; int(f) < len(a.frameHome) {
-					a.frameHome[f] = int16(int(raw.CPU) / p.ClusterSize)
-				}
+	return &Analyzer{layout: kmem.NewLayout(m), dec: monitor.NewDecoder(),
+		res: Result{Policy: p}, frameHome: fh}
+}
+
+// Result returns the totals of the stream recorded so far.
+func (a *Analyzer) Result() Result { return a.res }
+
+// Record reprices one transaction.
+func (a *Analyzer) Record(raw bus.Txn) {
+	rec, done := a.dec.Feed(raw)
+	if !done {
+		return // operand word of a pending escape event
+	}
+	p := a.res.Policy
+	if rec.IsEvent {
+		// The page-allocation escape is the §6 "allocate block-transfer
+		// pages locally" hook: under the policy, a frame handed out by
+		// the allocator is homed in the requesting CPU's cluster, so the
+		// bcopy/bclear that initializes it (and the process that uses
+		// it) run against local memory.
+		if p.LocalBlockTransfers && rec.Event == monitor.EvPageAlloc {
+			if f := rec.Args[0]; int(f) < len(a.frameHome) {
+				a.frameHome[f] = int16(int(raw.CPU) / p.ClusterSize)
 			}
-			continue
 		}
-		t := rec.Txn
-		if t.Kind == bus.TxnWriteBack {
-			// Write-backs drain to the home memory asynchronously.
-			continue
-		}
-		coherence := t.Kind == bus.TxnUpgrade || t.Kind == bus.TxnUpdate
-		cluster := int(t.CPU) / p.ClusterSize
-		isOS := t.Addr < kernelEnd
-		var home int
-		switch {
-		case t.Addr < textEnd:
-			// Kernel text: replicated → always local; otherwise
-			// homed in cluster 0.
-			if p.ReplicateText {
-				home = cluster
-			} else {
-				home = 0
-			}
-		case isOS:
-			// Kernel data. Per-process scheduler state follows the
-			// process under a distributed run queue.
-			if p.DistributeRunQueue && a.isPerProcess(t.Addr) {
-				home = cluster
-			} else {
-				home = 0
-			}
-		default:
-			// User/page-cache frames: first-touch placement, with
-			// allocation-time re-homing under LocalBlockTransfers
-			// (handled above on the EvPageAlloc escape). Misses
-			// never move a home, so genuinely shared pages stay put.
-			f := t.Addr.Frame()
-			if a.frameHome[f] < 0 {
-				if coherence {
-					continue // broadcast for an unhomed frame
-				}
-				a.frameHome[f] = int16(cluster)
-			}
-			home = int(a.frameHome[f])
-		}
-		if coherence {
-			// Upgrades/updates move no data but the invalidation
-			// round trip is local or remote like any other bus
-			// transaction; they are not misses, so they do not
-			// enter the Local/Remote miss counts.
-			if home == cluster {
-				res.CoherenceCycles += LocalCycles
-			} else {
-				res.CoherenceCycles += RemoteCycles
-			}
-			continue
-		}
-		res.Misses++
-		if isOS {
-			res.OSMisses++
-		}
-		if home == cluster {
-			res.LocalMisses++
-			res.StallCycles += LocalCycles
+		return
+	}
+	t := rec.Txn
+	if t.Kind == bus.TxnWriteBack {
+		// Write-backs drain to the home memory asynchronously.
+		return
+	}
+	coherence := t.Kind == bus.TxnUpgrade || t.Kind == bus.TxnUpdate
+	cluster := int(t.CPU) / p.ClusterSize
+	isOS := t.Addr < a.layout.KernelEnd
+	var home int
+	switch {
+	case t.Addr < a.layout.KernelText.End():
+		// Kernel text: replicated → always local; otherwise homed in
+		// cluster 0.
+		if p.ReplicateText {
+			home = cluster
 		} else {
-			res.RemoteMisses++
-			res.StallCycles += RemoteCycles
-			if isOS {
-				res.OSRemote++
+			home = 0
+		}
+	case isOS:
+		// Kernel data. Per-process scheduler state follows the process
+		// under a distributed run queue.
+		if p.DistributeRunQueue && a.isPerProcess(t.Addr) {
+			home = cluster
+		} else {
+			home = 0
+		}
+	default:
+		// User/page-cache frames: first-touch placement, with allocation-
+		// time re-homing under LocalBlockTransfers (handled above on the
+		// EvPageAlloc escape). Misses never move a home, so genuinely
+		// shared pages stay put.
+		f := t.Addr.Frame()
+		if a.frameHome[f] < 0 {
+			if coherence {
+				return // broadcast for an unhomed frame
 			}
+			a.frameHome[f] = int16(cluster)
+		}
+		home = int(a.frameHome[f])
+	}
+	res := &a.res
+	if coherence {
+		// Upgrades/updates move no data but the invalidation round trip
+		// is local or remote like any other bus transaction; they are not
+		// misses, so they do not enter the Local/Remote miss counts.
+		if home == cluster {
+			res.CoherenceCycles += LocalCycles
+		} else {
+			res.CoherenceCycles += RemoteCycles
+		}
+		return
+	}
+	res.Misses++
+	if isOS {
+		res.OSMisses++
+	}
+	if home == cluster {
+		res.LocalMisses++
+		res.StallCycles += LocalCycles
+	} else {
+		res.RemoteMisses++
+		res.StallCycles += RemoteCycles
+		if isOS {
+			res.OSRemote++
 		}
 	}
-	return res
 }
 
 // isPerProcess reports whether a kernel-data address belongs to the
@@ -235,24 +231,38 @@ func (a *Analyzer) isPerProcess(addr arch.PAddr) bool {
 		l.RunQueue.Contains(addr)
 }
 
-// Study runs the standard Section 6 policy ladder on one trace.
-func Study(trace []bus.Txn, layout *kmem.Layout, ncpu, clusterSize int) []Result {
-	a := NewAnalyzer(layout, ncpu)
-	policies := []Policy{
-		{ClusterSize: clusterSize},
-		{ClusterSize: clusterSize, ReplicateText: true},
-		{ClusterSize: clusterSize, ReplicateText: true, DistributeRunQueue: true},
-		{ClusterSize: clusterSize, ReplicateText: true, DistributeRunQueue: true,
-			LocalBlockTransfers: true},
+// Study is the standard Section 6 policy ladder, baseline first: a
+// bus.Recorder that feeds one Analyzer per rung the same stream.
+type Study []*Analyzer
+
+// NewStudy builds the ladder for machine m with c CPUs per cluster.
+func NewStudy(m arch.Machine, c int) Study {
+	return Study{
+		NewAnalyzer(Policy{ClusterSize: c}, m),
+		NewAnalyzer(Policy{ClusterSize: c, ReplicateText: true}, m),
+		NewAnalyzer(Policy{ClusterSize: c, ReplicateText: true, DistributeRunQueue: true}, m),
+		NewAnalyzer(Policy{ClusterSize: c, ReplicateText: true, DistributeRunQueue: true,
+			LocalBlockTransfers: true}, m),
 	}
-	out := make([]Result, 0, len(policies))
-	for _, p := range policies {
-		out = append(out, a.Analyze(trace, p))
+}
+
+// Record feeds t to every rung.
+func (s Study) Record(t bus.Txn) {
+	for _, a := range s {
+		a.Record(t)
+	}
+}
+
+// Results returns each rung's totals, in ladder order.
+func (s Study) Results() []Result {
+	out := make([]Result, len(s))
+	for i, a := range s {
+		out[i] = a.Result()
 	}
 	return out
 }
 
-// Render formats a Study as a table.
+// Render formats a Study's results as a table.
 func Render(results []Result, workloadName string) string {
 	t := metrics.NewTable(
 		fmt.Sprintf("Section 6 cluster study (%s): repricing the miss stream on a clustered machine", workloadName),

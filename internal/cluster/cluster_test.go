@@ -10,9 +10,16 @@ import (
 	"repro/internal/monitor"
 )
 
-func newAnalyzer() (*Analyzer, *kmem.Layout) {
-	l := kmem.NewLayout(arch.Default())
-	return NewAnalyzer(l, 8), l
+var layout = kmem.NewLayout(arch.Default())
+
+// analyze feeds trace to a fresh analyzer for p on the default machine,
+// one transaction at a time.
+func analyze(trace []bus.Txn, p Policy) Result {
+	a := NewAnalyzer(p, arch.Default())
+	for _, t := range trace {
+		a.Record(t)
+	}
+	return a.Result()
 }
 
 func txn(cpu arch.CPUID, addr arch.PAddr) bus.Txn {
@@ -20,14 +27,14 @@ func txn(cpu arch.CPUID, addr arch.PAddr) bus.Txn {
 }
 
 func TestKernelTextHoming(t *testing.T) {
-	a, l := newAnalyzer()
+	l := layout
 	text := l.KernelText.Base + 0x100
 	trace := []bus.Txn{txn(0, text), txn(7, text)} // clusters 0 and 3
-	base := a.Analyze(trace, Policy{ClusterSize: 2})
+	base := analyze(trace, Policy{ClusterSize: 2})
 	if base.LocalMisses != 1 || base.RemoteMisses != 1 {
 		t.Fatalf("baseline: local=%d remote=%d, want 1/1", base.LocalMisses, base.RemoteMisses)
 	}
-	rep := a.Analyze(trace, Policy{ClusterSize: 2, ReplicateText: true})
+	rep := analyze(trace, Policy{ClusterSize: 2, ReplicateText: true})
 	if rep.RemoteMisses != 0 {
 		t.Fatalf("replicated text: remote=%d, want 0", rep.RemoteMisses)
 	}
@@ -37,40 +44,39 @@ func TestKernelTextHoming(t *testing.T) {
 }
 
 func TestPerProcessStateFollowsProcess(t *testing.T) {
-	a, l := newAnalyzer()
+	l := layout
 	kstack := l.KStackAddr(5)
 	trace := []bus.Txn{txn(6, kstack)} // cluster 3 touches a kernel stack
-	base := a.Analyze(trace, Policy{ClusterSize: 2})
+	base := analyze(trace, Policy{ClusterSize: 2})
 	if base.RemoteMisses != 1 {
 		t.Fatalf("baseline kstack should be remote (homed in cluster 0): %+v", base)
 	}
-	dist := a.Analyze(trace, Policy{ClusterSize: 2, DistributeRunQueue: true})
+	dist := analyze(trace, Policy{ClusterSize: 2, DistributeRunQueue: true})
 	if dist.RemoteMisses != 0 {
 		t.Fatalf("distributed runq: kstack should be local: %+v", dist)
 	}
 	// Non-per-process kernel data (the inode table) stays centralized.
 	trace2 := []bus.Txn{txn(6, l.InodeTable.Base)}
-	d2 := a.Analyze(trace2, Policy{ClusterSize: 2, DistributeRunQueue: true})
+	d2 := analyze(trace2, Policy{ClusterSize: 2, DistributeRunQueue: true})
 	if d2.RemoteMisses != 1 {
 		t.Errorf("inode table should remain homed in cluster 0: %+v", d2)
 	}
 }
 
 func TestFirstTouchPlacement(t *testing.T) {
-	a, _ := newAnalyzer()
 	user := arch.FrameAddr(kmem.FirstUserFrame + 5)
 	trace := []bus.Txn{
 		txn(2, user), // cluster 1 first-touches → home 1
 		txn(3, user), // same cluster → local
 		txn(0, user), // cluster 0 → remote
 	}
-	r := a.Analyze(trace, Policy{ClusterSize: 2})
+	r := analyze(trace, Policy{ClusterSize: 2})
 	if r.LocalMisses != 2 || r.RemoteMisses != 1 {
 		t.Fatalf("first-touch: local=%d remote=%d, want 2/1", r.LocalMisses, r.RemoteMisses)
 	}
 	// With local block transfers, misses alone still do NOT re-home —
 	// shared pages keep a stable home.
-	r2 := a.Analyze(trace, Policy{ClusterSize: 2, LocalBlockTransfers: true})
+	r2 := analyze(trace, Policy{ClusterSize: 2, LocalBlockTransfers: true})
 	if r2.RemoteMisses != 1 {
 		t.Fatalf("local transfers, misses only: remote=%d, want 1", r2.RemoteMisses)
 	}
@@ -80,15 +86,31 @@ func TestFirstTouchPlacement(t *testing.T) {
 	trace3 := []bus.Txn{txn(2, user)} // cluster 1 first-touches → home 1
 	trace3 = append(trace3, escTxns(0, monitor.EvPageAlloc, frame, 0)...)
 	trace3 = append(trace3, txn(1, user)) // cluster 0 reads → now local
-	r3 := a.Analyze(trace3, Policy{ClusterSize: 2, LocalBlockTransfers: true})
+	r3 := analyze(trace3, Policy{ClusterSize: 2, LocalBlockTransfers: true})
 	if r3.LocalMisses != 2 || r3.RemoteMisses != 0 {
 		t.Fatalf("re-home on page alloc: local=%d remote=%d, want 2/0",
 			r3.LocalMisses, r3.RemoteMisses)
 	}
 	// Without the policy the allocation does not re-home.
-	r4 := a.Analyze(trace3, Policy{ClusterSize: 2})
+	r4 := analyze(trace3, Policy{ClusterSize: 2})
 	if r4.RemoteMisses != 1 {
 		t.Fatalf("baseline alloc re-homed: remote=%d, want 1", r4.RemoteMisses)
+	}
+}
+
+// TestFramesBeyondDefaultMemory: frame homes cover the run's machine, not
+// the default 32 MB, for both first touch and allocation re-homing.
+func TestFramesBeyondDefaultMemory(t *testing.T) {
+	m := arch.Default()
+	m.MemBytes = 64 << 20
+	user := arch.FrameAddr(uint32(arch.MemFrames) + 100)
+	trace := append(escTxns(0, monitor.EvPageAlloc, uint32(user.Frame())), txn(1, user), txn(6, user))
+	a := NewAnalyzer(Policy{ClusterSize: 2, LocalBlockTransfers: true}, m)
+	for _, tx := range trace {
+		a.Record(tx)
+	}
+	if r := a.Result(); r.LocalMisses != 1 || r.RemoteMisses != 1 {
+		t.Fatalf("frame %d: local=%d remote=%d, want 1/1", user.Frame(), r.LocalMisses, r.RemoteMisses)
 	}
 }
 
@@ -102,14 +124,13 @@ func escTxns(cpu arch.CPUID, ev monitor.Event, args ...uint32) []bus.Txn {
 }
 
 func TestUpgradesNotPricedAsMisses(t *testing.T) {
-	a, _ := newAnalyzer()
 	user := arch.FrameAddr(kmem.FirstUserFrame + 9)
 	trace := []bus.Txn{
 		txn(0, user),
 		{Kind: bus.TxnUpgrade, CPU: 0, Addr: user},
 		{Kind: bus.TxnUpdate, CPU: 0, Addr: user},
 	}
-	r := a.Analyze(trace, Policy{ClusterSize: 2})
+	r := analyze(trace, Policy{ClusterSize: 2})
 	if r.Misses != 1 {
 		t.Errorf("coherence broadcasts priced as misses: %d, want 1", r.Misses)
 	}
@@ -123,32 +144,30 @@ func TestUpgradesNotPricedAsMisses(t *testing.T) {
 		txn(0, user),
 		{Kind: bus.TxnUpgrade, CPU: 7, Addr: user},
 	}
-	r2 := a.Analyze(trace2, Policy{ClusterSize: 2})
+	r2 := analyze(trace2, Policy{ClusterSize: 2})
 	if r2.CoherenceCycles != RemoteCycles {
 		t.Errorf("remote broadcast = %d cycles, want %d", r2.CoherenceCycles, RemoteCycles)
 	}
 }
 
 func TestEscapesAndWriteBacksIgnored(t *testing.T) {
-	a, _ := newAnalyzer()
 	trace := []bus.Txn{
 		{Kind: bus.TxnUncached, CPU: 0, Addr: monitor.EventAddr(monitor.EvExitOS)},
 		{Kind: bus.TxnWriteBack, CPU: 0, Addr: 0x4000},
 	}
-	r := a.Analyze(trace, Policy{ClusterSize: 2})
+	r := analyze(trace, Policy{ClusterSize: 2})
 	if r.Misses != 0 {
 		t.Errorf("instrumentation/writebacks counted as misses: %+v", r)
 	}
 	// A genuine uncached device read does count.
 	dev := []bus.Txn{{Kind: bus.TxnUncached, CPU: 0, Addr: kmem.DevRegsBase}}
-	if r := a.Analyze(dev, Policy{ClusterSize: 2}); r.Misses != 1 {
+	if r := analyze(dev, Policy{ClusterSize: 2}); r.Misses != 1 {
 		t.Errorf("device read not counted: %+v", r)
 	}
 }
 
 func TestStudyLadderMonotone(t *testing.T) {
-	a, l := newAnalyzer()
-	_ = a
+	l := layout
 	// Synthetic mixed trace: text misses from all clusters, kernel
 	// stacks, and user pages.
 	var trace []bus.Txn
@@ -159,7 +178,11 @@ func TestStudyLadderMonotone(t *testing.T) {
 			txn(cpu, l.KStackAddr(i%16)),
 			txn(cpu, arch.FrameAddr(kmem.FirstUserFrame+uint32(i%32))))
 	}
-	results := Study(trace, l, 8, 2)
+	s := NewStudy(arch.Default(), 2)
+	for _, t := range trace {
+		s.Record(t)
+	}
+	results := s.Results()
 	if len(results) != 4 {
 		t.Fatalf("ladder size = %d", len(results))
 	}

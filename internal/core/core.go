@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/arch"
+	"repro/internal/bus"
 	"repro/internal/cachesweep"
 	"repro/internal/check"
 	"repro/internal/inject"
@@ -58,14 +59,13 @@ type Config struct {
 	// NoTrace disables the monitor and the classification; only kernel
 	// and lock statistics are collected (used by the Figure 11 sweeps).
 	NoTrace bool
-	// Buffered selects the postprocess pipeline: the monitor records the
-	// window's whole transaction trace and the classifier replays it
-	// after the run, as the paper's monitor + postprocess flow did. The
-	// default is the streaming pipeline — the bus streams its transactions
-	// through a bounded chunk pipe to the classifier on its own goroutine,
-	// so no trace is ever stored. Both paths must produce byte-identical
-	// reports; -exp section6 uses Buffered because it reprices the trace
-	// itself.
+	// Buffered selects the postprocess pipeline, the default's
+	// differential oracle: the monitor records the window's whole trace
+	// and the classifier and sinks replay it after the run, as the paper's
+	// monitor + postprocess flow did. The default streams the transactions
+	// through a bounded chunk pipe to them on their own goroutine and
+	// stores no trace. Both must produce byte-identical reports; no
+	// product path sets Buffered.
 	Buffered bool
 	// CollectIResim records the I-miss stream for Figure 6 sweeps.
 	CollectIResim bool
@@ -265,8 +265,10 @@ func RunContext(ctx context.Context, cfg Config) (*Characterization, error) {
 // simulation starts, onStart (if non-nil) receives a function that
 // reports the simulated cycle most recently reached, safe to call from
 // other goroutines for the life of the run. Watchdogs use it as the
-// per-run heartbeat to tell slow from wedged.
-func RunMonitored(ctx context.Context, cfg Config, onStart func(progress func() arch.Cycles)) (*Characterization, error) {
+// per-run heartbeat to tell slow from wedged. Each sink is fed the
+// traced window's transactions in bus order after the classifier, on the
+// classifier's goroutine; a sink on a NoTrace config panics.
+func RunMonitored(ctx context.Context, cfg Config, onStart func(progress func() arch.Cycles), sinks ...bus.Recorder) (*Characterization, error) {
 	cfg = cfg.withDefaults()
 	canceled := func(cycle arch.Cycles) *CanceledError {
 		cause := context.Cause(ctx)
@@ -304,20 +306,24 @@ func RunMonitored(ctx context.Context, cfg Config, onStart func(progress func() 
 			BlockOpBypass: cfg.BlockOpBypass},
 	})
 	var cl *trace.Classifier
+	var recs []bus.Recorder
 	var p *pipe
 	if !cfg.NoTrace {
 		cl = newClassifier(s.K.T, s.K.L, cfg.NCPU)
 		cl.CollectIResim = cfg.CollectIResim
 		cl.CollectDResim = cfg.CollectDResim
+		recs = append([]bus.Recorder{cl}, sinks...)
 		if streaming {
-			// The classifier runs behind the chunk pipe on its own
-			// goroutine, fed every transaction in bus order. The pipe
-			// is closed on every exit path, so no run leaves its
-			// consumer behind.
-			p = newPipe(ctx, cl)
+			// The classifier and the sinks run behind the chunk pipe
+			// on its own goroutine, fed every transaction in bus
+			// order. The pipe is closed on every exit path, so no run
+			// leaves its consumer behind.
+			p = newPipe(ctx, recs...)
 			defer p.close()
 			s.Stream = p
 		}
+	} else if len(sinks) > 0 {
+		panic("core: a NoTrace run records no transactions for its sinks")
 	}
 	var acc *sample.Accumulator
 	if cfg.Sample.Enabled() {
@@ -368,9 +374,7 @@ func RunMonitored(ctx context.Context, cfg Config, onStart func(progress func() 
 		} else {
 			// Postprocess path: replay the monitor's recorded trace, as
 			// the paper's postprocessor did.
-			for _, t := range s.Mon.Trace() {
-				cl.Feed(t)
-			}
+			feedAll(recs, s.Mon.Trace())
 		}
 		ch.Trace = cl.Finish()
 	}

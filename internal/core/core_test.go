@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/metrics"
+	"repro/internal/monitor"
 	"repro/internal/sample"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -400,4 +402,15 @@ func TestZeroWindowDefaults(t *testing.T) {
 	if cfg.Seed != 1 {
 		t.Errorf("Seed = %d, want 1", cfg.Seed)
 	}
+}
+
+// TestSinkOnNoTracePanics: a NoTrace run records nothing a sink could be
+// fed, so asking for one is an invalid config.
+func TestSinkOnNoTracePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("a sink on a NoTrace run did not panic")
+		}
+	}()
+	RunMonitored(context.Background(), Config{NoTrace: true, Window: 100_000}, nil, &monitor.Discard{})
 }

@@ -1,15 +1,19 @@
 package core_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/machineflag"
+	"repro/internal/monitor"
 	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/workload"
@@ -117,6 +121,41 @@ func TestDifferential(t *testing.T) {
 		cfg := core.Config{Workload: workload.Multpgm, NCPU: 8, Seed: 1, Window: 11_000_000, Warmup: 100_000}
 		sameRun(t, core.Run(cfg), core.Run(buffered(cfg)), false)
 	})
+}
+
+// TestSinksMatchBuffered: a sink fed by the streaming pipe sees the stream
+// the buffered replay feeds it, so the §6 policy ladder returns the same
+// results either way, and the streaming run stores no trace.
+func TestSinksMatchBuffered(t *testing.T) {
+	twoWay := arch.Default()
+	twoWay.DCacheL1Assoc, twoWay.DCacheL2Assoc = 2, 2
+	for _, m := range []arch.Machine{{}, twoWay} {
+		for _, seed := range []int64{5, 11} {
+			cfg := core.Config{Workload: workload.Multpgm, Machine: m, NCPU: 8, Seed: seed,
+				Window: 600_000, Warmup: 300_000}
+			ladder := func(c core.Config) ([]cluster.Result, *core.Characterization, int64) {
+				study := cluster.NewStudy(c.Canonical().Machine, 2)
+				var n monitor.Discard
+				ch, err := core.RunMonitored(context.Background(), c, nil, study, &n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return study.Results(), ch, n.Total
+			}
+			got, ch, n := ladder(cfg)
+			want, bch, bn := ladder(buffered(cfg))
+			if ch.Sim.Mon != nil {
+				t.Errorf("machine %+v seed %d: the streaming run built a monitor", m, seed)
+			}
+			if recorded := int64(len(bch.Sim.Mon.Trace())); n != recorded || bn != recorded {
+				t.Errorf("machine %+v seed %d: sinks fed %d (streaming) and %d (buffered) of %d recorded transactions",
+					m, seed, n, bn, recorded)
+			}
+			if got[0].Misses == 0 || !reflect.DeepEqual(got, want) {
+				t.Errorf("machine %+v seed %d: streaming ladder\n%+v\nbuffered ladder\n%+v", m, seed, got, want)
+			}
+		}
+	}
 }
 
 func runSet(cfg core.Config) *report.Set {

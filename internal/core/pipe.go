@@ -12,9 +12,9 @@ import (
 // The streaming classifier's chunk pipe: a bounded single-producer,
 // single-consumer ring between the simulating goroutine (the bus
 // recorder) and one consumer goroutine that feeds every transaction, in
-// order, to the classifier. The classifier is a pure function of the
-// transaction stream, so the reports are byte-identical to feeding it
-// inline; the simulator only pays for copying a transaction into a chunk.
+// order, to the classifier and the run's sinks. Each is a pure function of
+// the stream, so the reports are byte-identical to feeding it inline; the
+// simulator only pays for copying a transaction into a chunk.
 const (
 	pipeChunks   = 4
 	pipeChunkLen = 4096
@@ -35,9 +35,9 @@ type pipe struct {
 	wait time.Duration
 }
 
-// newPipe starts the consumer goroutine feeding rec. The caller must
+// newPipe starts the consumer goroutine feeding recs. The caller must
 // close the pipe on every exit path.
-func newPipe(ctx context.Context, rec bus.Recorder) *pipe {
+func newPipe(ctx context.Context, recs ...bus.Recorder) *pipe {
 	p := &pipe{
 		full: make(chan []bus.Txn, pipeChunks),
 		free: make(chan []bus.Txn, pipeChunks),
@@ -49,13 +49,13 @@ func newPipe(ctx context.Context, rec bus.Recorder) *pipe {
 		p.free <- ring[i*pipeChunkLen : i*pipeChunkLen : (i+1)*pipeChunkLen]
 	}
 	p.cur = <-p.free
-	go pprof.Do(ctx, pprof.Labels("stage", "classify"), func(context.Context) { p.consume(rec) })
+	go pprof.Do(ctx, pprof.Labels("stage", "classify"), func(context.Context) { p.consume(recs) })
 	return p
 }
 
-// consume feeds every chunk to rec. After rec panics it keeps returning
+// consume feeds every chunk to recs. After one panics it keeps returning
 // chunks unread, so the producer never blocks on a dead consumer.
-func (p *pipe) consume(rec bus.Recorder) {
+func (p *pipe) consume(recs []bus.Recorder) {
 	defer close(p.done)
 	dead := false
 	for c := range p.full {
@@ -64,13 +64,13 @@ func (p *pipe) consume(rec bus.Recorder) {
 			continue
 		}
 		if !dead {
-			dead = p.feed(rec, c)
+			dead = p.feed(recs, c)
 		}
 		p.free <- c[:0]
 	}
 }
 
-func (p *pipe) feed(rec bus.Recorder, c []bus.Txn) (panicked bool) {
+func (p *pipe) feed(recs []bus.Recorder, c []bus.Txn) (panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			v := r // only a panic pays for the heap copy
@@ -78,10 +78,17 @@ func (p *pipe) feed(rec bus.Recorder, c []bus.Txn) (panicked bool) {
 			panicked = true
 		}
 	}()
-	for _, t := range c {
-		rec.Record(t)
-	}
+	feedAll(recs, c)
 	return false
+}
+
+// feedAll feeds c to each recorder in turn: a chunk, or a recorded trace.
+func feedAll(recs []bus.Recorder, c []bus.Txn) {
+	for _, rec := range recs {
+		for _, t := range c {
+			rec.Record(t)
+		}
+	}
 }
 
 // Record queues t for the consumer; a full chunk is handed over.

@@ -239,15 +239,3 @@ func (d *Decoder) Feed(t bus.Txn) (Record, bool) {
 	}
 	return Record{}, false
 }
-
-// Decode converts a whole trace into records.
-func Decode(trace []bus.Txn) []Record {
-	d := NewDecoder()
-	out := make([]Record, 0, len(trace))
-	for _, t := range trace {
-		if r, ok := d.Feed(t); ok {
-			out = append(out, r)
-		}
-	}
-	return out
-}

@@ -127,9 +127,15 @@ func TestDecodeWholeTrace(t *testing.T) {
 		{Addr: EventAddr(EvExitOS), CPU: 1, Kind: bus.TxnUncached},
 		{Addr: 0x2000, CPU: 1, Kind: bus.TxnReadEx},
 	}
-	recs := Decode(trace)
+	d := NewDecoder()
+	var recs []Record
+	for _, txn := range trace {
+		if r, ok := d.Feed(txn); ok {
+			recs = append(recs, r)
+		}
+	}
 	if len(recs) != 4 {
-		t.Fatalf("Decode returned %d records, want 4", len(recs))
+		t.Fatalf("decoded %d records, want 4", len(recs))
 	}
 	if !recs[0].IsEvent || recs[0].Event != EvTraceStart {
 		t.Error("first record should be TraceStart")

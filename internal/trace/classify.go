@@ -427,15 +427,6 @@ func (c *Classifier) state(cpu arch.CPUID, dim int, block uint32) (cause *uint8,
 	return &pg.cause[i], &pg.epoch[i]
 }
 
-// Classify runs the whole trace and returns the result.
-func Classify(txns []bus.Txn, kt *kernel.KText, layout *kmem.Layout, ncpu int) *Result {
-	c := NewClassifier(kt, layout, ncpu)
-	for _, t := range txns {
-		c.Feed(t)
-	}
-	return c.Finish()
-}
-
 // Feed consumes one bus transaction.
 func (c *Classifier) Feed(t bus.Txn) {
 	rec, ok := c.dec.Feed(t)

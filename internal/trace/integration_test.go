@@ -18,7 +18,7 @@ func runWorkload(t *testing.T, kind workload.Kind, window arch.Cycles) (*sim.Sim
 	s := sim.New(sim.Config{Seed: 11, Window: window, Warmup: window / 2})
 	workload.Setup(s.Kernel(), kind)
 	s.Run()
-	r := Classify(s.Mon.Trace(), s.K.T, s.K.L, s.Cfg.NCPU)
+	r := classifyTrace(s.Mon.Trace(), s.K.T, s.K.L, s.Cfg.NCPU)
 	if r.Malformed > 0 {
 		t.Fatalf("%d malformed escapes", r.Malformed)
 	}
@@ -233,7 +233,7 @@ func TestClassifierFuzzRandomTrace(t *testing.T) {
 				Kind:  bus.TxnKind(rng.Intn(5)),
 			}
 		}
-		r := Classify(txns, kt, l, 4)
+		r := classifyTrace(txns, kt, l, 4)
 		if r.Total < 0 {
 			t.Fatalf("seed %d: negative total", seed)
 		}

@@ -45,7 +45,16 @@ func exitOS(cpu arch.CPUID, tick uint64) []bus.Txn {
 func classify(t *testing.T, txns []bus.Txn) *Result {
 	t.Helper()
 	kt, l := newEnv()
-	return Classify(txns, kt, l, 4)
+	return classifyTrace(txns, kt, l, 4)
+}
+
+// classifyTrace feeds a whole trace to a fresh classifier.
+func classifyTrace(txns []bus.Txn, kt *kernel.KText, layout *kmem.Layout, ncpu int) *Result {
+	c := NewClassifier(kt, layout, ncpu)
+	for _, t := range txns {
+		c.Feed(t)
+	}
+	return c.Finish()
 }
 
 func cat(seqs ...[]bus.Txn) []bus.Txn {

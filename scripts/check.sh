@@ -30,6 +30,14 @@ go run ./cmd/charos -exp report -check -window 1M -dcache-l1-assoc 2 -dcache-l2-
     grep -q 'invariant checker: [1-9][0-9]* checks, 0 violations' || {
     echo "FAIL: charos -exp report -check on 2-way L1+L2 did not end in 0 violations" >&2; exit 1; }
 
+echo "== §6 cluster study on the streaming pipeline (charos -exp section6)"
+# The policy ladder is a sink of the chunk pipe; checked, the run must end
+# clean, and on the 4d380 preset (64 MB) every frame must have a home.
+go run ./cmd/charos -exp section6 -check -window 1M 2>&1 >/dev/null | tail -n 1 |
+    grep -q '^invariant checker: [1-9][0-9]* checks, 0 violations$' || {
+    echo "FAIL: charos -exp section6 -check did not end with the invariant checker line" >&2; exit 1; }
+go run ./cmd/charos -exp section6 -machine 4d380 -window 1M >/dev/null
+
 echo "== one end-of-run contract (sweep -exp figure11 -check)"
 # charos and sweep end a checked run the same way (internal/runflag).
 go run ./cmd/sweep -exp figure11 -check -cpus 2,4 -window 1M 2>&1 >/dev/null | tail -n 1 |
