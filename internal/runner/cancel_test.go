@@ -124,17 +124,25 @@ func TestParallelEngineCancelNoLeak(t *testing.T) {
 	}
 }
 
+// TestExperimentsContextPreCanceled: serial or pooled (and so dispatched
+// longest-first over smallCfgs' 2- and 4-CPU runs), every slot of a batch
+// under a canceled context resolves canceled, in submission order.
 func TestExperimentsContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfgs := smallCfgs()
-	res, _ := ExperimentsContext(ctx, cfgs, Options{Parallelism: 2})
-	for i, r := range res {
-		if r.Ch != nil {
-			t.Errorf("run %d completed under a canceled context", i)
-		}
-		if !errors.Is(r.Err, core.ErrCanceled) {
-			t.Errorf("run %d error %v does not match core.ErrCanceled", i, r.Err)
+	for _, par := range []int{1, 2} {
+		res, batch := ExperimentsContext(ctx, cfgs, Options{Parallelism: par})
+		for i, r := range res {
+			if r.Ch != nil {
+				t.Errorf("par %d: run %d completed under a canceled context", par, i)
+			}
+			if !errors.Is(r.Err, core.ErrCanceled) {
+				t.Errorf("par %d: run %d error %v does not match core.ErrCanceled", par, i, r.Err)
+			}
+			if want := runLabel(cfgs[i].Canonical()); batch.Runs[i].Label != want {
+				t.Errorf("par %d: timing row %d is %q, want %q", par, i, batch.Runs[i].Label, want)
+			}
 		}
 	}
 }

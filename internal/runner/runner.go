@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"sort"
 	"sync"
 	"time"
 
@@ -244,7 +245,8 @@ func Experiments(cfgs []core.Config, opts Options) ([]Result, metrics.BatchStats
 // expired ctx stops every in-flight run before its next bus transaction
 // and resolves the remaining slots with *core.CanceledError — every
 // submitted config gets a terminal Result either way, in submission
-// order.
+// order. A pooled batch starts its runs longest-first (see longestFirst),
+// so the slots a cancel reaches before they start are the cheapest ones.
 func ExperimentsContext(ctx context.Context, cfgs []core.Config, opts Options) ([]Result, metrics.BatchStats) {
 	if opts.SimWorkers > 1 {
 		// Copy before defaulting — the caller's configs stay untouched.
@@ -264,7 +266,9 @@ func ExperimentsContext(ctx context.Context, cfgs []core.Config, opts Options) (
 	runtime.ReadMemStats(&before)
 	start := time.Now()
 	out := make([]Result, n)
-	ForEach(n, opts, func(i int) {
+	order := longestFirst(cfgs, w)
+	ForEach(n, opts, func(k int) {
+		i := order[k]
 		var m0 runtime.MemStats
 		if serial {
 			runtime.ReadMemStats(&m0)
@@ -288,6 +292,29 @@ func ExperimentsContext(ctx context.Context, cfgs []core.Config, opts Options) (
 		batch.Runs[i] = r.Stats
 	}
 	return out, batch
+}
+
+// longestFirst is the order in which a pool of w workers starts a batch:
+// by simulated CPU-cycles, NCPU × (Window+Warmup) of the canonical config,
+// descending, with ties in submission order. Started last, the longest
+// run of a sweep (Figure 11's 16 CPUs) finishes alone while the other
+// workers idle; started first, the short runs fill in around it. A serial
+// batch (w == 1) keeps submission order.
+func longestFirst(cfgs []core.Config, w int) []int {
+	order := make([]int, len(cfgs))
+	for i := range order {
+		order[i] = i
+	}
+	if w <= 1 {
+		return order
+	}
+	cost := make([]int64, len(cfgs))
+	for i, c := range cfgs {
+		c = c.Canonical()
+		cost[i] = int64(c.NCPU) * int64(c.Window+c.Warmup)
+	}
+	sort.SliceStable(order, func(a, b int) bool { return cost[order[a]] > cost[order[b]] })
+	return order
 }
 
 // runLabel names a run for the timing table.

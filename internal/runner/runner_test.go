@@ -2,6 +2,7 @@ package runner
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -139,5 +140,35 @@ func TestExperimentsStats(t *testing.T) {
 	}
 	if batch.Table() == "" {
 		t.Error("empty timing table")
+	}
+}
+
+// TestLongestFirst: a pool starts the most simulated CPU-cycles first,
+// ties keep submission order, and a serial batch is never permuted.
+func TestLongestFirst(t *testing.T) {
+	cfgs := []core.Config{
+		{NCPU: 2}, // 2 × (12M + 6M)
+		{NCPU: 16},
+		{NCPU: 8},
+		{NCPU: 16},                       // ties with slot 1
+		{NCPU: 4, Window: 24_000_000},    // 4 × 36M: ties with slot 2
+		{},                               // the default machine's 4 CPUs
+		{NCPU: 2, Warmup: 30_000_000},    // 2 × (12M + 30M)
+		{NCPU: 1, Window: 1_000_000_000}, // 1.5G
+	}
+	for _, tc := range []struct {
+		w    int
+		want []int
+	}{
+		{1, []int{0, 1, 2, 3, 4, 5, 6, 7}},
+		{2, []int{7, 1, 3, 2, 4, 6, 5, 0}},
+		{8, []int{7, 1, 3, 2, 4, 6, 5, 0}},
+	} {
+		if got := longestFirst(cfgs, tc.w); !slices.Equal(got, tc.want) {
+			t.Errorf("longestFirst(w=%d) = %v, want %v", tc.w, got, tc.want)
+		}
+	}
+	if got := longestFirst(nil, 2); len(got) != 0 {
+		t.Errorf("empty batch ordered as %v", got)
 	}
 }

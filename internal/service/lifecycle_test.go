@@ -1,6 +1,6 @@
 // Job lifecycle: terminal jobs releasing their pipelines, the bounded job
 // registry, Wait's retry loop, coherent accepted-vs-resolved counters and
-// the metrics endpoint.
+// the list, stats and metrics endpoints.
 package service
 
 import (
@@ -271,5 +271,58 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if m.QueueDepth <= 0 {
 		t.Errorf("queue depth missing from metrics: %+v", m)
+	}
+}
+
+// TestListAndStatsEndpoints: GET /v1/jobs lists every job's status in
+// submission order, cache hits included, and GET /v1/stats carries the
+// counters of the traffic just served.
+func TestListAndStatsEndpoints(t *testing.T) {
+	_, cl := newTestServer(t, Options{Workers: 1})
+	ctx := context.Background()
+	var want []JobStatus
+	for _, seed := range []int64{790, 790, 791} { // miss, hit, miss
+		st, err := cl.Submit(ctx, smallReq(seed))
+		if err != nil || st.State != StateDone {
+			t.Fatalf("seed %d: st=%+v err=%v", seed, st, err)
+		}
+		want = append(want, st)
+	}
+
+	get := func(path string, v any) {
+		t.Helper()
+		resp, err := http.Get(cl.Base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("GET %s: %d %q", path, resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
+		if err := jsonDecode(resp, v); err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+	}
+
+	var list []JobStatus
+	get("/v1/jobs", &list)
+	if len(list) != len(want) {
+		t.Fatalf("GET /v1/jobs listed %d jobs, want %d", len(list), len(want))
+	}
+	for i, st := range list {
+		if st.ID != want[i].ID || st.Hash != want[i].Hash || st.Seed != want[i].Seed ||
+			st.State != StateDone || st.Report != want[i].Report {
+			t.Errorf("job %d listed as %+v, want %+v", i, st, want[i])
+		}
+	}
+	if list[0].Hash != list[1].Hash || list[0].ID == list[1].ID {
+		t.Errorf("the cache hit is not its own job over the same config: %q/%q, %q/%q",
+			list[0].ID, list[0].Hash, list[1].ID, list[1].Hash)
+	}
+
+	var stats Stats
+	get("/v1/stats", &stats)
+	if want := (Stats{Accepted: 3, Completed: 3, CacheHits: 1, Workers: 1}); stats != want {
+		t.Errorf("GET /v1/stats = %+v, want %+v", stats, want)
 	}
 }

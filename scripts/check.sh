@@ -97,8 +97,26 @@ cleanup_smoke() {
     rm -rf "$smoke"
 }
 trap 'cleanup_smoke' EXIT
-go build -o "$smoke/charos" ./cmd/charos
-go build -o "$smoke/sweep" ./cmd/sweep
+go build -o "$smoke/" ./cmd/charos ./cmd/sweep ./cmd/charosd
+
+echo "== PGO build (default.pgo in every cmd/ main package, stdout equal to -pgo=off)"
+# Plain go build optimises with cmd/<name>/default.pgo (cmd/sweep's and
+# cmd/charosd's are links to cmd/charos's, regenerated by scripts/pgo.sh).
+# A dangling link or a deleted profile would drop PGO without an error, so
+# each binary must name its profile; the profile steers code generation
+# only, so the reports must equal a -pgo=off build's.
+for b in charos sweep charosd; do
+    go version -m "$smoke/$b" | grep -q "build[[:space:]]*-pgo=.*/cmd/$b/default\.pgo\$" || {
+        echo "FAIL: $b was built without cmd/$b/default.pgo" >&2; exit 1; }
+done
+mkdir "$smoke/nopgo"
+go build -pgo=off -o "$smoke/nopgo/" ./cmd/charos ./cmd/sweep
+for d in "$smoke" "$smoke/nopgo"; do
+    "$d/charos" -exp all -window 1M -parallel 1 >"$d/all.out" 2>/dev/null
+    "$d/sweep" -exp figure11 -cpus 2,4,8 -window 1M >"$d/fig11.out" 2>/dev/null
+done
+cmp -s "$smoke/all.out" "$smoke/nopgo/all.out" && cmp -s "$smoke/fig11.out" "$smoke/nopgo/fig11.out" || {
+    echo "FAIL: the PGO build's reports differ from the -pgo=off build's" >&2; exit 1; }
 
 echo "== sampled-run smoke (charos -exp report -sample, checker on)"
 # -sample is a read-out of the one detailed run: the report must carry the
@@ -146,7 +164,6 @@ echo "== geometry sweep smoke (sweep -exp geometry, checker on)"
     echo "FAIL: sweep -exp geometry did not end with 0 violations" >&2; exit 1; }
 
 echo "== charosd smoke (panic isolation, 429 shed, SIGTERM drain)"
-go build -o "$smoke/charosd" ./cmd/charosd
 caddr=127.0.0.1:18416
 "$smoke/charosd" -addr "$caddr" -workers 1 -queue 1 -test-hooks \
     -drain-policy cancel -drain-timeout 20s 2> "$smoke/charosd.log" &
