@@ -9,7 +9,6 @@
 // Server mode:
 //
 //	charosd [-addr :8416] [-workers N] [-queue N]
-//	        [-sim-workers N] [-max-total-workers N]
 //	        [-cache-entries N] [-job-history N]
 //	        [-job-timeout D] [-stall-timeout D]
 //	        [-drain-policy finish|cancel] [-drain-timeout D]
@@ -19,17 +18,13 @@
 // eight shards with a bounded per-shard LRU over completed results
 // (-cache-entries total); GET /v1/metrics exposes per-shard and global
 // hit/miss/eviction counters plus p50/p90/p99 submit-to-terminal latency
-// and throughput, and a per-job list with each run's simulated-Mcycles/s
-// and intra-run worker count. Jobs run the conservative parallel engine
-// when -sim-workers > 1 (output is byte-identical either way);
-// -max-total-workers clamps per-job intra-run parallelism so pool × sim
-// workers never oversubscribes the budget.
+// and throughput, and a per-job list with each run's simulated-Mcycles/s.
 //
 // Client mode (submit one job and wait):
 //
 //	charosd -submit [-addr host:port] [-workload Pmake] [-seed N]
 //	        [-window N] [-warmup N] [-sample W:L:P] [-ncpu N]
-//	        [-machine 4d340|4d380] [-check] [-sim-workers N]
+//	        [-machine 4d340|4d380] [-check]
 //	        [-timeout D] [-retries N] [-nowait] [-test-panic]
 //
 // Load-generator mode (fire N concurrent clients and report):
@@ -70,7 +65,7 @@ import (
 type flags struct {
 	// Server mode.
 	addr, drainPolicy                                  *string
-	workers, simWorkers, maxTotal                      *int
+	workers                                            *int
 	cacheEntries, jobHistory, queue                    *int
 	retryAfter, jobTimeout, stallTimeout, drainTimeout *time.Duration
 	testHooks                                          *bool
@@ -87,12 +82,8 @@ type flags struct {
 
 func newFlags(fs *flag.FlagSet) *flags {
 	return &flags{
-		addr:    fs.String("addr", ":8416", "listen address (server) or server address (with -submit)"),
-		workers: fs.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)"),
-		simWorkers: fs.Int("sim-workers", 1,
-			"server: default intra-run worker count per job (conservative parallel engine; 1 = serial); client: the job's requested count"),
-		maxTotal: fs.Int("max-total-workers", 0,
-			"cap on pool workers × per-job sim workers: per-job intra-run parallelism is clamped to fit (0 = no cap)"),
+		addr:         fs.String("addr", ":8416", "listen address (server) or server address (with -submit)"),
+		workers:      fs.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)"),
 		cacheEntries: fs.Int("cache-entries", 4096, "completed results resident across all shards before LRU eviction"),
 		jobHistory:   fs.Int("job-history", 4096, "terminal jobs retained in the registry; older IDs return 404"),
 		queue:        fs.Int("queue", 64, "admission-queue depth; beyond it submissions shed with 429"),
@@ -140,7 +131,7 @@ func (f *flags) loadRequest() service.Request {
 // submitRequest is the one job -submit sends.
 func (f *flags) submitRequest() service.Request {
 	req := f.loadRequest()
-	req.Seed, req.Check, req.SimWorkers = *f.seed, *f.check, *f.simWorkers
+	req.Seed, req.Check = *f.seed, *f.check
 	req.TimeoutMS, req.TestPanic = int64(*f.timeout/time.Millisecond), *f.testPanic
 	return req
 }
@@ -151,7 +142,7 @@ func (f *flags) options() (service.Options, error) {
 		return service.Options{}, fmt.Errorf("bad -drain-policy %q (want finish or cancel)", *f.drainPolicy)
 	}
 	return service.Options{
-		Workers: *f.workers, SimWorkers: *f.simWorkers, MaxTotalWorkers: *f.maxTotal,
+		Workers:      *f.workers,
 		CacheEntries: *f.cacheEntries, JobHistory: *f.jobHistory,
 		QueueDepth: *f.queue, RetryAfter: *f.retryAfter,
 		JobTimeout: *f.jobTimeout, StallTimeout: *f.stallTimeout,

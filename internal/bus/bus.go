@@ -134,15 +134,6 @@ type System struct {
 	// Jitter, when non-nil, returns extra latency to add to one
 	// CPU-stalling bus transaction (fault injection).
 	Jitter func() arch.Cycles
-	// OnTouch, when non-nil, is called with a CPU id and a block address
-	// immediately before bus activity initiated elsewhere modifies that
-	// block in the CPU's caches (snoops, invalidations). The parallel
-	// engine uses it to discard the CPU's unconsumed speculation when —
-	// and only when — the speculation depends on that block.
-	OnTouch func(q arch.CPUID, a arch.PAddr)
-	// OnTouchAll is OnTouch without a block address (whole I-cache
-	// flushes): the CPU's entire unconsumed speculation is discarded.
-	OnTouchAll func(q arch.CPUID)
 
 	// Reference selects the generic oracle paths (full snoop loops, no
 	// presence filter, way-loop caches). Set via SetReference.
@@ -319,7 +310,6 @@ func (s *System) Read(c arch.CPUID, a arch.PAddr, now arch.Cycles) Outcome {
 			// A remote holder supplies the data if dirty and reverts
 			// to clean Shared; memory is updated.
 			q := arch.CPUID(bits.TrailingZeros64(mm))
-			s.touch(q, a.Block())
 			s.D[q].L2.SnoopRead(a)
 		}
 	} else {
@@ -414,7 +404,6 @@ func (s *System) Write(c arch.CPUID, a arch.PAddr, now arch.Cycles) Outcome {
 			shared = m != 0
 			for mm := m; mm != 0; mm &= mm - 1 {
 				q := arch.CPUID(bits.TrailingZeros64(mm))
-				s.touch(q, a.Block())
 				s.D[q].L2.SnoopRead(a)
 			}
 		} else {
@@ -472,7 +461,6 @@ func (s *System) invalidateRemote(c arch.CPUID, a arch.PAddr) {
 		}
 		for mm := m; mm != 0; mm &= mm - 1 {
 			q := arch.CPUID(bits.TrailingZeros64(mm))
-			s.touch(q, a.Block())
 			s.D[q].Invalidate(a)
 		}
 		s.pres.clearMask(a, m)
@@ -522,7 +510,6 @@ func (s *System) Bypass(c arch.CPUID, a arch.PAddr, blocks int, write bool, now 
 				m := s.pres.mask(ba)
 				for mm := m; mm != 0; mm &= mm - 1 {
 					q := arch.CPUID(bits.TrailingZeros64(mm))
-					s.touch(q, ba.Block())
 					s.D[q].Invalidate(ba)
 				}
 				s.pres.clearMask(ba, m)
@@ -551,7 +538,6 @@ func (s *System) Bypass(c arch.CPUID, a arch.PAddr, blocks int, write bool, now 
 func (s *System) InvalidateCodeFrame(f uint32, now arch.Cycles) int {
 	n := 0
 	for q := 0; q < s.N; q++ {
-		s.touchAll(arch.CPUID(q))
 		n += s.I[q].ResidentBlocks()
 		s.I[q].InvalidateAll()
 	}
@@ -570,7 +556,6 @@ func (s *System) InjectEvict(c arch.CPUID, a arch.PAddr, now arch.Cycles) bool {
 	if !d.Resident(a) {
 		return false
 	}
-	s.touch(c, a.Block())
 	dirty := d.L2.Dirty(a)
 	d.Invalidate(a)
 	if s.pres != nil {
@@ -607,7 +592,6 @@ func (s *System) InjectEvictRandom(rng *rand.Rand, c arch.CPUID, burst int, now 
 // injection), telling the checker so stale-fetch tracking stays exact.
 // It returns the number of blocks flushed.
 func (s *System) InjectIFlush(c arch.CPUID, now arch.Cycles) int {
-	s.touchAll(c)
 	n := s.I[c].ResidentBlocks()
 	s.I[c].InvalidateAll()
 	if s.Check != nil {

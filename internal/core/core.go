@@ -78,13 +78,6 @@ type Config struct {
 	// Inject, when non-nil and enabled, runs the workload under
 	// deterministic fault injection.
 	Inject *inject.Config
-	// SimWorkers > 1 enables the conservative parallel engine: the CPUs
-	// are speculated ahead across that many goroutines and committed in
-	// the exact serial order, so the report is byte-identical to a
-	// serial run. Deliberately excluded from Hash(): the worker count
-	// changes wall-clock time only, never the output, so every worker
-	// count shares one content address (and one result-cache slot).
-	SimWorkers int
 	// Sample, when enabled, tallies the classifier's counts over the
 	// schedule's measured intervals (see the sample package) and fills
 	// Characterization.Sampled with the per-class estimate and its
@@ -98,6 +91,8 @@ type Config struct {
 	// fast path. Reports must be byte-identical either way, so it is not a
 	// product mode: only the package's differential test sets it.
 	reference bool
+
+	tombstone
 }
 
 // Validate names what makes a configuration unrunnable, after defaults
@@ -300,7 +295,6 @@ func RunMonitored(ctx context.Context, cfg Config, onStart func(progress func() 
 		Reference:      cfg.reference,
 		Check:          cfg.Check,
 		Inject:         cfg.Inject,
-		SimWorkers:     cfg.SimWorkers,
 		Sample:         cfg.Sample,
 		Kernel: kernel.Config{Affinity: cfg.Affinity, OptimizedText: cfg.OptimizedText,
 			BlockOpBypass: cfg.BlockOpBypass},

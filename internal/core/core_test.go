@@ -109,7 +109,7 @@ func TestConfigValidate(t *testing.T) {
 		{},
 		{Sample: sched},
 		{Sample: sched, Window: 300_000}, // exactly one interval
-		{Sample: sched, CollectIResim: true, CollectDResim: true, Check: true, SimWorkers: 2},
+		{Sample: sched, CollectIResim: true, CollectDResim: true, Check: true},
 		{NCPU: trace.MaxResimCPUs, CollectDResim: true},
 		{NCPU: trace.MaxResimCPUs + 1, NoTrace: true},
 		{NoTrace: true, Buffered: true},

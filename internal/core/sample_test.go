@@ -38,8 +38,7 @@ func sampleTolerance(t *testing.T, name string, got, want, stderr, fullTotal flo
 // run must (a) be the unsampled run — equal architectural state hashes,
 // time split, kernel counters and whole-window trace result — and
 // (b) estimate every per-class miss count within the documented
-// tolerance. A second sampled run on the parallel engine must reproduce
-// the serial estimate bit for bit.
+// tolerance.
 func TestSampledMatchesFullRun(t *testing.T) {
 	sched, err := sample.Parse(sampleSchedule)
 	if err != nil {
@@ -96,18 +95,6 @@ func TestSampledMatchesFullRun(t *testing.T) {
 				t.Errorf("total misses: sampled %.0f vs full %d (%.1f%% off, cap 20%%)",
 					total, fullTotal, 100*rel)
 			}
-
-			// The conservative parallel engine must reproduce the serial
-			// sampled run exactly — the interval stops fall at step
-			// boundaries, where the workers have quiesced.
-			par := Run(Config{Workload: wl, Window: arch.DefaultWindow, Sample: sched, SimWorkers: 2})
-			if sh, ph := samp.Sim.StateHash(), par.Sim.StateHash(); sh != ph {
-				t.Errorf("parallel sampled state hash diverged: serial %x, workers=2 %x", sh, ph)
-			}
-			if !reflect.DeepEqual(samp.Sampled, par.Sampled) {
-				t.Errorf("parallel sampled estimate diverged from serial:\nserial  %+v\nworkers %+v",
-					samp.Sampled, par.Sampled)
-			}
 		})
 	}
 }
@@ -161,7 +148,7 @@ func TestSampledTraceIsExact(t *testing.T) {
 
 // TestSampledRunUnderChecker: the checker checks every reference of every
 // run, so a sampled checked run performs exactly the unsampled run's
-// checks, with zero violations, on either engine.
+// checks, with zero violations.
 func TestSampledRunUnderChecker(t *testing.T) {
 	sched, err := sample.Parse(sampleSchedule)
 	if err != nil {
@@ -170,16 +157,12 @@ func TestSampledRunUnderChecker(t *testing.T) {
 	cfg := Config{Workload: workload.Pmake, Window: 4_000_000, Check: true}
 	want := Run(cfg).Sim.Chk.Checks
 	cfg.Sample = sched
-	for _, workers := range []int{1, 2} {
-		cfg.SimWorkers = workers
-		ch := Run(cfg)
-		if n := len(ch.CheckErrors); n > 0 {
-			t.Fatalf("workers=%d: checker found %d violations in a sampled run, first: %v",
-				workers, n, ch.CheckErrors[0])
-		}
-		if got := ch.Sim.Chk.Checks; got != want {
-			t.Errorf("workers=%d: sampled run performed %d checks, unsampled %d", workers, got, want)
-		}
+	ch := Run(cfg)
+	if n := len(ch.CheckErrors); n > 0 {
+		t.Fatalf("checker found %d violations in a sampled run, first: %v", n, ch.CheckErrors[0])
+	}
+	if got := ch.Sim.Chk.Checks; got != want {
+		t.Errorf("sampled run performed %d checks, unsampled %d", got, want)
 	}
 }
 
@@ -188,11 +171,6 @@ func TestSampledRunUnderChecker(t *testing.T) {
 // and distinguishes sampled configs from full ones and from each other.
 func TestSampleHashIdentity(t *testing.T) {
 	base := Config{Workload: workload.Multpgm, Window: 2_000_000, Seed: 5}
-	withWorkers := base
-	withWorkers.SimWorkers = 2
-	if base.Hash() != withWorkers.Hash() {
-		t.Error("unsampled config hash unstable across worker counts")
-	}
 	s1, _ := sample.Parse("10K:20K:100K")
 	s2, _ := sample.Parse("10K:20K:200K")
 	a, b := base, base

@@ -226,15 +226,6 @@ type Kernel struct {
 	events eventHeap
 	timers []timer // unsorted; scanned at clock ticks (callout table)
 
-	// OnEventPost, when non-nil, is called after every event post with
-	// the target CPU and the delivery time. The parallel engine uses it
-	// to discard that CPU's speculated steps from the first one whose
-	// entry clock is at or past the delivery time: those were run
-	// against an event horizon that no longer holds, while earlier steps
-	// would have run identically (the serial engine only checks for due
-	// events at step boundaries).
-	OnEventPost func(cpu arch.CPUID, at arch.Cycles)
-
 	// Page/text caches.
 	fileCache map[fileKey]uint32
 	frameFile map[uint32]fileKey
@@ -796,9 +787,6 @@ func (k *Kernel) CodeFrames() []uint32 {
 
 func (k *Kernel) postEvent(at arch.Cycles, kind IntrKind, ch SleepChan, cpu arch.CPUID) {
 	heap.Push(&k.events, AsyncEvent{At: at, Kind: kind, Ch: ch, CPU: cpu})
-	if k.OnEventPost != nil {
-		k.OnEventPost(cpu, at)
-	}
 }
 
 // NextEventTime returns the time of the earliest pending asynchronous
@@ -808,20 +796,6 @@ func (k *Kernel) NextEventTime() arch.Cycles {
 		return -1
 	}
 	return k.events[0].At
-}
-
-// NextEventTimeFor returns the time of the earliest pending event
-// targeted at the given CPU, if any. The parallel engine freezes this as
-// the CPU's event horizon before speculating past it.
-func (k *Kernel) NextEventTimeFor(cpu arch.CPUID) (arch.Cycles, bool) {
-	var best arch.Cycles
-	ok := false
-	for i := range k.events {
-		if k.events[i].CPU == cpu && (!ok || k.events[i].At < best) {
-			best, ok = k.events[i].At, true
-		}
-	}
-	return best, ok
 }
 
 // PopDueEvent removes and returns the earliest event with time ≤ now.

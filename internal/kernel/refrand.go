@@ -6,13 +6,6 @@ import "repro/internal/arch"
 // process draws its user-mode instruction/data reference pattern from its
 // own stream, seeded from (run seed, PID), so the stream depends only on
 // the process — not on how user bursts from different CPUs interleave.
-// That independence is what lets the parallel engine speculate a CPU's
-// user execution ahead of the global commit order: the draws it makes are
-// the same ones the serial engine would make, and a rolled-back draw is
-// replayed identically by rewinding the single word of state.
-//
-// The value type is deliberately one uint64: snapshot with State, rewind
-// with Restore.
 type RefRand struct {
 	state uint64
 }
@@ -48,10 +41,3 @@ func (r *RefRand) next() uint64 {
 func (r *RefRand) Intn(n int) int {
 	return int(r.next() % uint64(n))
 }
-
-// State returns the PRNG state for checkpointing.
-func (r *RefRand) State() uint64 { return r.state }
-
-// Restore rewinds the PRNG to a checkpointed state; subsequent draws
-// repeat exactly.
-func (r *RefRand) Restore(s uint64) { r.state = s }

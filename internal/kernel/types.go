@@ -74,7 +74,7 @@ type Footprint struct {
 	AllData []uint32
 	// Rng drives this process's reference draws. Per-process (seeded
 	// from run seed + PID) so the stream is independent of CPU
-	// interleaving — required by the parallel engine's speculation.
+	// interleaving.
 	Rng RefRand
 }
 

@@ -28,17 +28,6 @@ type RunStats struct {
 	// BatchStats carries the process-wide totals either way.
 	Allocs     uint64
 	AllocBytes uint64
-	// SimWorkers is the run's intra-run worker count: the conservative
-	// parallel engine's goroutine count when it engaged, 1 when the run
-	// executed on the serial scheduler.
-	SimWorkers int
-	// SpecPhases, SpecSteps and SpecCommitted mirror the parallel
-	// engine's counters: speculation/commit rounds, virtual steps
-	// speculated, and how many of those the merge consumed (the rest
-	// were truncated and re-run serially). All zero for serial runs.
-	SpecPhases    int64
-	SpecSteps     int64
-	SpecCommitted int64
 	// BusTxns is the run's CPU-stalling bus transactions (everything but
 	// write-backs) and Checks the invariant evaluations its checker made
 	// (zero without -check): the event counts behind the wall-clock, so a
@@ -56,16 +45,6 @@ func (r *RunStats) Throughput() {
 	if r.Wall > 0 {
 		r.MCyclesPerSec = float64(r.SimCycles) / r.Wall.Seconds() / 1e6
 	}
-}
-
-// HorizonBatch is the mean speculated steps per speculation phase — how
-// deep the run-ahead horizon reached before each commit. Zero for serial
-// runs.
-func (r RunStats) HorizonBatch() float64 {
-	if r.SpecPhases == 0 {
-		return 0
-	}
-	return float64(r.SpecSteps) / float64(r.SpecPhases)
 }
 
 // BatchStats aggregates one parallel batch of runs.
@@ -109,23 +88,19 @@ func countCell(n int64) string {
 // Table renders the batch as an aligned table with a summary footnote.
 func (b BatchStats) Table() string {
 	t := NewTable(fmt.Sprintf("Experiment timing (%d workers)", b.Parallelism),
-		"Run", "Wall", "Wait", "Mcycles/s", "SimW", "Allocs", "Alloc MB", "Txns", "Checks")
+		"Run", "Wall", "Wait", "Mcycles/s", "Allocs", "Alloc MB", "Txns", "Checks")
 	for _, r := range b.Runs {
 		allocs, mb := "-", "-"
 		if r.Allocs > 0 {
 			allocs = fmt.Sprint(r.Allocs)
 			mb = fmt.Sprintf("%.1f", float64(r.AllocBytes)/1e6)
 		}
-		simw := "-"
-		if r.SimWorkers > 1 {
-			simw = fmt.Sprintf("%d(%.0f)", r.SimWorkers, r.HorizonBatch())
-		}
 		wait := "-"
 		if r.ClassifyWait > 0 {
 			wait = r.ClassifyWait.Round(100 * time.Microsecond).String()
 		}
 		t.AddRow(r.Label, r.Wall.Round(time.Millisecond).String(), wait,
-			fmt.Sprintf("%.1f", r.MCyclesPerSec), simw, allocs, mb,
+			fmt.Sprintf("%.1f", r.MCyclesPerSec), allocs, mb,
 			countCell(r.BusTxns), countCell(r.Checks))
 	}
 	t.Note("batch wall %s vs serial %s — speedup %.2fx; %d allocs (%.1f MB) process-wide",

@@ -1,7 +1,7 @@
 // Package runflag is the command-line surface the simulating binaries
-// (charos, sweep) share: -window, -seed, -check, -parallel, -sim-workers,
-// -timeout, -cpuprofile, -memprofile, and the -machine preset with its
-// geometry overrides. A binary registers them beside its own flags,
+// (charos, sweep) share: -window, -seed, -check, -parallel, -timeout,
+// -cpuprofile, -memprofile, and the -machine preset with its geometry
+// overrides. A binary registers them beside its own flags,
 // resolves them after Parse into the validated base core.Config, runs
 // under Main (worker pool, -timeout context, profiling) and ends with
 // Finish.
@@ -33,7 +33,8 @@ const MaxListed = 10
 type Flags struct {
 	window, seed           *int64
 	check                  *bool
-	parallel, simWorkers   *int
+	parallel               *int
+	simWorkers             bool // -sim-workers was given (tombstone.go)
 	timeout                *time.Duration
 	cpuprofile, memprofile *string
 	machine                *machineflag.Flags
@@ -41,24 +42,24 @@ type Flags struct {
 
 // Register installs the shared run flags on fs.
 func Register(fs *flag.FlagSet) *Flags {
-	return &Flags{
+	f := &Flags{
 		window: machineflag.CyclesFlag(fs, "window", int64(arch.DefaultWindow),
 			"traced window in 30ns cycles (K/M/G suffixes and scientific notation ok, e.g. 1e9)"),
 		seed:     fs.Int64("seed", 1, "random seed"),
 		check:    fs.Bool("check", false, "run the invariant checker (shadow memory, coherence, lock discipline)"),
 		parallel: fs.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size for independent runs (1 = serial)"),
-		simWorkers: fs.Int("sim-workers", 1,
-			"intra-run worker goroutines for the conservative parallel engine (1 = serial scheduler); output is byte-identical at any count"),
 		timeout: fs.Duration("timeout", 0,
 			"wall-clock budget for the whole run (0 = none); on expiry prints the cancellation provenance and exits nonzero"),
 		cpuprofile: fs.String("cpuprofile", "", "write a CPU profile to this file"),
 		memprofile: fs.String("memprofile", "", "write a heap profile to this file on exit"),
 		machine:    machineflag.Register(fs),
 	}
+	registerSimWorkers(fs, &f.simWorkers)
+	return f
 }
 
-// Config resolves the machine, -window, -seed, -check and -sim-workers
-// into the base configuration, lets the binary set its own fields through
+// Config resolves the machine, -window, -seed and -check into the base
+// configuration, lets the binary set its own fields through
 // adjust (nil for none) and validates the result. Nothing has run yet, so
 // every error is a usage error.
 func (f *Flags) Config(adjust func(*core.Config) error) (core.Config, error) {
@@ -67,7 +68,7 @@ func (f *Flags) Config(adjust func(*core.Config) error) (core.Config, error) {
 		return core.Config{}, err
 	}
 	cfg := core.Config{Machine: machine, Window: arch.Cycles(*f.window), Seed: *f.seed,
-		Check: *f.check, SimWorkers: *f.simWorkers}
+		Check: *f.check}
 	if adjust != nil {
 		if err := adjust(&cfg); err != nil {
 			return core.Config{}, err
@@ -77,8 +78,7 @@ func (f *Flags) Config(adjust func(*core.Config) error) (core.Config, error) {
 }
 
 // Run is what a binary's body runs under: the -timeout context and the
-// worker-pool options, with the pool capped so pool workers × -sim-workers
-// fit the machine.
+// worker-pool options.
 type Run struct {
 	Ctx  context.Context
 	Opts runner.Options
@@ -112,12 +112,10 @@ func (f *Flags) Main(resolve func() error, body func(Run) int) int {
 		r.Ctx, cancel = context.WithTimeout(r.Ctx, *f.timeout)
 		defer cancel()
 	}
-	pool := runner.CapTotal(*f.parallel, *f.simWorkers)
-	if pool != *f.parallel {
-		fmt.Fprintf(os.Stderr, "note: -parallel clamped %d -> %d (-sim-workers %d, GOMAXPROCS %d)\n",
-			*f.parallel, pool, *f.simWorkers, runtime.GOMAXPROCS(0))
+	if f.simWorkers {
+		fmt.Fprintln(os.Stderr, simWorkersNote)
 	}
-	r.Opts = runner.Options{Parallelism: pool, SimWorkers: *f.simWorkers}
+	r.Opts = runner.Options{Parallelism: *f.parallel}
 	return body(r)
 }
 

@@ -30,7 +30,7 @@ func parse(t *testing.T, args ...string) *Flags {
 }
 
 func TestConfigResolvesSharedFlags(t *testing.T) {
-	f := parse(t, "-window", "2M", "-seed", "23", "-check", "-sim-workers", "3",
+	f := parse(t, "-window", "2M", "-seed", "23", "-check",
 		"-machine", "4d380", "-dcache-l2", "1M")
 	cfg, err := f.Config(func(c *core.Config) error { c.NCPU = 2; return nil })
 	if err != nil {
@@ -38,8 +38,7 @@ func TestConfigResolvesSharedFlags(t *testing.T) {
 	}
 	m := arch.Default()
 	m.NCPU, m.MemBytes, m.DCacheL2Size = 8, 64<<20, 1<<20
-	if cfg.Machine != m || cfg.Window != 2_000_000 || cfg.Seed != 23 || !cfg.Check ||
-		cfg.SimWorkers != 3 || cfg.NCPU != 2 {
+	if cfg.Machine != m || cfg.Window != 2_000_000 || cfg.Seed != 23 || !cfg.Check || cfg.NCPU != 2 {
 		t.Errorf("resolved %+v", cfg)
 	}
 }
@@ -77,8 +76,7 @@ func TestDefaultConfigIsTheDefaultRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero := core.Config{SimWorkers: 1} // the serial scheduler, as a zero count
-	if cfg.Canonical() != zero.Canonical() || cfg.Hash() != (core.Config{}).Hash() {
+	if cfg.Canonical() != (core.Config{}).Canonical() || cfg.Hash() != (core.Config{}).Hash() {
 		t.Errorf("default flags resolve to %+v, not the zero config's run", cfg.Canonical())
 	}
 }
@@ -100,14 +98,48 @@ func TestConfigUsageErrors(t *testing.T) {
 	}
 }
 
-func TestMainCapsThePoolAndReportsUsageErrors(t *testing.T) {
-	f := parse(t, "-parallel", "64", "-sim-workers", "2")
-	var got runner.Options
-	if code := f.Main(func() error { return nil }, func(r Run) int { got = r.Opts; return 7 }); code != 7 {
-		t.Errorf("Main returned %d, want the body's 7", code)
+// stderrOf runs fn with os.Stderr redirected and returns what it wrote.
+func stderrOf(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if want := runner.CapTotal(64, 2); got.Parallelism != want || got.SimWorkers != 2 {
-		t.Errorf("options %+v, want parallelism %d with 2 sim workers", got, want)
+	saved := os.Stderr
+	os.Stderr = w
+	defer func() { os.Stderr = saved }()
+	fn()
+	w.Close()
+	b, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestMainPassesThePoolAndReportsUsageErrors: -parallel reaches the
+// runner as given, the tombstoned -sim-workers parses and changes nothing
+// but one stderr note, and a resolve error is a usage error.
+func TestMainPassesThePoolAndReportsUsageErrors(t *testing.T) {
+	f := parse(t, "-parallel", "64", "-sim-workers", "3")
+	var got runner.Options
+	note := stderrOf(t, func() {
+		if code := f.Main(func() error { return nil }, func(r Run) int { got = r.Opts; return 7 }); code != 7 {
+			t.Errorf("Main returned %d, want the body's 7", code)
+		}
+	})
+	if got != (runner.Options{Parallelism: 64}) {
+		t.Errorf("options %+v, want parallelism 64", got)
+	}
+	if note != simWorkersNote+"\n" {
+		t.Errorf("stderr %q, want the one -sim-workers note", note)
+	}
+	if note := stderrOf(t, func() { parse(t).Main(func() error { return nil }, func(Run) int { return 0 }) }); note != "" {
+		t.Errorf("stderr %q without -sim-workers, want nothing", note)
+	}
+	cfg, err := f.Config(nil)
+	if err != nil || cfg.Canonical() != (core.Config{}).Canonical() {
+		t.Errorf("-sim-workers reached the config: %+v, %v", cfg, err)
 	}
 	ran := false
 	if code := f.Main(func() error { return fmt.Errorf("bad") }, func(Run) int { ran = true; return 0 }); code != 2 || ran {

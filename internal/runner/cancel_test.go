@@ -66,19 +66,18 @@ func TestExperimentsPanicIsolationOrderPreserved(t *testing.T) {
 	}
 }
 
-// TestParallelEngineCancelNoLeak cancels runs mid-simulation while the
-// conservative parallel engine is active. Each cancellation must
-// propagate before the run's next bus transaction and come back as a
-// structured *core.CanceledError with full provenance — and the
-// engine's speculation workers must all exit: repeated canceled runs
-// may not accumulate goroutines.
-func TestParallelEngineCancelNoLeak(t *testing.T) {
+// TestMidRunCancelNoLeak cancels 8-CPU runs mid-simulation. Each
+// cancellation must propagate before the run's next bus transaction and
+// come back as a structured *core.CanceledError with full provenance —
+// and the run's classifier goroutine, fed through the chunk pipe, must
+// exit: repeated canceled runs may not accumulate goroutines.
+func TestMidRunCancelNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := core.Config{
 		Workload: workload.Oracle, NCPU: 8,
 		// A window far past what the test waits for: the run can only
 		// end through the cancel path.
-		Window: 1 << 30, Seed: 7, SimWorkers: 4,
+		Window: 1 << 30, Seed: 7,
 	}
 	for i := 0; i < 4; i++ {
 		// Cancel once the run has simulated its first cycle, not after a
@@ -108,16 +107,16 @@ func TestParallelEngineCancelNoLeak(t *testing.T) {
 			t.Error("cancellation carries no simulated-cycle provenance")
 		}
 	}
-	// The speculation workers are per-phase: a clean unwind leaves no
-	// goroutine behind. Poll briefly — exiting goroutines need a
-	// scheduler beat to be reaped from the count.
+	// The pipe's consumer is per-run: a clean unwind leaves no goroutine
+	// behind. Poll briefly — exiting goroutines need a scheduler beat to
+	// be reaped from the count.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if n := runtime.NumGoroutine(); n <= before+2 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after canceled parallel runs",
+			t.Fatalf("goroutines leaked: %d before, %d after canceled runs",
 				before, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)

@@ -115,15 +115,13 @@ type WorkerMetrics struct {
 	Live int `json:"live"`
 }
 
-// JobMetrics is one retained job's execution record: the intra-run
-// worker count the run used and its simulated-cycle throughput. Both
-// are zero for jobs that executed nothing (dedup followers, cache
-// hits, canceled-before-start) — observability never inherits a
-// leader's numbers.
+// JobMetrics is one retained job's execution record: its simulated-cycle
+// throughput, zero for jobs that executed nothing (dedup followers, cache
+// hits, canceled-before-start) — observability never inherits a leader's
+// numbers.
 type JobMetrics struct {
 	ID            string  `json:"id"`
 	State         string  `json:"state"`
-	SimWorkers    int     `json:"sim_workers,omitempty"`
 	MCyclesPerSec float64 `json:"mcycles_per_sec,omitempty"`
 }
 

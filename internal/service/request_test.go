@@ -73,6 +73,7 @@ func TestRequestRangesRejectedAtSubmit(t *testing.T) {
 		{`{"workload":"pmake","window":-5}`, "window -5"},
 		{`{"workload":"pmake","warmup":-1}`, "warmup -1"},
 		{`{"workload":"pmake","timeout_ms":-1}`, "timeout_ms -1"},
+		{`{"workload":"pmake","sim_workers":2}`, `unknown field "sim_workers"`},
 		{`{"workload":"pmake","window":250000,"sample":"100K:200K:10M"}`, "sample: schedule 100K:200K:10M fits no measured interval"},
 		{`{"workload":"pmake"} {"workload":"pmake"}`, "after the request object"},
 		{`{"workload":"pmake"}]`, "after the request object"},
@@ -210,7 +211,7 @@ func FuzzRequestDecode(f *testing.F) {
 		`{"workload":"pmake","ncpu":-3}`,
 		`{"workload":"pmake","ncpu":5000,"window":200000}`,
 		`{"workload":"pmake","window":-5}`,
-		`{"workload":"pmake","timeout_ms":-1,"sim_workers":2}`,
+		`{"workload":"pmake","timeout_ms":-1}`,
 		`{"workload":"pmake","sample":"1:2"}`,
 		`{"workload":"pmake"} {"workload":"pmake"}`,
 		`{"workload":"pmake"}` + "\n",

@@ -78,12 +78,6 @@ type Request struct {
 	// classification lines. The schedule is part of the job's cache
 	// identity: sampled and full runs of the same config hash differently.
 	Sample string `json:"sample,omitempty"`
-	// SimWorkers is the job's intra-run worker count for the
-	// conservative parallel engine (0 inherits the server default, 1
-	// forces serial). It never affects the job's output or its cache
-	// identity — worker count changes wall-clock only — and the server
-	// clamps it against its total-worker budget.
-	SimWorkers int `json:"sim_workers,omitempty"`
 	// TimeoutMS is the job's wall-clock budget; 0 inherits the server
 	// default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -166,12 +160,10 @@ type Job struct {
 	mu      sync.Mutex
 	state   string
 	outcome Outcome
-	// simWorkers and mcps record the run's intra-run worker count and
-	// simulated-Mcycles/s throughput. Leader jobs only: a dedup follower
-	// or cache hit executed nothing, so both stay zero — honest
-	// observability, not an inherited number.
-	simWorkers int
-	mcps       float64
+	// mcps records the run's simulated-Mcycles/s throughput. Leader
+	// jobs only: a dedup follower or cache hit executed nothing, so it
+	// stays zero — honest observability, not an inherited number.
+	mcps float64
 	// progress reports the run's simulated-cycle heartbeat while
 	// running. resolve nils it at terminal state — the closure pins the
 	// run's entire simulator pipeline (caches, shadow memory, classifier
@@ -193,8 +185,8 @@ func (j *Job) Snapshot() JobStatus {
 	st := JobStatus{
 		ID: j.ID, Hash: j.Hash, State: j.state,
 		Workload: j.Req.Workload, Seed: j.Req.Seed,
-		Cycle:      j.outcome.Cycle,
-		SimWorkers: j.simWorkers, MCyclesPerSec: j.mcps,
+		Cycle:         j.outcome.Cycle,
+		MCyclesPerSec: j.mcps,
 	}
 	if j.state == StateRunning && j.progress != nil {
 		st.Cycle = int64(j.progress())
@@ -222,10 +214,8 @@ type JobStatus struct {
 	// Cycle is the simulated-cycle heartbeat (live progress while
 	// running, the cycle reached at termination afterwards).
 	Cycle int64 `json:"cycle,omitempty"`
-	// SimWorkers and MCyclesPerSec are the run's intra-run worker count
-	// and simulated-Mcycles/s throughput — zero for dedup followers and
-	// cache hits, which executed nothing.
-	SimWorkers    int     `json:"sim_workers,omitempty"`
+	// MCyclesPerSec is the run's simulated-Mcycles/s throughput — zero
+	// for dedup followers and cache hits, which executed nothing.
 	MCyclesPerSec float64 `json:"mcycles_per_sec,omitempty"`
 	Report        string  `json:"report,omitempty"`
 	Error         string  `json:"error,omitempty"`
@@ -263,13 +253,6 @@ func deterministicErr(err error) bool {
 type Options struct {
 	// Workers is the fixed run-executing pool size (default GOMAXPROCS).
 	Workers int
-	// SimWorkers is the default intra-run worker count applied to jobs
-	// that do not request one (0 or 1 = serial engine).
-	SimWorkers int
-	// MaxTotalWorkers caps pool-level times intra-run parallelism: a
-	// job's effective SimWorkers is clamped so that Workers × SimWorkers
-	// never exceeds it. 0 means no cap.
-	MaxTotalWorkers int
 	// CacheEntries bounds completed results resident across all shards;
 	// beyond it the per-shard LRU evicts (default 4096).
 	CacheEntries int
@@ -306,9 +289,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.SimWorkers < 1 {
-		o.SimWorkers = 1
 	}
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = defaultCacheEntries
@@ -465,8 +445,7 @@ func (s *Server) Metrics() Metrics {
 	for _, j := range jobs {
 		j.mu.Lock()
 		jm := JobMetrics{
-			ID: j.ID, State: j.state,
-			SimWorkers: j.simWorkers, MCyclesPerSec: j.mcps,
+			ID: j.ID, State: j.state, MCyclesPerSec: j.mcps,
 		}
 		j.mu.Unlock()
 		perJob = append(perJob, jm)
@@ -515,9 +494,6 @@ func (s *Server) Submit(req Request) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	// SimWorkers is hash-neutral (wall-clock only), so setting it after
-	// Config cannot split the content-addressed dedup.
-	cfg.SimWorkers = s.simWorkersFor(req.SimWorkers)
 	if req.TestPanic && !s.opts.TestHooks {
 		return nil, errors.New("test_panic requires the server to run with test hooks enabled")
 	}
@@ -590,25 +566,6 @@ func (s *Server) Submit(req Request) (*Job, error) {
 	return job, nil
 }
 
-// simWorkersFor resolves a job's effective intra-run worker count: the
-// request's, falling back to the server default, clamped so the worker
-// pool times the per-run engine stays inside the MaxTotalWorkers budget.
-func (s *Server) simWorkersFor(req int) int {
-	w := req
-	if w <= 0 {
-		w = s.opts.SimWorkers
-	}
-	if b := s.opts.MaxTotalWorkers; b > 0 {
-		if lim := b / s.opts.Workers; w > lim {
-			w = lim
-		}
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // execute runs one leader job to a terminal outcome. Panics inside the
 // run surface as the job's PanicError (runner.RunOneMonitored recovers them), so
 // the worker goroutine itself never dies.
@@ -646,7 +603,6 @@ func (s *Server) execute(job *Job) {
 		job.mu.Unlock()
 	}, hooks...)
 	job.mu.Lock()
-	job.simWorkers = res.Stats.SimWorkers
 	job.mcps = res.Stats.MCyclesPerSec
 	job.mu.Unlock()
 

@@ -208,7 +208,6 @@ func TestShedNeverAdmitsFollower(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.SimWorkers = srv.simWorkersFor(req.SimWorkers)
 		hash := cfg.Hash()
 		sh := srv.store.shardFor(hash)
 		shed := make(chan error, 2)
@@ -341,6 +340,28 @@ func TestSingleflightDedup(t *testing.T) {
 	}
 	if stats.Completed != n {
 		t.Errorf("completed = %d, want %d (every submission resolved)", stats.Completed, n)
+	}
+}
+
+// TestJobMetricsThroughput: /v1/metrics lists each job's simulated
+// Mcycles/s, and a cache hit honestly reports zero — it executed nothing.
+func TestJobMetricsThroughput(t *testing.T) {
+	srv, cl := newTestServer(t, Options{Workers: 1})
+	ctx := context.Background()
+	st, err := cl.Submit(ctx, smallReq(32))
+	if err != nil || st.State != StateDone || st.MCyclesPerSec <= 0 {
+		t.Fatalf("leader: st=%+v err=%v, want done with positive throughput", st, err)
+	}
+	st2, err := cl.Submit(ctx, smallReq(32))
+	if err != nil || st2.State != StateDone || st2.Report != st.Report {
+		t.Fatalf("cache hit: st=%+v err=%v, want the leader's report", st2, err)
+	}
+	if st2.MCyclesPerSec != 0 {
+		t.Errorf("cache hit inherited throughput it never earned: %+v", st2)
+	}
+	m := srv.Metrics()
+	if len(m.Jobs) != 2 || m.Jobs[0].MCyclesPerSec <= 0 || m.Jobs[1].MCyclesPerSec != 0 {
+		t.Errorf("metrics jobs %+v: want the leader's positive throughput, then zero", m.Jobs)
 	}
 }
 

@@ -36,20 +36,14 @@ type CPU struct {
 	curOp         kernel.OpKind
 	osStart       arch.Cycles
 
-	// spec is non-nil only while the parallel engine speculates this CPU
-	// inside a worker goroutine: bus-visible effects divert into the op
-	// log and any non-private site stops the speculation.
-	spec *specCPU
-
 	// ic and dc are this CPU's own caches, for the hit filter: a fetch,
 	// load or store that hits without changing any line is charged here
 	// and never reaches the bus (fetch, dataRef).
 	ic *cache.Cache
 	dc *cache.DataHierarchy
 	// hitFilter is false when a checker is attached: it must see every
-	// reference. The filter is also off while spec != nil (hits still
-	// feed the dependence set) and on the -reference oracle path, where
-	// the probes themselves return false.
+	// reference. The filter is also off on the -reference oracle path,
+	// where the probes themselves return false.
 	hitFilter bool
 
 	// Micro-TLB: the last code and the last data translation, one entry
@@ -114,14 +108,7 @@ func (c *CPU) flushMicroTLB() {
 // no bus transaction, so it needs no pollCancel either.
 func (c *CPU) fetch(a arch.PAddr) {
 	var o bus.Outcome
-	if sp := c.spec; sp != nil {
-		// Speculative: see dataRef.
-		if c.sim.cancel.Load() {
-			sp.stopped, sp.canceled = true, true
-			return
-		}
-		o = sp.bs.Fetch(a, c.now)
-	} else if !(c.hitFilter && c.ic.ReadHit(a)) {
+	if !(c.hitFilter && c.ic.ReadHit(a)) {
 		c.sim.pollCancel(c)
 		o = c.sim.Bus.Fetch(c.id, a, c.now)
 	}
@@ -176,21 +163,7 @@ func (c *CPU) data(a arch.PAddr, n int, write bool) {
 // dataRef issues one block-granular data reference and charges its time.
 func (c *CPU) dataRef(a arch.PAddr, write bool) {
 	var o bus.Outcome
-	if sp := c.spec; sp != nil {
-		// Speculative: private cache effects apply (journaled), bus-
-		// visible effects are deferred into the op log. Cancellation is
-		// flagged, not panicked — the panic must come from the engine's
-		// main goroutine to preserve RunCancelable's provenance.
-		if c.sim.cancel.Load() {
-			sp.stopped, sp.canceled = true, true
-			return
-		}
-		if write {
-			o = sp.bs.Write(a, c.now)
-		} else {
-			o = sp.bs.Read(a, c.now)
-		}
-	} else if !(c.hitFilter && (write && c.dc.WriteHit(a) || !write && c.dc.ReadHitL1(a))) {
+	if !(c.hitFilter && (write && c.dc.WriteHit(a) || !write && c.dc.ReadHitL1(a))) {
 		// Not a hit the filter can answer here (see fetch).
 		c.sim.pollCancel(c)
 		if write {
@@ -314,9 +287,6 @@ func (c *CPU) TLBInsert(pid arch.PID, vpage, frame uint32) {
 // TLBInvalidatePID removes the pid's entries from every CPU's TLB.
 func (c *CPU) TLBInvalidatePID(pid arch.PID) {
 	for _, q := range c.sim.CPUs {
-		if e := c.sim.par; e != nil {
-			e.truncateSpec(q.id)
-		}
 		q.tlb.InvalidatePID(pid)
 		q.flushMicroTLB()
 	}
@@ -325,9 +295,6 @@ func (c *CPU) TLBInvalidatePID(pid arch.PID) {
 // TLBInvalidateFrame removes mappings of a frame from every CPU's TLB.
 func (c *CPU) TLBInvalidateFrame(frame uint32) {
 	for _, q := range c.sim.CPUs {
-		if e := c.sim.par; e != nil {
-			e.truncateSpec(q.id)
-		}
 		q.tlb.InvalidateFrame(frame)
 		q.flushMicroTLB()
 	}

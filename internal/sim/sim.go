@@ -53,15 +53,6 @@ type Config struct {
 	// Inject, when non-nil and enabled, perturbs the run with
 	// deterministic faults.
 	Inject *inject.Config
-	// SimWorkers > 1 enables the conservative parallel engine: the
-	// machine's CPUs are partitioned across that many goroutines, each
-	// speculating privately between bus-commit points, with a
-	// deterministic merge that keeps reports byte-identical to the
-	// serial engine (0 or 1). It silently falls back to serial when the
-	// configuration doesn't support speculation (reference/check/inject
-	// runs, a buffered monitor, set-associative geometries, 1 CPU, or
-	// more CPUs than the presence filter covers).
-	SimWorkers int
 	// Sample, when enabled, makes Run stop at the schedule's measured-
 	// interval boundaries to call OnMeasure. What is simulated does not
 	// depend on it: the stops fall between steps.
@@ -115,9 +106,6 @@ type Simulator struct {
 	Chk *check.Checker
 	// Inj is the fault injector (nil unless Cfg.Inject is enabled).
 	Inj *inject.Injector
-	// par is the conservative parallel engine (nil when running serial:
-	// SimWorkers ≤ 1 or an unsupported configuration).
-	par *parEngine
 
 	// OnMeasure, when set on a run with a Cfg.Sample schedule, is called
 	// with true as each measured interval begins and false as it ends,
@@ -214,9 +202,6 @@ func New(cfg Config) *Simulator {
 			mode:          arch.ModeKernel,
 			nextClockTick: arch.ClockTickCycles + arch.Cycles(i*1000),
 		}
-	}
-	if cfg.SimWorkers > 1 && s.specAllowed() {
-		s.par = newParEngine(s, cfg.SimWorkers)
 	}
 	return s
 }
@@ -321,8 +306,7 @@ func (s *Simulator) Run() {
 	}
 	// The traced window, with a stop at each measured-interval boundary
 	// of the sampling schedule (none when sampling is off). A stop falls
-	// between steps — where the parallel engine's workers have quiesced
-	// too — so the step sequence is the same with or without it.
+	// between steps, so the step sequence is the same with or without it.
 	if s.OnMeasure != nil {
 		for _, iv := range s.Cfg.Sample.Intervals(s.Cfg.Window) {
 			s.end = s.TraceStartAt + iv.Start
@@ -393,10 +377,6 @@ func (s *Simulator) minClock() arch.Cycles {
 func (s *Simulator) loop() {
 	if s.Cfg.Reference {
 		s.loopReference()
-		return
-	}
-	if s.par != nil {
-		s.loopParallel()
 		return
 	}
 	for {

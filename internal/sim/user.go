@@ -21,14 +21,6 @@ func (s *Simulator) runUser(c *CPU) {
 	if c.nextClockTick < deadline {
 		deadline = c.nextClockTick
 	}
-	s.runUserUntil(c, deadline)
-}
-
-// runUserUntil runs the current process's reference stream until the
-// given deadline. The parallel engine calls it directly: when resuming a
-// speculated partial burst it must finish against the burst's original
-// deadline, not one recomputed mid-burst.
-func (s *Simulator) runUserUntil(c *CPU, deadline arch.Cycles) {
 	pr := c.cur
 	for c.now < deadline && c.cur == pr {
 		if pr.PendingCompute <= 0 {
@@ -39,12 +31,6 @@ func (s *Simulator) runUserUntil(c *CPU, deadline arch.Cycles) {
 		}
 		before := c.now
 		s.genRefs(c, pr)
-		if sp := c.spec; sp != nil && sp.stopped {
-			// Speculation hit a non-private site mid-group: unwind to
-			// the group entry so the serial resume redraws identically.
-			sp.rollbackGroup(c)
-			return
-		}
 		dt := c.now - before
 		pr.PendingCompute -= dt
 		pr.QuantumUsed += dt
@@ -54,13 +40,6 @@ func (s *Simulator) runUserUntil(c *CPU, deadline arch.Cycles) {
 // nextAction advances the process's behavior state machine. It returns
 // true when the action transferred control away from user mode.
 func (s *Simulator) nextAction(c *CPU, pr *kernel.Proc) bool {
-	if sp := c.spec; sp != nil {
-		// Behavior draws and lock/syscall actions touch shared state
-		// (the kernel PRNG, user locks): speculation stops here and the
-		// commit phase runs the action serially.
-		sp.stopped = true
-		return true
-	}
 	// A user-lock action in progress?
 	if la := pr.PendingAction; la != nil {
 		if pr.UserLockHeld {
@@ -116,11 +95,6 @@ func (s *Simulator) nextAction(c *CPU, pr *kernel.Proc) bool {
 func (s *Simulator) genRefs(c *CPU, pr *kernel.Proc) {
 	fp := &pr.FP
 	rng := &fp.Rng
-	if sp := c.spec; sp != nil {
-		// Checkpoint the group entry: a mid-group speculation stop rolls
-		// back here and the serial resume redraws the same values.
-		sp.markGroup(c)
-	}
 	if len(fp.CodeVPages) > 0 {
 		total := len(fp.CodeVPages) * blocksPerPage
 		if fp.LoopLeft <= 0 {
@@ -151,9 +125,6 @@ func (s *Simulator) genRefs(c *CPU, pr *kernel.Proc) {
 		}
 		pa := arch.FrameAddr(fr) + arch.PAddr((pos%blocksPerPage)*arch.BlockSize)
 		c.fetch(pa)
-		if sp := c.spec; sp != nil && sp.stopped {
-			return // canceled; the whole segment is abandoned
-		}
 		fp.CodePos++
 		fp.LoopLeft--
 	} else {
@@ -174,9 +145,6 @@ func (s *Simulator) genRefs(c *CPU, pr *kernel.Proc) {
 	}
 	window := hot * blocksPerPage
 	for i := 0; i < fp.DataRefsPerBlock; i++ {
-		if sp := c.spec; sp != nil && sp.stopped {
-			return // canceled mid-group; the whole segment is abandoned
-		}
 		r := rng.Intn(4096)
 		if r < 1 {
 			// Shift the hot window.
@@ -217,10 +185,6 @@ func (s *Simulator) translate(c *CPU, pr *kernel.Proc, vp uint32, e *microTLB, w
 	for attempt := 0; attempt < 3; attempt++ {
 		if fr, hit := c.tlb.Lookup(pr.PID, vp); hit {
 			if write && s.K.IsCOW(pr, vp) {
-				if sp := c.spec; sp != nil {
-					sp.stopped = true
-					return 0, false
-				}
 				s.pageFault(c, pr, vp, true)
 				if c.cur != pr {
 					return 0, false
@@ -231,13 +195,6 @@ func (s *Simulator) translate(c *CPU, pr *kernel.Proc, vp uint32, e *microTLB, w
 			// store-validated until the next flush.
 			*e = microTLB{pid: pr.PID, vp: vp, fr: fr, ok: true, wr: write}
 			return fr, true
-		}
-		if sp := c.spec; sp != nil {
-			// Both fault paths run kernel code (shared structures,
-			// locks): speculation stops and the fault is taken serially
-			// at commit, with identical TLB state.
-			sp.stopped = true
-			return 0, false
 		}
 		if s.K.IsMapped(pr, vp) && !(write && s.K.IsCOW(pr, vp)) {
 			// Cheap UTLB refill: brief kernel excursion, no OS

@@ -13,7 +13,7 @@
 # Profiles are sampled: a regenerated file differs byte-wise from the last,
 # while the builds it steers print the same reports.
 #
-#   scripts/pgo.sh        # about 30 s on two cores
+#   scripts/pgo.sh        # about 15 s on two cores
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -31,7 +31,7 @@ for seed in 2 3 4 5; do
         -cpuprofile "$p-check.prof" >/dev/null 2>&1
     "$tmp/sweep" -exp figure11 -cpus 2,4,6,8,12,16 -window 4000000 -parallel 2 -seed "$seed" \
         -cpuprofile "$p-fig11.prof" >/dev/null 2>&1
-    "$tmp/charos" -exp report -machine 4d380 -parallel 1 -window 2500000 -sim-workers 2 -seed "$seed" \
+    "$tmp/charos" -exp report -machine 4d380 -parallel 1 -window 2500000 -seed "$seed" \
         -cpuprofile "$p-4d380.prof" >/dev/null 2>&1
     "$tmp/charos" -exp report -parallel 1 -window 8000000 -sample 100K:200K:1000000 -seed "$seed" \
         -cpuprofile "$p-sampled.prof" >/dev/null 2>&1
