@@ -14,11 +14,11 @@
 //	        [-drain-policy finish|cancel] [-drain-timeout D]
 //	        [-retry-after D] [-test-hooks]
 //
-// A fixed pool of -workers runs the jobs. The result store has a fixed
-// eight shards with a bounded per-shard LRU over completed results
-// (-cache-entries total); GET /v1/metrics exposes per-shard and global
-// hit/miss/eviction counters plus p50/p90/p99 submit-to-terminal latency
-// and throughput, and a per-job list with each run's simulated-Mcycles/s.
+// A fixed pool of -workers runs the jobs. The result store is one LRU
+// that keeps exactly -cache-entries completed results; GET /v1/metrics
+// exposes its hit/miss/eviction counters plus p50/p90/p99
+// submit-to-terminal latency and throughput, and a per-job list with
+// each run's simulated-Mcycles/s.
 //
 // Client mode (submit one job and wait):
 //
@@ -84,7 +84,7 @@ func newFlags(fs *flag.FlagSet) *flags {
 	return &flags{
 		addr:         fs.String("addr", ":8416", "listen address (server) or server address (with -submit)"),
 		workers:      fs.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)"),
-		cacheEntries: fs.Int("cache-entries", 4096, "completed results resident across all shards before LRU eviction"),
+		cacheEntries: fs.Int("cache-entries", 4096, "completed results kept resident; beyond it the least recently used is evicted"),
 		jobHistory:   fs.Int("job-history", 4096, "terminal jobs retained in the registry; older IDs return 404"),
 		queue:        fs.Int("queue", 64, "admission-queue depth; beyond it submissions shed with 429"),
 		retryAfter:   fs.Duration("retry-after", time.Second, "Retry-After hint advertised on shed"),
@@ -255,6 +255,18 @@ func clientMain(addr string, req service.Request, timeout time.Duration, retries
 	}
 }
 
+// loadSeed is load client i's seed: three clients in four share the hot
+// configs (duplicate traffic: dedup and singleflight), the rest spread
+// over the distinct cold ones (LRU churn). The index is i/4, not i, so
+// the seed does not correlate with the i%4 split and every hot and every
+// cold seed is used.
+func loadSeed(i, hot, distinct int) int64 {
+	if i%4 != 0 {
+		return 1 + int64((i/4)%hot)
+	}
+	return 100_000 + int64((i/4)%distinct)
+}
+
 // loadMain is the load-generator: n concurrent clients hammer the server
 // over real HTTP with a mix of duplicate hot configs (the dedup path)
 // and distinct cold ones (the eviction path), retrying sheds per
@@ -283,11 +295,7 @@ func loadMain(addr string, n, hot, distinct int, base service.Request) int {
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		req := base
-		if i%4 != 0 {
-			req.Seed = 1 + int64(i%hot) // duplicate traffic: dedup/singleflight
-		} else {
-			req.Seed = 100_000 + int64(i%distinct) // cold traffic: LRU churn
-		}
+		req.Seed = loadSeed(i, hot, distinct)
 		body, err := json.Marshal(req)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -789,23 +789,6 @@ func (k *Kernel) postEvent(at arch.Cycles, kind IntrKind, ch SleepChan, cpu arch
 	heap.Push(&k.events, AsyncEvent{At: at, Kind: kind, Ch: ch, CPU: cpu})
 }
 
-// NextEventTime returns the time of the earliest pending asynchronous
-// event, or -1 if none.
-func (k *Kernel) NextEventTime() arch.Cycles {
-	if len(k.events) == 0 {
-		return -1
-	}
-	return k.events[0].At
-}
-
-// PopDueEvent removes and returns the earliest event with time ≤ now.
-func (k *Kernel) PopDueEvent(now arch.Cycles) (AsyncEvent, bool) {
-	if len(k.events) == 0 || k.events[0].At > now {
-		return AsyncEvent{}, false
-	}
-	return heap.Pop(&k.events).(AsyncEvent), true
-}
-
 // PopDueEventFor removes and returns a due event targeted at the given
 // CPU, if any. Events for other CPUs are left in place: they are delivered
 // when their target CPU is stepped, which the min-clock scheduling makes

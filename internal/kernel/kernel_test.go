@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/arch"
@@ -370,7 +372,7 @@ func TestReadSyscallColdThenWarm(t *testing.T) {
 		t.Errorf("disk requests = %d", k.DiskRequests)
 	}
 	// Deliver the disk interrupt and run the continuation.
-	ev, ok := k.PopDueEvent(1 << 62)
+	ev, ok := k.PopDueEventFor(fp.CPU(), 1<<62)
 	if !ok || ev.Kind != IntrDisk {
 		t.Fatalf("no disk event: %+v ok=%v", ev, ok)
 	}
@@ -651,30 +653,37 @@ func TestOpKindOf(t *testing.T) {
 	}
 }
 
+// TestEventHeapOrdering: each CPU receives exactly the due events
+// targeted at it, and none of another CPU's. The order within one CPU is
+// not asserted: PopDueEventFor returns the first due match in heap-array
+// order, not the earliest (here CPU 0 receives 300 before 200).
 func TestEventHeapOrdering(t *testing.T) {
 	k := newTestKernel()
 	k.postEvent(300, IntrDisk, 1, 0)
 	k.postEvent(100, IntrNet, 2, 1)
 	k.postEvent(200, IntrDisk, 3, 0)
-	if k.NextEventTime() != 100 {
-		t.Fatalf("NextEventTime = %d", k.NextEventTime())
+	if _, ok := k.PopDueEventFor(0, 99); ok {
+		t.Error("an event popped before it was due")
 	}
-	var order []arch.Cycles
-	for {
-		ev, ok := k.PopDueEvent(1000)
-		if !ok {
-			break
+	got := map[arch.CPUID][]arch.Cycles{}
+	for _, cpu := range []arch.CPUID{0, 1, 2} {
+		for {
+			ev, ok := k.PopDueEventFor(cpu, 1000)
+			if !ok {
+				break
+			}
+			if ev.CPU != cpu {
+				t.Errorf("CPU %d received CPU %d's event at %d", cpu, ev.CPU, ev.At)
+			}
+			got[cpu] = append(got[cpu], ev.At)
 		}
-		order = append(order, ev.At)
 	}
-	if len(order) != 3 || order[0] != 100 || order[1] != 200 || order[2] != 300 {
-		t.Errorf("event order = %v", order)
+	sort.Slice(got[0], func(i, j int) bool { return got[0][i] < got[0][j] })
+	if !reflect.DeepEqual(got, map[arch.CPUID][]arch.Cycles{0: {200, 300}, 1: {100}}) {
+		t.Errorf("events per CPU = %v, want 0: [200 300], 1: [100]", got)
 	}
-	if _, ok := k.PopDueEvent(1000); ok {
+	if _, ok := k.PopDueEventFor(0, 1000); ok {
 		t.Error("pop from empty heap succeeded")
-	}
-	if k.NextEventTime() != -1 {
-		t.Error("empty heap NextEventTime should be -1")
 	}
 }
 
@@ -717,7 +726,7 @@ func TestRawIOBypassesPageCache(t *testing.T) {
 		t.Error("raw read did not pin pages under Memlock")
 	}
 	// Completion wakes the reader.
-	ev, ok := k.PopDueEvent(1 << 62)
+	ev, ok := k.PopDueEventFor(fp.CPU(), 1<<62)
 	if !ok {
 		t.Fatal("no disk completion scheduled")
 	}

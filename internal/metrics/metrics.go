@@ -184,11 +184,3 @@ func PctOf(part, whole int64) float64 {
 	}
 	return 100 * float64(part) / float64(whole)
 }
-
-// PctOfF is a guarded percentage for floats.
-func PctOfF(part, whole float64) float64 {
-	if whole == 0 {
-		return 0
-	}
-	return 100 * part / whole
-}

@@ -81,11 +81,8 @@ func quantileMS(counts [histBuckets]int64, q float64) float64 {
 	return float64(latencyBoundsMS[len(latencyBoundsMS)-1])
 }
 
-// ShardMetrics is one shard's counter-and-latency snapshot (or the
-// global aggregate when Shard is -1).
-type ShardMetrics struct {
-	// Shard is the shard index, -1 for the global aggregate.
-	Shard int `json:"shard"`
+// StoreMetrics is the result store's counter-and-latency snapshot.
+type StoreMetrics struct {
 	// Entries is the number of completed results resident; Inflight the
 	// number of singleflight claims currently executing.
 	Entries  int `json:"entries"`
@@ -98,7 +95,7 @@ type ShardMetrics struct {
 	// Resolved is the number of submit-to-terminal latencies observed.
 	Resolved int64 `json:"resolved"`
 	// P50/P90/P99 are submit-to-terminal latency quantiles in
-	// milliseconds, from the shard's fixed-bucket histogram.
+	// milliseconds, from the fixed-bucket histogram.
 	P50MS float64 `json:"p50_ms"`
 	P90MS float64 `json:"p90_ms"`
 	P99MS float64 `json:"p99_ms"`
@@ -127,12 +124,11 @@ type JobMetrics struct {
 
 // Metrics is the GET /v1/metrics payload.
 type Metrics struct {
-	UptimeSec  float64        `json:"uptime_sec"`
-	Global     ShardMetrics   `json:"global"`
-	Shards     []ShardMetrics `json:"shards"`
-	Workers    WorkerMetrics  `json:"workers"`
-	QueueLen   int            `json:"queue_len"`
-	QueueDepth int            `json:"queue_depth"`
+	UptimeSec  float64       `json:"uptime_sec"`
+	Global     StoreMetrics  `json:"global"`
+	Workers    WorkerMetrics `json:"workers"`
+	QueueLen   int           `json:"queue_len"`
+	QueueDepth int           `json:"queue_depth"`
 	// JobsRetained/JobsEvicted describe the terminal-job registry
 	// (bounded by Options.JobHistory).
 	JobsRetained int   `json:"jobs_retained"`
@@ -142,66 +138,27 @@ type Metrics struct {
 	Jobs []JobMetrics `json:"jobs,omitempty"`
 }
 
-// snapshotShard renders one shard under its lock.
-func (st *Store) snapshotShard(i int, uptime time.Duration) (ShardMetrics, [histBuckets]int64, int64) {
-	sh := &st.shards[i]
-	sh.mu.Lock()
-	inflight := 0
-	for _, e := range sh.entries {
-		if e.elem == nil {
-			inflight++
-		}
+// Snapshot renders the store's counters and latency quantiles.
+func (st *Store) Snapshot() StoreMetrics {
+	st.mu.Lock()
+	m := StoreMetrics{
+		Entries:   st.lru.Len(),
+		Inflight:  len(st.entries) - st.lru.Len(),
+		Hits:      st.hits,
+		Misses:    st.misses,
+		Evictions: st.evictions,
 	}
-	m := ShardMetrics{
-		Shard:     i,
-		Entries:   len(sh.entries) - inflight,
-		Inflight:  inflight,
-		Hits:      sh.hits,
-		Misses:    sh.misses,
-		Evictions: sh.evictions,
-	}
-	sh.mu.Unlock()
-	counts := sh.hist.counts()
-	sum := sh.hist.sumMicros.Load()
-	m.Resolved = sh.hist.count.Load()
-	fillLatency(&m, counts, sum, uptime)
-	return m, counts, sum
-}
-
-func fillLatency(m *ShardMetrics, counts [histBuckets]int64, sumMicros int64, uptime time.Duration) {
+	st.mu.Unlock()
+	counts := st.hist.counts()
+	m.Resolved = st.hist.count.Load()
 	m.P50MS = quantileMS(counts, 0.50)
 	m.P90MS = quantileMS(counts, 0.90)
 	m.P99MS = quantileMS(counts, 0.99)
 	if m.Resolved > 0 {
-		m.MeanMS = float64(sumMicros) / float64(m.Resolved) / 1000
+		m.MeanMS = float64(st.hist.sumMicros.Load()) / float64(m.Resolved) / 1000
 	}
-	if s := uptime.Seconds(); s > 0 {
+	if s := time.Since(st.start).Seconds(); s > 0 {
 		m.ThroughputPerSec = float64(m.Resolved) / s
 	}
-}
-
-// Snapshot renders every shard plus the global aggregate (merged bucket
-// counts, summed counters).
-func (st *Store) Snapshot() (global ShardMetrics, shards []ShardMetrics) {
-	uptime := time.Since(st.start)
-	global = ShardMetrics{Shard: -1}
-	var gcounts [histBuckets]int64
-	var gsum int64
-	shards = make([]ShardMetrics, len(st.shards))
-	for i := range st.shards {
-		m, counts, sum := st.snapshotShard(i, uptime)
-		shards[i] = m
-		global.Entries += m.Entries
-		global.Inflight += m.Inflight
-		global.Hits += m.Hits
-		global.Misses += m.Misses
-		global.Evictions += m.Evictions
-		global.Resolved += m.Resolved
-		for b, c := range counts {
-			gcounts[b] += c
-		}
-		gsum += sum
-	}
-	fillLatency(&global, gcounts, gsum, uptime)
-	return global, shards
+	return m
 }

@@ -253,8 +253,8 @@ func deterministicErr(err error) bool {
 type Options struct {
 	// Workers is the fixed run-executing pool size (default GOMAXPROCS).
 	Workers int
-	// CacheEntries bounds completed results resident across all shards;
-	// beyond it the per-shard LRU evicts (default 4096).
+	// CacheEntries is how many completed results stay resident; beyond
+	// it the store's LRU evicts the least recently used (default 4096).
 	CacheEntries int
 	// JobHistory bounds terminal jobs retained in the registry; older
 	// terminal jobs are evicted and their IDs return 404 (default 4096).
@@ -373,7 +373,7 @@ func New(opts Options) *Server {
 	ctx, stop := context.WithCancelCause(context.Background())
 	s := &Server{
 		opts:     opts,
-		store:    NewStore(storeShards, opts.CacheEntries),
+		store:    NewStore(0, opts.CacheEntries),
 		hardCtx:  ctx,
 		hardStop: stop,
 		queue:    make(chan *Job, opts.QueueDepth),
@@ -384,13 +384,6 @@ func New(opts Options) *Server {
 	}
 	return s
 }
-
-// storeShards is the result store's shard count. A store hit costs
-// tens of nanoseconds inside a tens-of-microseconds HTTP hit, and
-// neither 1 nor 16 shards measurably beat 8 under charosd -load
-// (EXPERIMENTS.md, "charosd's scaling knobs, measured"), so the count
-// is not a knob.
-const storeShards = 8
 
 // startWorker spawns one pool worker, which drains the queue until Drain
 // closes it.
@@ -429,11 +422,11 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// Metrics assembles the /v1/metrics payload: per-shard and global
+// Metrics assembles the /v1/metrics payload: the store's
 // hit/miss/eviction counters, latency quantiles and throughput, plus the
 // worker pool and registry state.
 func (s *Server) Metrics() Metrics {
-	global, shards := s.store.Snapshot()
+	global := s.store.Snapshot()
 	s.mu.Lock()
 	retained := len(s.terminal)
 	jobs := make([]*Job, 0, len(s.order))
@@ -453,7 +446,6 @@ func (s *Server) Metrics() Metrics {
 	return Metrics{
 		UptimeSec:    time.Since(s.store.start).Seconds(),
 		Global:       global,
-		Shards:       shards,
 		Workers:      WorkerMetrics{Live: int(s.live.Load())},
 		QueueLen:     len(s.queue),
 		QueueDepth:   cap(s.queue),

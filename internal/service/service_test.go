@@ -175,9 +175,9 @@ func TestShedsWith429WhenSaturated(t *testing.T) {
 // first's doomed singleflight claim, be accepted with 202 and then end
 // "canceled: admission queue full". What rules that out is that the claim
 // is dropped inside the admission critical section that made it. The test
-// polls the claim's shard until it catches the claim in the store, keeps
-// the shard locked so the shedding Submit can get no further than
-// store.Abandon, and requires admission to stay closed meanwhile. Catching
+// polls the store until it catches the claim there, keeps the store
+// locked so the shedding Submit can get no further than store.Abandon,
+// and requires admission to stay closed meanwhile. Catching
 // takes a few rounds; every round, caught or not, a second Submit of the
 // same config follows and both must be shed.
 func TestShedNeverAdmitsFollower(t *testing.T) {
@@ -209,7 +209,6 @@ func TestShedNeverAdmitsFollower(t *testing.T) {
 			t.Fatal(err)
 		}
 		hash := cfg.Hash()
-		sh := srv.store.shardFor(hash)
 		shed := make(chan error, 2)
 		submit := func() {
 			_, err := srv.Submit(req)
@@ -224,8 +223,8 @@ func TestShedNeverAdmitsFollower(t *testing.T) {
 		}
 		go submit()
 		for results == 0 && !caught {
-			sh.mu.Lock()
-			if _, caught = sh.entries[hash]; caught {
+			srv.store.mu.Lock()
+			if _, caught = srv.store.entries[hash]; caught {
 				// Give the shedding Submit time to reach Abandon: it must
 				// not have reopened admission on the way.
 				time.Sleep(5 * time.Millisecond)
@@ -234,7 +233,7 @@ func TestShedNeverAdmitsFollower(t *testing.T) {
 					t.Errorf("round %d: admission reopened while the shed claim is still in the store", round)
 				}
 			}
-			sh.mu.Unlock()
+			srv.store.mu.Unlock()
 			select {
 			case err := <-shed:
 				collect(err)

@@ -26,48 +26,56 @@ func complete(t *testing.T, st *Store, hash string) {
 	st.Complete(hash, e, Outcome{Report: "r-" + hash[:8]})
 }
 
-// TestShardDistribution: the hex-prefix shard selector must spread real
-// config hashes across every shard, with no shard grossly overloaded.
-func TestShardDistribution(t *testing.T) {
-	const shards, keys = 8, 4096
-	st := NewStore(shards, keys*2)
-	for i := 0; i < keys; i++ {
-		complete(t, st, fakeHash(fmt.Sprintf("cfg-%d", i)))
-	}
-	_, perShard := st.Snapshot()
-	if len(perShard) != shards {
-		t.Fatalf("snapshot has %d shards, want %d", len(perShard), shards)
-	}
-	want := keys / shards
-	for _, m := range perShard {
-		if m.Entries == 0 {
-			t.Errorf("shard %d got no entries for %d uniform keys", m.Shard, keys)
+// TestCapacityIsExact: the store keeps exactly its capacity of
+// completed entries resident, whatever shard count NewStore is handed,
+// and the first eviction comes at insert capacity+1.
+func TestCapacityIsExact(t *testing.T) {
+	for _, n := range []int{5, 12, 100} {
+		st := NewStore(8, n)
+		firstEviction := 0
+		for i := 1; i <= 400; i++ {
+			complete(t, st, fakeHash(fmt.Sprintf("cap-%d-%d", n, i)))
+			if firstEviction == 0 && st.Evictions() > 0 {
+				firstEviction = i
+			}
 		}
-		if m.Entries > 2*want {
-			t.Errorf("shard %d holds %d entries, > 2x the uniform share %d", m.Shard, m.Entries, want)
+		if firstEviction != n+1 {
+			t.Errorf("NewStore(8, %d): first eviction at insert %d, want %d", n, firstEviction, n+1)
 		}
-		if m.Misses != int64(m.Entries) {
-			t.Errorf("shard %d: %d misses for %d entries", m.Shard, m.Misses, m.Entries)
+		m := st.Snapshot()
+		if m.Entries != n || m.Evictions != int64(400-n) {
+			t.Errorf("NewStore(8, %d): %d entries resident, %d evictions; want %d and %d",
+				n, m.Entries, m.Evictions, n, 400-n)
 		}
 	}
 }
 
-// TestShardCountRounding: shard counts round up to powers of two.
-func TestShardCountRounding(t *testing.T) {
-	for _, tc := range []struct{ ask, want int }{
-		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {8, 8}, {9, 16},
-	} {
-		if _, shards := NewStore(tc.ask, 64).Snapshot(); len(shards) != tc.want {
-			t.Errorf("NewStore(shards=%d) -> %d shards, want %d", tc.ask, len(shards), tc.want)
+// TestServerCacheEntriesIsExact: Options.CacheEntries is the store's
+// exact capacity, so five distinct jobs through a 3-entry server leave
+// three results resident and two evicted.
+func TestServerCacheEntriesIsExact(t *testing.T) {
+	srv := New(Options{Workers: 1, CacheEntries: 3, Logf: t.Logf})
+	defer srv.Drain()
+	for seed := int64(1); seed <= 5; seed++ {
+		job, err := srv.Submit(Request{Workload: "Pmake", Seed: seed, Window: 250_000, Warmup: 100_000})
+		if err != nil {
+			t.Fatal(err)
 		}
+		<-job.Done()
+		if st := job.Snapshot(); st.State != StateDone {
+			t.Fatalf("seed %d ended %s: %s", seed, st.State, st.Error)
+		}
+	}
+	if g := srv.Metrics().Global; g.Entries != 3 || g.Evictions != 2 {
+		t.Errorf("global = %+v, want 3 entries and 2 evictions", g)
 	}
 }
 
-// TestLRUEviction: completed entries beyond the per-shard cap evict
+// TestLRUEviction: completed entries beyond the cap evict
 // least-recently-used, evictions are counted, and a re-submission of an
 // evicted config becomes a fresh leader (it re-runs).
 func TestLRUEviction(t *testing.T) {
-	st := NewStore(1, 3) // one shard, three completed entries
+	st := NewStore(1, 3) // three completed entries
 	h := make([]string, 5)
 	for i := range h {
 		h[i] = fakeHash(fmt.Sprintf("lru-%d", i))
@@ -97,10 +105,9 @@ func TestLRUEviction(t *testing.T) {
 
 func mustEntry(t *testing.T, st *Store, hash string) *cacheEntry {
 	t.Helper()
-	sh := st.shardFor(hash)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.entries[hash]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	e, ok := st.entries[hash]
 	if !ok {
 		t.Fatalf("no entry for %.12s", hash)
 	}
@@ -136,9 +143,8 @@ func TestInflightNeverEvicted(t *testing.T) {
 	}
 }
 
-// TestCanceledOutcomesNotCached (behavior carried over from the
-// single-mutex cache): nondeterministic outcomes are evicted at
-// Complete, so a resubmission re-runs.
+// TestCanceledOutcomesNotCached: nondeterministic outcomes are evicted
+// at Complete, so a resubmission re-runs.
 func TestCanceledOutcomesNotCached(t *testing.T) {
 	st := NewStore(4, 16)
 	hash := fakeHash("canceled")
@@ -150,7 +156,7 @@ func TestCanceledOutcomesNotCached(t *testing.T) {
 }
 
 // TestStoreConcurrentBeginComplete hammers one store from many
-// goroutines; run under -race this is the shard-locking regression test.
+// goroutines; run under -race this is the store lock's regression test.
 func TestStoreConcurrentBeginComplete(t *testing.T) {
 	st := NewStore(8, 32)
 	var wg sync.WaitGroup
@@ -171,12 +177,12 @@ func TestStoreConcurrentBeginComplete(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	global, _ := st.Snapshot()
+	global := st.Snapshot()
 	if global.Hits+global.Misses != 16*200 {
 		t.Errorf("hits+misses = %d, want %d", global.Hits+global.Misses, 16*200)
 	}
-	if global.Entries > 32 {
-		t.Errorf("%d completed entries resident, cap is 32", global.Entries)
+	if global.Entries != 32 || global.Inflight != 0 {
+		t.Errorf("%d completed entries resident and %d in flight, want 32 and 0", global.Entries, global.Inflight)
 	}
 	if global.Resolved != 16*200 {
 		t.Errorf("resolved latencies = %d, want %d", global.Resolved, 16*200)

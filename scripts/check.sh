@@ -220,6 +220,15 @@ daemon=$!
 "$smoke/charosd" -load 300 -addr "$laddr" -load-hot 4 -load-distinct 8 \
     -window 250000 -warmup 100000 || {
     echo "FAIL: charosd load smoke lost clients or saw bad responses" >&2; exit 1; }
+# The warm-up job and the load's 12 configs are 13 distinct results through
+# an 8-entry store: exactly 8 stay resident, and the rest were evicted.
+if command -v curl >/dev/null; then
+    curl -s "http://$laddr/v1/metrics" > "$smoke/load-metrics.json"
+    entries=$(grep -o '"entries": [0-9]*' "$smoke/load-metrics.json" | cut -d' ' -f2)
+    evictions=$(grep -o '"evictions": [0-9]*' "$smoke/load-metrics.json" | cut -d' ' -f2)
+    [ "$entries" = 8 ] && [ "${evictions:-0}" -gt 0 ] || {
+        echo "FAIL: load smoke store holds '$entries' entries with '$evictions' evictions, want 8 and > 0" >&2; exit 1; }
+fi
 kill -TERM "$daemon"
 wait "$daemon" || { echo "FAIL: charosd exited nonzero after load + SIGTERM" >&2; exit 1; }
 daemon=""
