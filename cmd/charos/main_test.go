@@ -98,10 +98,10 @@ func TestResolveSample(t *testing.T) {
 	}
 }
 
-// runSection6 runs charos -exp section6 with args and returns its stdout.
-func runSection6(t *testing.T, args ...string) string {
+// runExp runs charos -exp exp with args and returns its stdout.
+func runExp(t *testing.T, exp string, args ...string) string {
 	t.Helper()
-	f, err := parse(append([]string{"-exp", "section6"}, args...))
+	f, err := parse(append([]string{"-exp", exp}, args...))
 	if err == nil {
 		err = f.resolve()
 	}
@@ -116,7 +116,7 @@ func runSection6(t *testing.T, args ...string) string {
 	defer func(stdout *os.File) { os.Stdout = stdout }(os.Stdout)
 	os.Stdout = out
 	if rc := f.main(runflag.Run{Ctx: context.Background()}); rc != 0 {
-		t.Fatalf("charos -exp section6 %v exited %d", args, rc)
+		t.Fatalf("charos -exp %s %v exited %d", exp, args, rc)
 	}
 	b, err := os.ReadFile(out.Name())
 	if err != nil {
@@ -133,9 +133,26 @@ func TestSection6Pinned(t *testing.T) {
 		"1":  "5cf1294a38f201ccfef5150fd329185da89f41bf47944e60974a52ca80cf3d1e",
 		"23": "84c00d0c74bf2ee323a5572c80f36f734daf48b3895a6cc593ae9ec061fade33",
 	} {
-		sum := sha256.Sum256([]byte(runSection6(t, "-window", "2M", "-seed", seed)))
+		sum := sha256.Sum256([]byte(runExp(t, "section6", "-window", "2M", "-seed", seed)))
 		if got := hex.EncodeToString(sum[:]); got != want {
 			t.Errorf("seed %s: section6 digest %s, pinned %s", seed, got, want)
+		}
+	}
+}
+
+// TestTimelineFiguresPinned pins the SHA-256 of -exp figure1's and -exp
+// figure3's stdout, which the classifier's online Timeline tallies must
+// keep byte-identical to the per-segment lists they replaced.
+func TestTimelineFiguresPinned(t *testing.T) {
+	for _, c := range []struct{ seed, exp, want string }{
+		{"1", "figure1", "3f7966431a5a5216bb9840527ae79b53bc4881fb7d36a439c88445406a718557"},
+		{"1", "figure3", "34e7dccdd6a6de7997b3177cdfa777224680b9f32ea067f31bfac1a72eee0cb6"},
+		{"23", "figure1", "cbb54bf298ddd69197fa46faf2c96901329dc821497c21067ca9a63f9f25836c"},
+		{"23", "figure3", "44756c18ac7bfc00cc6c60d65de96042931033d8f509bad06119728381196f36"},
+	} {
+		sum := sha256.Sum256([]byte(runExp(t, c.exp, "-window", "2M", "-parallel", "1", "-seed", c.seed)))
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("seed %s: %s digest %s, pinned %s", c.seed, c.exp, got, c.want)
 		}
 	}
 }
@@ -143,7 +160,7 @@ func TestSection6Pinned(t *testing.T) {
 // TestSection6LargeMemory: the ladder homes every frame of a machine with
 // more than the default 32 MB.
 func TestSection6LargeMemory(t *testing.T) {
-	out := runSection6(t, "-machine", "4d380", "-window", "1M")
+	out := runExp(t, "section6", "-machine", "4d380", "-window", "1M")
 	for _, row := range []string{"centralized (baseline)", "replicated OS text",
 		"replicated text + distributed runq", "all §6 optimizations"} {
 		if !strings.Contains(out, row) {

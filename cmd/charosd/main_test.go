@@ -66,8 +66,8 @@ func TestScalingFlagsAreGone(t *testing.T) {
 }
 
 // startServer serves an in-process service.Server on a loopback
-// httptest listener and returns its host:port.
-func startServer(t *testing.T, opts service.Options) string {
+// httptest listener and returns it and its host:port.
+func startServer(t *testing.T, opts service.Options) (*service.Server, string) {
 	t.Helper()
 	opts.Logf = t.Logf
 	srv := service.New(opts)
@@ -78,7 +78,7 @@ func startServer(t *testing.T, opts service.Options) string {
 		hts.Close()
 		srv.Drain()
 	})
-	return strings.TrimPrefix(hts.URL, "http://")
+	return srv, strings.TrimPrefix(hts.URL, "http://")
 }
 
 // runClient calls clientMain with stdout and stderr captured.
@@ -111,7 +111,7 @@ func runClient(t *testing.T, addr string, req service.Request, retries int) (cod
 // failed one, 2 for a request the server rejects with 400, and 3 when
 // nothing listens and retries are off.
 func TestClientExitCodes(t *testing.T) {
-	addr := startServer(t, service.Options{Workers: 1, TestHooks: true})
+	_, addr := startServer(t, service.Options{Workers: 1, TestHooks: true})
 	job := service.Request{Workload: "Pmake", Seed: 2, Window: 250_000, Warmup: 100_000}
 
 	if code, out, errOut := runClient(t, addr, job, 0); code != 0 || !strings.HasPrefix(out, "run ") {
@@ -154,5 +154,22 @@ func TestLoadSeedsCoverEveryConfig(t *testing.T) {
 	}
 	if len(clients) != 12 || hot != 225 {
 		t.Errorf("300 clients used %d configs, %d on the hot ones; want 12 and 225: %v", len(clients), hot, clients)
+	}
+}
+
+// TestLoadMain drives -load against a real server: 12 clients on 2 hot and
+// 3 cold configs all land (exit 0) and leave exactly those 5 results in
+// the store, and a request the server rejects with 400 is a bad code
+// (exit 1).
+func TestLoadMain(t *testing.T) {
+	srv, addr := startServer(t, service.Options{Workers: 2})
+	if code := loadMain(addr, 12, 2, 3, service.Request{Workload: "Pmake", Window: 200_000}); code != 0 {
+		t.Fatalf("load of 12 clients exited %d, want 0", code)
+	}
+	if got := srv.Metrics().Global.Entries; got != 5 {
+		t.Errorf("store holds %d entries after the load, want 5 (2 hot + 3 cold configs)", got)
+	}
+	if code := loadMain(addr, 2, 1, 1, service.Request{Workload: "Pmake", Window: -1}); code != 1 {
+		t.Errorf("load of window -1 exited %d, want 1 (400 is a bad code)", code)
 	}
 }

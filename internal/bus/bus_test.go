@@ -6,6 +6,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/cache"
 )
+
 // testMachine returns the default machine with n CPUs, for tests that vary
 // only the processor count.
 func testMachine(n int) arch.Machine {
@@ -13,7 +14,6 @@ func testMachine(n int) arch.Machine {
 	m.NCPU = n
 	return m
 }
-
 
 // recSink captures transactions for assertions.
 type recSink struct{ txns []Txn }

@@ -517,81 +517,3 @@ func (c *Characterization) DCacheSweep(cfgs []cachesweep.Config) []cachesweep.DP
 	}
 	return cachesweep.DSweep(c.Trace.DResim, c.Cfg.NCPU, cfgs)
 }
-
-// InvocationStats summarizes the per-CPU segment streams (Figure 1): the
-// average OS invocation (duration, I/D misses), the idle-loop share, the
-// average application stretch, and the UTLB fault profile.
-type InvocationStats struct {
-	Invocations   int64
-	OSAvgCycles   float64
-	OSAvgIMiss    float64
-	OSAvgDMiss    float64
-	IdleAvgCycles float64
-	AppAvgCycles  float64
-	AppAvgIMiss   float64
-	AppAvgDMiss   float64
-	AppAvgUTLBs   float64
-	// UTLBMissPerFault is ~0.1 in the paper; UTLBCycleShare is the
-	// handler's share of application cycles (~1.5%).
-	UTLBMissPerFault float64
-	// MsBetweenInvocations is the average time between OS invocations
-	// (Section 4.1: 1.9/0.4/0.7 ms).
-	MsBetweenInvocations float64
-}
-
-// Invocations aggregates the Figure 1 statistics.
-func (c *Characterization) Invocations() InvocationStats {
-	var st InvocationStats
-	var osN, idleN, appN int64
-	var osCy, idleCy, appCy arch.Cycles
-	var osI, osD, appI, appD, utlbs, utlbMiss int64
-	seen := map[[2]uint32]bool{} // (cpu, invID) → counted
-	for cpuIdx, segs := range c.Trace.Segments {
-		for _, s := range segs {
-			switch s.Kind {
-			case trace.SegOS:
-				key := [2]uint32{uint32(cpuIdx), s.InvID}
-				if !seen[key] {
-					seen[key] = true
-					osN++
-				}
-				osCy += s.Cycles
-				osI += int64(s.IMiss)
-				osD += int64(s.DMiss)
-			case trace.SegIdle:
-				idleN++
-				idleCy += s.Cycles
-			case trace.SegApp:
-				appN++
-				appCy += s.Cycles
-				appI += int64(s.IMiss)
-				appD += int64(s.DMiss)
-				utlbs += int64(s.UTLBs)
-				utlbMiss += int64(s.UTLBMisses)
-			}
-		}
-	}
-	st.Invocations = osN
-	if osN > 0 {
-		st.OSAvgCycles = float64(osCy) / float64(osN)
-		st.OSAvgIMiss = float64(osI) / float64(osN)
-		st.OSAvgDMiss = float64(osD) / float64(osN)
-	}
-	if idleN > 0 {
-		st.IdleAvgCycles = float64(idleCy) / float64(idleN)
-	}
-	if appN > 0 {
-		st.AppAvgCycles = float64(appCy) / float64(appN)
-		st.AppAvgIMiss = float64(appI) / float64(appN)
-		st.AppAvgDMiss = float64(appD) / float64(appN)
-		st.AppAvgUTLBs = float64(utlbs) / float64(appN)
-	}
-	if utlbs > 0 {
-		st.UTLBMissPerFault = float64(utlbMiss) / float64(utlbs)
-	}
-	if osN > 0 {
-		windowMS := float64(c.Cfg.Window) * arch.CycleNS / 1e6
-		st.MsBetweenInvocations = windowMS * float64(c.Cfg.NCPU) / float64(osN)
-	}
-	return st
-}

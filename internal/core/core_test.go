@@ -166,17 +166,14 @@ func TestFigure6Works(t *testing.T) {
 	}
 }
 
-func TestInvocationStats(t *testing.T) {
+func TestTimelineTallies(t *testing.T) {
 	ch := small(t, Config{Workload: workload.Pmake})
-	st := ch.Invocations()
-	if st.Invocations == 0 {
-		t.Fatal("no OS invocations segmented")
+	tl := ch.Trace.Timeline
+	if tl.OS.N == 0 {
+		t.Fatal("no OS invocations tallied")
 	}
-	if st.OSAvgCycles <= 0 || st.AppAvgCycles <= 0 {
-		t.Errorf("degenerate averages: %+v", st)
-	}
-	if st.MsBetweenInvocations <= 0 {
-		t.Error("no invocation interval")
+	if tl.OS.Cycles <= 0 || tl.App.Cycles <= 0 {
+		t.Errorf("degenerate tallies: OS %+v, App %+v", tl.OS, tl.App)
 	}
 }
 

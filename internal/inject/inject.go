@@ -109,11 +109,11 @@ func Preset(modes string) (Config, error) {
 
 // Stats counts the faults actually delivered.
 type Stats struct {
-	Evictions       int64
-	IFlushes        int64
-	JitteredTxns    int64
-	JitterCycles    int64
-	ExtraInterrupts int64
+	Evictions        int64
+	IFlushes         int64
+	JitteredTxns     int64
+	JitterCycles     int64
+	ExtraInterrupts  int64
 	ForcedMigrations int64
 }
 

@@ -12,18 +12,18 @@ import "repro/internal/kmem"
 // kernel image inventory.
 type rtab struct {
 	// Scheduler and low-level exception handling.
-	setrq, whichq, remrq    *Routine
-	swtch                   *Routine
-	save_ctx, restore_ctx   *Routine
-	sleep, wakeup           *Routine
-	exc_vec, exc_save       *Routine
-	exc_restore             *Routine
-	clock_intr, hardclock   *Routine
-	softclock, timeout      *Routine
-	schedcpu                *Routine
-	dksc_intr               *Routine
-	net_intr, ip_input      *Routine
-	net_daemon              *Routine
+	setrq, whichq, remrq  *Routine
+	swtch                 *Routine
+	save_ctx, restore_ctx *Routine
+	sleep, wakeup         *Routine
+	exc_vec, exc_save     *Routine
+	exc_restore           *Routine
+	clock_intr, hardclock *Routine
+	softclock, timeout    *Routine
+	schedcpu              *Routine
+	dksc_intr             *Routine
+	net_intr, ip_input    *Routine
+	net_daemon            *Routine
 	// TLB and page-fault handling.
 	utlbmiss, pt_lookup, pagein *Routine
 	// System calls and the file system.

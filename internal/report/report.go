@@ -195,18 +195,26 @@ func Figure1(s *Set) string {
 		"App I-miss", "App D-miss", "UTLB/app", "UTLBmiss/fault", "ms between OS inv (paper)")
 	paperMS := map[string]float64{"Pmake": 1.9, "Multpgm": 0.4, "Oracle": 0.7}
 	s.each(func(name string, ch *core.Characterization) {
-		st := ch.Invocations()
+		tl := ch.Trace.Timeline
+		var msBetween float64
+		if tl.OS.N > 0 {
+			msBetween = ch.Cfg.Window.MS() * float64(ch.Cfg.NCPU) / float64(tl.OS.N)
+		}
+		var missPerFault float64
+		if tl.AppUTLBs > 0 {
+			missPerFault = float64(tl.AppUTLBMisses) / float64(tl.AppUTLBs)
+		}
 		t.AddRow(name,
-			fmt.Sprintf("%.0f", st.OSAvgCycles),
-			fmt.Sprintf("%.0f", st.OSAvgIMiss),
-			fmt.Sprintf("%.0f", st.OSAvgDMiss),
-			fmt.Sprintf("%.0f", st.IdleAvgCycles),
-			fmt.Sprintf("%.0f", st.AppAvgCycles),
-			fmt.Sprintf("%.0f", st.AppAvgIMiss),
-			fmt.Sprintf("%.0f", st.AppAvgDMiss),
-			fmt.Sprintf("%.1f", st.AppAvgUTLBs),
-			fmt.Sprintf("%.2f", st.UTLBMissPerFault),
-			fmt.Sprintf("%.2f|%.1f", st.MsBetweenInvocations, paperMS[name]))
+			fmt.Sprintf("%.0f", tl.OS.Per(int64(tl.OS.Cycles))),
+			fmt.Sprintf("%.0f", tl.OS.Per(tl.OS.IMiss)),
+			fmt.Sprintf("%.0f", tl.OS.Per(tl.OS.DMiss)),
+			fmt.Sprintf("%.0f", tl.Idle.Per(int64(tl.Idle.Cycles))),
+			fmt.Sprintf("%.0f", tl.App.Per(int64(tl.App.Cycles))),
+			fmt.Sprintf("%.0f", tl.App.Per(tl.App.IMiss)),
+			fmt.Sprintf("%.0f", tl.App.Per(tl.App.DMiss)),
+			fmt.Sprintf("%.1f", tl.App.Per(tl.AppUTLBs)),
+			fmt.Sprintf("%.2f", missPerFault),
+			fmt.Sprintf("%.2f|%.1f", msBetween, paperMS[name]))
 	})
 	t.Note("paper (Pmake): 154 I- and 141 D-misses per OS invocation; <0.1 miss per UTLB fault")
 	return t.String()
@@ -244,58 +252,14 @@ func Figure2(s *Set) string {
 // Figure3 renders the distributions of I-misses, D-misses and cycles per
 // OS invocation in Pmake.
 func Figure3(s *Set) string {
-	ch := s.Pmake
-	im := metrics.NewHistogram(10, 50, 100, 200, 400, 800)
-	dm := metrics.NewHistogram(10, 50, 100, 200, 400, 800)
-	cy := metrics.NewHistogram(1000, 5000, 10000, 25000, 50000, 100000)
-	type acc struct {
-		i, d int
-		cyc  arch.Cycles
-	}
-	// Merge SegOS pieces of the same invocation (idle excluded, as the
-	// paper notes).
-	for cpuIdx, segs := range ch.Trace.Segments {
-		per := map[[2]uint32]*acc{}
-		var order [][2]uint32
-		for _, sg := range segs {
-			if sg.Kind != trace.SegOS {
-				continue
-			}
-			key := [2]uint32{uint32(cpuIdx), sg.InvID}
-			a := per[key]
-			if a == nil {
-				a = &acc{}
-				per[key] = a
-				order = append(order, key)
-			}
-			a.i += sg.IMiss
-			a.d += sg.DMiss
-			a.cyc += sg.Cycles
-		}
-		for _, key := range order {
-			a := per[key]
-			im.Add(float64(a.i))
-			dm.Add(float64(a.d))
-			cy.Add(float64(a.cyc))
-		}
-	}
+	tl := s.Pmake.Trace.Timeline
 	// For completeness' sake the paper's companion report [18] also
 	// shows the application-invocation distributions.
-	aim := metrics.NewHistogram(10, 50, 100, 200, 400, 800)
-	acy := metrics.NewHistogram(1000, 5000, 10000, 25000, 50000, 100000)
-	for _, segs := range ch.Trace.Segments {
-		for _, sg := range segs {
-			if sg.Kind == trace.SegApp {
-				aim.Add(float64(sg.IMiss + sg.DMiss))
-				acy.Add(float64(sg.Cycles))
-			}
-		}
-	}
-	return im.Render("Figure 3a: I-misses per OS invocation (Pmake)") +
-		dm.Render("Figure 3b: D-misses per OS invocation (Pmake)") +
-		cy.Render("Figure 3c: cycles per OS invocation (Pmake, idle excluded)") +
-		aim.Render("[18]: misses per application invocation (Pmake)") +
-		acy.Render("[18]: cycles per application invocation (Pmake)")
+	return tl.OSIMiss.Render("Figure 3a: I-misses per OS invocation (Pmake)") +
+		tl.OSDMiss.Render("Figure 3b: D-misses per OS invocation (Pmake)") +
+		tl.OSCycles.Render("Figure 3c: cycles per OS invocation (Pmake, idle excluded)") +
+		tl.AppMiss.Render("[18]: misses per application invocation (Pmake)") +
+		tl.AppCycles.Render("[18]: cycles per application invocation (Pmake)")
 }
 
 func classRow(ch *core.Characterization, instr int) []string {

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -63,8 +64,8 @@ func TestTerminalJobsReleasePipelines(t *testing.T) {
 
 // TestJobHistoryCap: the registry retains at most JobHistory terminal
 // jobs; older ones are evicted, their IDs 404, and the eviction counter
-// moves. Without the cap, s.jobs and s.order leak on a long-running
-// server.
+// moves, and the survivors list in submission order. Without the cap,
+// the registry leaks on a long-running server.
 func TestJobHistoryCap(t *testing.T) {
 	const cap = 3
 	srv, cl := newTestServer(t, Options{Workers: 1, JobHistory: cap})
@@ -83,6 +84,14 @@ func TestJobHistoryCap(t *testing.T) {
 	})
 	if got := srv.Stats().JobsEvicted; got != 8-cap {
 		t.Errorf("jobs_evicted = %d, want %d", got, 8-cap)
+	}
+	// The survivors list in submission order.
+	var kept []string
+	for _, j := range srv.Jobs() {
+		kept = append(kept, j.ID)
+	}
+	if !slices.Equal(kept, ids[8-cap:]) {
+		t.Errorf("Jobs() = %v, want %v", kept, ids[8-cap:])
 	}
 	// Oldest IDs are gone (404), the newest survive.
 	for i, id := range ids {

@@ -24,10 +24,12 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -149,6 +151,10 @@ type Job struct {
 	Hash string
 	Req  Request
 	Cfg  core.Config
+
+	// seq is the admission number behind ID; listings sort by it (ID
+	// strings stop sorting numerically past j999999).
+	seq int64
 
 	// entry is the job's singleflight claim (leader jobs only).
 	entry *cacheEntry
@@ -351,12 +357,11 @@ type Server struct {
 
 	queue chan *Job
 
-	mu    sync.Mutex
-	jobs  map[string]*Job
-	order []string // submission order, for listing
+	mu   sync.Mutex
+	jobs map[string]*Job
 	// terminal is the completion-order queue of retained terminal job
 	// IDs; beyond Options.JobHistory the oldest are evicted from jobs
-	// and order so a long-running server's registry stays bounded.
+	// so a long-running server's registry stays bounded.
 	terminal []string
 	nextID   int64
 
@@ -429,11 +434,9 @@ func (s *Server) Metrics() Metrics {
 	global := s.store.Snapshot()
 	s.mu.Lock()
 	retained := len(s.terminal)
-	jobs := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		jobs = append(jobs, s.jobs[id])
-	}
+	jobs := s.registeredLocked()
 	s.mu.Unlock()
+	sortBySeq(jobs)
 	perJob := make([]JobMetrics, 0, len(jobs))
 	for _, j := range jobs {
 		j.mu.Lock()
@@ -466,12 +469,24 @@ func (s *Server) Job(id string) (*Job, bool) {
 // Jobs returns every job in submission order.
 func (s *Server) Jobs() []*Job {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Job, len(s.order))
-	for i, id := range s.order {
-		out[i] = s.jobs[id]
+	jobs := s.registeredLocked()
+	s.mu.Unlock()
+	sortBySeq(jobs)
+	return jobs
+}
+
+// registeredLocked returns the registry's jobs in no order; s.mu is held.
+func (s *Server) registeredLocked() []*Job {
+	jobs := make([]*Job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		jobs = append(jobs, j)
 	}
-	return out
+	return jobs
+}
+
+// sortBySeq puts jobs in submission order.
+func sortBySeq(jobs []*Job) {
+	slices.SortFunc(jobs, func(a, b *Job) int { return cmp.Compare(a.seq, b.seq) })
 }
 
 // Submit admits a job. It returns ErrDrainingSubmit once draining has
@@ -513,9 +528,9 @@ func (s *Server) Submit(req Request) (*Job, error) {
 		entry, leader = s.store.Begin(hash)
 	}
 	s.nextID++
+	job.seq = s.nextID
 	job.ID = fmt.Sprintf("j%06d", s.nextID)
 	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
 	s.jobWG.Add(1)
 	if leader {
 		job.entry = entry
@@ -528,7 +543,6 @@ func (s *Server) Submit(req Request) (*Job, error) {
 			// Submit of this hash can join the doomed entry as a follower
 			// and be accepted only to end canceled.
 			delete(s.jobs, job.ID)
-			s.order = s.order[:len(s.order)-1]
 			s.jobWG.Done()
 			if entry != nil {
 				s.store.Abandon(hash, entry, Outcome{Err: ErrSaturated})
@@ -657,7 +671,7 @@ func (s *Server) resolve(job *Job, out Outcome) {
 // retireJob bumps the terminal counter for state, appends the job to the
 // bounded retention queue, and evicts the oldest terminal jobs beyond
 // Options.JobHistory from the registry (their IDs then 404) — without
-// the cap, jobs and order grow without bound on a long-running server.
+// the cap, jobs grows without bound on a long-running server.
 // Sharing s.mu with admission makes the counters coherent: accepted is
 // counted inside Submit's critical section, so resolved counts can never
 // overtake it in any Stats snapshot.
@@ -679,12 +693,6 @@ func (s *Server) retireJob(id, state string) {
 		// retained window stays O(JobHistory).
 		s.terminal = s.terminal[1:]
 		delete(s.jobs, old)
-		for i, oid := range s.order {
-			if oid == old {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
-		}
 		s.jobsEvicted.Add(1)
 	}
 	s.mu.Unlock()

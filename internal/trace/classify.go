@@ -127,13 +127,9 @@ type Result struct {
 	// (Table 6 columns).
 	BlockOpDMisses map[string]int64
 
-	// Segments per CPU (Figures 1 and 3).
-	Segments [][]Segment
-
-	// UTLBFaults and UTLBMisses: cheap-fault spikes inside application
-	// stretches and the misses they caused.
-	UTLBFaults int64
-	UTLBMisses int64
+	// Timeline tallies every CPU's OS, idle and application stretches
+	// (Figures 1 and 3).
+	Timeline Timeline
 
 	// IdleMisses happened in the idle loop (excluded from stall shares).
 	IdleMisses int64
@@ -371,7 +367,7 @@ func NewClassifier(kt *kernel.KText, layout *kmem.Layout, ncpu int) *Classifier 
 			MigrationByStruct: map[string]int64{},
 			DisposIByRoutine:  map[int]int64{},
 			BlockOpDMisses:    map[string]int64{},
-			Segments:          make([][]Segment, ncpu),
+			Timeline:          newTimeline(),
 		},
 	}
 	for i := 0; i < ncpu; i++ {
@@ -468,14 +464,15 @@ func (c *Classifier) MirrorResident(cpu arch.CPUID, instr bool, set int) (block 
 	return b, b != noBlock
 }
 
-// Finish closes open segments, resolves the dense interned tallies into
-// the string-keyed Result maps (only non-zero entries get keys, matching
-// the lazy map semantics of the buffered pipeline), and returns the result.
+// Finish adds each CPU's open OS invocation to the Timeline, resolves the
+// dense interned tallies into the string-keyed Result maps (only non-zero
+// entries get keys, matching the lazy map semantics of the buffered
+// pipeline), and returns the result.
 func (c *Classifier) Finish() *Result {
 	c.res.Malformed = c.dec.Malformed
 	c.res.IResim, c.res.DResim = c.iResim.flat(), c.dResim.flat()
-	for i, cs := range c.cpus {
-		cs.seg.close(&c.res.Segments[i])
+	for _, cs := range c.cpus {
+		cs.seg.finish(&c.res.Timeline)
 	}
 	for id := kmem.AttrID(0); id < kmem.NumAttrs; id++ {
 		if v := c.structAll[id]; v != 0 {
@@ -529,20 +526,20 @@ func (c *Classifier) event(rec monitor.Record) {
 		if rec.Args[1] != 0 {
 			cs.pid = arch.PID(rec.Args[1])
 		}
-		cs.seg.boundary(SegOS, cs.invID, rec.Txn.Ticks)
+		cs.seg.boundary(&c.res.Timeline, segOS, cs.invID, rec.Txn.Ticks)
 	case monitor.EvExitOS:
 		cs.mode = arch.ModeUser
 		cs.userEpoch++
 		cs.opStack = cs.opStack[:0]
-		cs.seg.boundary(SegApp, 0, rec.Txn.Ticks)
+		cs.seg.boundary(&c.res.Timeline, segApp, 0, rec.Txn.Ticks)
 	case monitor.EvEnterIdle:
 		cs.mode = arch.ModeIdle
 		cs.intrFromIdle = cs.intrFromIdle[:0]
-		cs.seg.boundary(SegIdle, cs.invID, rec.Txn.Ticks)
+		cs.seg.boundary(&c.res.Timeline, segIdle, cs.invID, rec.Txn.Ticks)
 	case monitor.EvExitIdle:
 		cs.mode = arch.ModeKernel
 		cs.intrFromIdle = cs.intrFromIdle[:0]
-		cs.seg.boundary(SegOS, cs.invID, rec.Txn.Ticks)
+		cs.seg.boundary(&c.res.Timeline, segOS, cs.invID, rec.Txn.Ticks)
 	case monitor.EvEnterIntr:
 		cs.opStack = append(cs.opStack, kernel.OpInterrupt)
 		// An interrupt taken in the idle loop executes kernel work;
@@ -568,8 +565,7 @@ func (c *Classifier) event(rec monitor.Record) {
 	case monitor.EvRoutineExit:
 		cs.routine = -1
 	case monitor.EvUTLB:
-		c.res.UTLBFaults++
-		cs.seg.utlb()
+		cs.seg.nUTLB++
 	case monitor.EvICacheInval:
 		c.icacheInval(rec.Args[0])
 	case monitor.EvPageAlloc:
@@ -777,15 +773,14 @@ func (c *Classifier) tally(cs *cpuState, t bus.Txn, instr bool, class MissClass,
 		ii = 1
 	}
 	c.res.Counts[oi][ii][class]++
-	// Segment miss accounting.
+	// Timeline miss accounting.
 	if cs.mode == arch.ModeUser && os {
 		// UTLB handler misses during an application stretch.
-		c.res.UTLBMisses++
-		cs.seg.utlbMiss()
+		cs.seg.nUTLBMiss++
 	} else if instr {
-		cs.seg.imiss()
+		cs.seg.cur.IMiss++
 	} else {
-		cs.seg.dmiss()
+		cs.seg.cur.DMiss++
 	}
 	if !os {
 		return

@@ -77,7 +77,8 @@ func logShapes(t *testing.T, name string, s *sim.Simulator, r *Result) {
 		pct(int64(osStall+indStall), int64(nonIdle)),
 		pct(int64(stall), int64(nonIdle)))
 	t.Logf("  utlb: faults=%d misses=%d (%.2f/fault) reuse-within-inv=%.0f%% of OS",
-		r.UTLBFaults, r.UTLBMisses, float64(r.UTLBMisses)/float64(max64(r.UTLBFaults, 1)),
+		r.Timeline.AppUTLBs, r.Timeline.AppUTLBMisses,
+		float64(r.Timeline.AppUTLBMisses)/float64(max64(r.Timeline.AppUTLBs, 1)),
 		pct(r.ReusedWithinInvocation, osMisses))
 }
 

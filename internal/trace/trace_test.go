@@ -248,17 +248,19 @@ func TestUTLBMissesAttributedToCheapTLB(t *testing.T) {
 	kt, _ := newEnv()
 	utlb := kt.R("utlbmiss")
 	txns := cat(
+		exitOS(0, 5),
 		// In an app stretch (no OS window): kernel-address miss = the
 		// UTLB handler.
 		esc(0, monitor.EvUTLB, 10, 5),
 		[]bus.Txn{read(0, utlb.Addr, 11)},
+		enterOS(0, kernel.OpOtherSyscall, 20), // closes the app stretch
 	)
 	r := classify(t, txns)
-	if r.UTLBFaults != 1 {
-		t.Errorf("UTLBFaults = %d", r.UTLBFaults)
+	if r.Timeline.AppUTLBs != 1 {
+		t.Errorf("AppUTLBs = %d", r.Timeline.AppUTLBs)
 	}
-	if r.UTLBMisses != 1 {
-		t.Errorf("UTLBMisses = %d", r.UTLBMisses)
+	if r.Timeline.AppUTLBMisses != 1 {
+		t.Errorf("AppUTLBMisses = %d", r.Timeline.AppUTLBMisses)
 	}
 	if r.OpMisses[kernel.OpCheapTLB][1] != 1 {
 		t.Errorf("cheap-TLB op attribution: %+v", r.OpMisses[kernel.OpCheapTLB])
@@ -309,37 +311,38 @@ func TestBlockOpAttribution(t *testing.T) {
 	}
 }
 
-func TestSegments(t *testing.T) {
+func TestTimeline(t *testing.T) {
 	kt, _ := newEnv()
 	a := kt.R("swtch").Addr
 	txns := cat(
 		enterOS(0, kernel.OpIOSyscall, 100),
 		[]bus.Txn{read(0, a, 110)},
-		exitOS(0, 200), // OS segment: 100 ticks = 200 cycles, 1 I-miss
+		exitOS(0, 200), // OS stretch: 100 ticks = 200 cycles, 1 I-miss
 		esc(0, monitor.EvUTLB, 250, 1),
-		enterOS(0, kernel.OpInterrupt, 300), // app segment: 100 ticks
+		enterOS(0, kernel.OpInterrupt, 300), // app stretch: 100 ticks
 		esc(0, monitor.EvEnterIdle, 350),
 		esc(0, monitor.EvExitIdle, 400),
 		exitOS(0, 450),
 		exitOS(0, 460), // dangling exit opens app; drop tail
 	)
-	r := classify(t, txns)
-	segs := r.Segments[0]
-	if len(segs) < 4 {
-		t.Fatalf("got %d segments: %+v", len(segs), segs)
+	tl := classify(t, txns).Timeline
+	// The idle-interrupted invocation counts once, with its two OS
+	// pieces summed and the idle piece left out.
+	if want := (Stretch{N: 2, Cycles: 400, IMiss: 1}); tl.OS != want {
+		t.Errorf("OS = %+v, want %+v", tl.OS, want)
 	}
-	if segs[0].Kind != SegOS || segs[0].Cycles != 200 || segs[0].IMiss != 1 {
-		t.Errorf("OS segment = %+v", segs[0])
+	if want := (Stretch{N: 1, Cycles: 100}); tl.Idle != want {
+		t.Errorf("Idle = %+v, want %+v", tl.Idle, want)
 	}
-	if segs[1].Kind != SegApp || segs[1].Cycles != 200 || segs[1].UTLBs != 1 {
-		t.Errorf("app segment = %+v", segs[1])
+	if want := (Stretch{N: 2, Cycles: 220}); tl.App != want {
+		t.Errorf("App = %+v, want %+v", tl.App, want)
 	}
-	if segs[2].Kind != SegOS || segs[3].Kind != SegIdle {
-		t.Errorf("segment kinds: %v %v", segs[2].Kind, segs[3].Kind)
+	if tl.AppUTLBs != 1 {
+		t.Errorf("AppUTLBs = %d, want 1", tl.AppUTLBs)
 	}
-	// The idle piece shares the invocation id with its OS pieces.
-	if segs[2].InvID != segs[3].InvID {
-		t.Errorf("idle InvID %d != OS InvID %d", segs[3].InvID, segs[2].InvID)
+	if tl.OSIMiss.N != 2 || tl.OSCycles.Sum != 400 || tl.AppCycles.N != 2 {
+		t.Errorf("histograms: OSIMiss.N %d, OSCycles.Sum %g, AppCycles.N %d; want 2, 400, 2",
+			tl.OSIMiss.N, tl.OSCycles.Sum, tl.AppCycles.N)
 	}
 }
 

@@ -12,6 +12,15 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+echo "== gofmt -l ."
+# Every Go file in the tree (bench/ included, read only) is gofmt-clean.
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "FAIL: gofmt -l lists files that need formatting:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+
 echo "== go test -race ./internal/runner/..."
 go test -race ./internal/runner/...
 
