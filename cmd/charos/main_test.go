@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
@@ -11,6 +10,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/report"
 	"repro/internal/runflag"
 )
 
@@ -98,13 +99,11 @@ func TestResolveSample(t *testing.T) {
 	}
 }
 
-// runExp runs charos -exp exp with args and returns its stdout.
+// runExp runs charos -exp exp with args under runflag.Main and returns
+// its stdout.
 func runExp(t *testing.T, exp string, args ...string) string {
 	t.Helper()
 	f, err := parse(append([]string{"-exp", exp}, args...))
-	if err == nil {
-		err = f.resolve()
-	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +114,7 @@ func runExp(t *testing.T, exp string, args ...string) string {
 	defer out.Close()
 	defer func(stdout *os.File) { os.Stdout = stdout }(os.Stdout)
 	os.Stdout = out
-	if rc := f.main(runflag.Run{Ctx: context.Background()}); rc != 0 {
+	if rc := f.run.Main(f.resolve, f.main); rc != 0 {
 		t.Fatalf("charos -exp %s %v exited %d", exp, args, rc)
 	}
 	b, err := os.ReadFile(out.Name())
@@ -123,6 +122,79 @@ func runExp(t *testing.T, exp string, args ...string) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// TestRegistry resolves every registry entry through charos's flag set and
+// renders it at a short window. Only an entry with no runs (a static one)
+// rejects -check and -inject, and exactly the entries that set each run's
+// CPU count themselves reject -ncpu.
+func TestRegistry(t *testing.T) {
+	resolve := func(args ...string) error {
+		f, err := parse(args)
+		if err == nil {
+			err = f.resolve()
+		}
+		return err
+	}
+	for _, e := range report.Experiments {
+		t.Run(e.Name, func(t *testing.T) {
+			if out := runExp(t, e.Name, "-window", "400K", "-parallel", "1"); out == "" {
+				t.Error("empty stdout")
+			}
+			static := len(e.Runs(core.Config{})) == 0
+			for _, flag := range [][]string{{"-check"}, {"-inject", "evict"}} {
+				err := resolve(append([]string{"-exp", e.Name}, flag...)...)
+				if rejected := err != nil && strings.Contains(err.Error(), "-check and -inject do not apply"); rejected != static {
+					t.Errorf("%v: err %v; static %t", flag, err, static)
+				}
+			}
+			ownsNCPU := false
+			for _, c := range e.Runs(core.Config{NCPU: 2}) {
+				ownsNCPU = ownsNCPU || c.NCPU != 2
+			}
+			err := resolve("-exp", e.Name, "-ncpu", "2")
+			if rejected := err != nil && strings.Contains(err.Error(), "-ncpu and -affinity do not apply"); rejected != ownsNCPU {
+				t.Errorf("-ncpu 2: err %v; entry sets NCPU itself: %t", err, ownsNCPU)
+			}
+		})
+	}
+	for _, name := range []string{"section6", "figure11"} {
+		if e, _ := report.Lookup(name); e.CPUs == nil {
+			t.Errorf("%s has no CPU counts of its own", name)
+		}
+	}
+}
+
+// TestReadmeExperimentTable: README's experiment table lists exactly the
+// registry's entries, in order, each with its paper artefact and its
+// charos command.
+func TestReadmeExperimentTable(t *testing.T) {
+	b, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(b), "| Experiment | Command |\n|---|---|\n")
+	if !ok {
+		t.Fatal("README has no experiment table")
+	}
+	var rows []string
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		rows = append(rows, line)
+	}
+	for i, e := range report.Experiments {
+		want := fmt.Sprintf("| %s | `go run ./cmd/charos -exp %s` |", e.Paper, e.Name)
+		if i >= len(rows) {
+			t.Errorf("README's table ends before %q", want)
+		} else if rows[i] != want {
+			t.Errorf("README row %d is %q, want %q", i+1, rows[i], want)
+		}
+	}
+	if extra := len(rows) - len(report.Experiments); extra > 0 {
+		t.Errorf("README's table has %d rows past the registry's entries", extra)
+	}
 }
 
 // TestSection6Pinned pins the SHA-256 of -exp section6's stdout, which

@@ -80,12 +80,11 @@ func TestGeometrySweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	runs, err := geometry(runflag.Run{Ctx: context.Background(), Opts: runner.Options{Parallelism: 2}}, f.cfg, &b)
+	b, err := f.e.Run(context.Background(), f.cfg, runner.Options{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := b.String()
+	out, runs := f.e.Render(b), b.Runs
 
 	// Rows: label, replay misses, rel, direct misses, rel.
 	var rows [][]string
@@ -123,9 +122,9 @@ func TestGeometrySweep(t *testing.T) {
 	if len(runs) != 5 {
 		t.Errorf("%d runs, want baseline + 3 direct + preset", len(runs))
 	}
-	for _, r := range runs {
-		if chk := r.Ch.Sim.Chk; chk == nil || chk.Checks == 0 || chk.Violations != 0 {
-			t.Errorf("%s: checker %+v, want a checked run with 0 violations", r.Name, chk)
+	for i, ch := range runs {
+		if chk := ch.Sim.Chk; chk == nil || chk.Checks == 0 || chk.Violations != 0 {
+			t.Errorf("run %d (%s): checker %+v, want a checked run with 0 violations", i, ch.Cfg.Machine, chk)
 		}
 	}
 }

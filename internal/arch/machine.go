@@ -163,15 +163,15 @@ func (m Machine) Validate() error {
 func (m Machine) String() string {
 	return fmt.Sprintf("%d×%dMHz I=%s/%d D=%s/%d+%s/%d mem=%s tlb=%d stall=%d/%d",
 		m.NCPU, m.ClockMHz,
-		sizeString(m.ICacheSize), m.ICacheAssoc,
-		sizeString(m.DCacheL1Size), m.DCacheL1Assoc,
-		sizeString(m.DCacheL2Size), m.DCacheL2Assoc,
-		sizeString(m.MemBytes), m.TLBEntries,
+		SizeString(m.ICacheSize), m.ICacheAssoc,
+		SizeString(m.DCacheL1Size), m.DCacheL1Assoc,
+		SizeString(m.DCacheL2Size), m.DCacheL2Assoc,
+		SizeString(m.MemBytes), m.TLBEntries,
 		m.MissStallCycles, m.L1MissL2HitCycles)
 }
 
-// sizeString formats a byte count with a K/M suffix when exact.
-func sizeString(n int) string {
+// SizeString formats a byte count with a K/M suffix when exact.
+func SizeString(n int) string {
 	switch {
 	case n >= 1<<20 && n%(1<<20) == 0:
 		return fmt.Sprintf("%dM", n>>20)

@@ -19,7 +19,6 @@ import (
 // caches of the measured machine; higher associativities are used by the
 // Figure 6 re-simulations. Replacement is LRU within a set.
 type Cache struct {
-	name  string
 	size  int
 	assoc int
 	sets  int
@@ -76,7 +75,8 @@ func fillWord(b arch.PAddr, write bool) uint32 {
 
 // New returns a cache of the given total size in bytes and associativity.
 // size must be a multiple of assoc*arch.BlockSize and the resulting number
-// of sets must be a power of two (true for all configurations in the paper).
+// of sets must be a power of two (true for all configurations in the paper);
+// name labels the panic that reports a geometry breaking those rules.
 func New(name string, size, assoc int) *Cache {
 	if size <= 0 || assoc <= 0 {
 		panic(fmt.Sprintf("cache %s: invalid size %d or assoc %d", name, size, assoc))
@@ -90,7 +90,6 @@ func New(name string, size, assoc int) *Cache {
 		panic(fmt.Sprintf("cache %s: %d sets is not a power of two", name, sets))
 	}
 	c := &Cache{
-		name:  name,
 		size:  size,
 		assoc: assoc,
 		sets:  sets,
@@ -113,9 +112,6 @@ func (c *Cache) SetGeneric(g bool) {
 		c.lru = make([]uint64, len(c.line))
 	}
 }
-
-// Name returns the cache's identifying name.
-func (c *Cache) Name() string { return c.name }
 
 // Size returns the total capacity in bytes.
 func (c *Cache) Size() int { return c.size }

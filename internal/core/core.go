@@ -492,7 +492,7 @@ func (c *Characterization) Figure6() cachesweep.Figure6Result {
 
 // DefaultDSweepConfigs returns the canonical data-cache sweep points of
 // the §4.2.2 discussion, starting from the measured machine's 256 KB L2.
-// The geometry sweep (cmd/sweep -geometry) re-runs the full system at the
+// The geometry entry (charos -exp geometry) re-runs the full system at the
 // direct-mapped points of this same list, so the replay and direct sweeps
 // share one config source.
 func DefaultDSweepConfigs() []cachesweep.Config {

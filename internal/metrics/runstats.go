@@ -63,8 +63,8 @@ type BatchStats struct {
 	// Runs holds the per-run records in submission order.
 	Runs []RunStats
 	// Post is wall-clock spent after the runs on work no run's Wall
-	// covers (the Figure 6 sweep), and PostLabel says what it was. The
-	// CLI that did the work fills them in; zero means none was timed.
+	// covers (rendering the report, the Figure 6 sweep included), and
+	// PostLabel says what it was; zero means none was timed.
 	Post      time.Duration
 	PostLabel string
 }

@@ -34,12 +34,15 @@ func TestCanceledThenRerunByteIdentical(t *testing.T) {
 	}
 }
 
-func TestRunSetContextCanceled(t *testing.T) {
+// TestExperimentRunCanceled: an entry's batch under a canceled context
+// returns the first run's structured cancellation, not a batch.
+func TestExperimentRunCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	set, err := RunSetContext(ctx, core.Config{Window: 400_000, Warmup: 200_000}, runner.Options{Parallelism: 1})
-	if set != nil || err == nil {
-		t.Fatalf("canceled RunSetContext returned (%v, %v)", set, err)
+	e, _ := Lookup("report")
+	b, err := e.Run(ctx, core.Config{Window: 400_000, Warmup: 200_000}, runner.Options{Parallelism: 1})
+	if b != nil || err == nil {
+		t.Fatalf("canceled Experiment.Run returned (%v, %v)", b, err)
 	}
 	if !errors.Is(err, core.ErrCanceled) {
 		t.Errorf("error %v does not match core.ErrCanceled", err)

@@ -110,25 +110,31 @@ func TestHitFilterIdentity(t *testing.T) {
 // the lock-contention sweep over CPU counts.
 func TestParallelFigure11ByteIdentical(t *testing.T) {
 	render := func(par int) string {
-		pts, _, _, err := RunFigure11Context(context.Background(), core.Config{Window: 400_000, Seed: 7},
-			[]int{2, 3, 4}, runner.Options{Parallelism: par})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Figure11(pts)
+		out, _ := runFigure11(t, core.Config{Window: 400_000, Seed: 7}, []int{2, 3, 4}, runner.Options{Parallelism: par})
+		return out
 	}
 	diffLines(t, "figure 11", render(1), render(8))
 }
 
-// figure11 renders the Figure 11 sweep of base over counts on the default
-// worker pool.
-func figure11(t *testing.T, base core.Config, counts []int) string {
+// runFigure11 runs the figure11 entry over counts from base and returns
+// its rendering and runs.
+func runFigure11(t *testing.T, base core.Config, counts []int, opts runner.Options) (string, []*core.Characterization) {
 	t.Helper()
-	pts, _, _, err := RunFigure11Context(context.Background(), base, counts, runner.Options{})
+	e, _ := Lookup("figure11")
+	e.CPUs = counts
+	b, err := e.Run(context.Background(), base, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Figure11(pts)
+	return e.Render(b), b.Runs
+}
+
+// fig11 renders the Figure 11 sweep of base over counts on the default
+// worker pool.
+func fig11(t *testing.T, base core.Config, counts []int) string {
+	t.Helper()
+	out, _ := runFigure11(t, base, counts, runner.Options{})
+	return out
 }
 
 // TestFigure11HonorsBase: every Figure 11 point is the base configuration
@@ -143,16 +149,13 @@ func TestFigure11HonorsBase(t *testing.T) {
 	m380.DCacheL2Size = 1 << 20
 	big := base
 	big.Machine = m380
-	if figure11(t, big, counts) == figure11(t, base, counts) {
+	if fig11(t, big, counts) == fig11(t, base, counts) {
 		t.Error("a 4d380 base with a 1 MB L2 renders the default machine's Figure 11")
 	}
 
 	checked := base
 	checked.Check = true
-	_, _, runs, err := RunFigure11Context(context.Background(), checked, counts, runner.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, runs := runFigure11(t, checked, counts, runner.Options{})
 	for i, ch := range runs {
 		chk := ch.Sim.Chk
 		if chk == nil {
@@ -169,8 +172,8 @@ func TestFigure11HonorsBase(t *testing.T) {
 // canonical default (core's, arch.DefaultWindow), in the runs and in the
 // per-millisecond rates; this path once disagreed with cmd/sweep (8M vs 12M).
 func TestFigure11WindowDefault(t *testing.T) {
-	explicit := figure11(t, core.Config{Window: arch.DefaultWindow, Seed: 7}, []int{2})
-	if got := figure11(t, core.Config{Seed: 7}, []int{2}); got != explicit {
+	explicit := fig11(t, core.Config{Window: arch.DefaultWindow, Seed: 7}, []int{2})
+	if got := fig11(t, core.Config{Seed: 7}, []int{2}); got != explicit {
 		t.Errorf("zero-window Figure 11:\n%s\nwant the arch.DefaultWindow one:\n%s", got, explicit)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/arch"
 	"repro/internal/cachesweep"
@@ -20,7 +19,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/runner"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // Set bundles one run per workload (the standard experiment set).
@@ -28,9 +26,6 @@ type Set struct {
 	Pmake   *core.Characterization
 	Multpgm *core.Characterization
 	Oracle  *core.Characterization
-	// Stats is the timing/allocation record of the batch that built the
-	// set (zero-valued for hand-assembled sets).
-	Stats metrics.BatchStats
 	// Parallelism is carried into the re-simulation fan-outs (Figure 6);
 	// <= 0 means GOMAXPROCS.
 	Parallelism int
@@ -41,37 +36,14 @@ type Set struct {
 // GOMAXPROCS; 1 restores strictly serial execution). Output is
 // byte-identical on any worker count: each run is seeded independently.
 func RunSetParallel(cfg core.Config, opts runner.Options) *Set {
-	set, err := RunSetContext(context.Background(), cfg, opts)
+	b, err := Experiment{Configs: workloads}.Run(context.Background(), cfg, opts)
 	if err != nil {
 		// A background context never cancels, so the only possible error
 		// is a run panic — re-raise it with its structured provenance
 		// after the rest of the batch has resolved.
 		panic(err)
 	}
-	return set
-}
-
-// RunSetContext is RunSetParallel under a context: cancellation or
-// deadline expiry stops the in-flight runs before their next bus
-// transaction and returns the first run's structured error (a
-// *core.CanceledError or *runner.PanicError) instead of a Set.
-func RunSetContext(ctx context.Context, cfg core.Config, opts runner.Options) (*Set, error) {
-	kinds := []workload.Kind{workload.Pmake, workload.Multpgm, workload.Oracle}
-	cfgs := make([]core.Config, len(kinds))
-	for i, k := range kinds {
-		cfgs[i] = cfg
-		cfgs[i].Workload = k
-	}
-	res, batch := runner.ExperimentsContext(ctx, cfgs, opts)
-	for _, r := range res {
-		if r.Err != nil {
-			return nil, r.Err
-		}
-	}
-	return &Set{
-		Pmake: res[0].Ch, Multpgm: res[1].Ch, Oracle: res[2].Ch,
-		Stats: batch, Parallelism: opts.Parallelism,
-	}, nil
+	return b.set()
 }
 
 // Single renders one run as a compact deterministic report: the header
@@ -383,20 +355,6 @@ func Figure6(s *Set) string {
 		b.WriteString(t.String())
 	}
 	return b.String()
-}
-
-// TimedFigure6 is Figure6 with its wall-clock recorded in s.Stats.Post: the
-// sweep runs after the simulations, so no run's Wall covers it and the timing
-// table would otherwise hide it.
-func TimedFigure6(s *Set) string {
-	start := time.Now()
-	out := Figure6(s)
-	s.Stats.Post = time.Since(start)
-	events := 0
-	s.each(func(_ string, ch *core.Characterization) { events += len(ch.Trace.IResim) })
-	dm, tw := cachesweep.Figure6Configs()
-	s.Stats.PostLabel = fmt.Sprintf("figure 6 sweep %d events × %d configurations", events, len(dm)+len(tw)+1)
-	return out
 }
 
 // Figure7 renders the OS data-miss classification.
@@ -743,100 +701,39 @@ func Locks(s *Set) string {
 	return b.String()
 }
 
-// Figure11Point is one lock's contention at one CPU count.
-type Figure11Point struct {
-	NCPU          int
-	Lock          string
-	FailedPerMS   float64
-	AcquiresPerMS float64
-}
-
-// RunFigure11Context sweeps the CPU count for Multpgm and reports failed
-// acquires per millisecond for the hottest locks (kernel Runqlk and
-// Memlock plus the user-level Mp3d locks). Every point is base (machine,
-// window, seed, checker) with only the workload, CPU count and tracing
-// replaced. It runs under a context and a worker pool, and also returns
-// the batch timing record and the runs, for their checkers.
-// Points come back in submission order (one group of locks per CPU
-// count), byte-identical to a serial sweep. A canceled or expired ctx
-// returns the first run's structured error.
-func RunFigure11Context(ctx context.Context, base core.Config, cpuCounts []int,
-	opts runner.Options) ([]Figure11Point, metrics.BatchStats, []*core.Characterization, error) {
-	cfgs := make([]core.Config, len(cpuCounts))
-	for i, n := range cpuCounts {
-		cfgs[i] = base
-		cfgs[i].Workload, cfgs[i].NCPU, cfgs[i].NoTrace = workload.Multpgm, n, true
-	}
-	res, batch := runner.ExperimentsContext(ctx, cfgs, opts)
-	for _, r := range res {
-		if r.Err != nil {
-			return nil, batch, nil, r.Err
-		}
-	}
-	var out []Figure11Point
-	runs := make([]*core.Characterization, len(res))
-	for i, r := range res {
-		n, ch := cpuCounts[i], r.Ch
-		runs[i] = ch
-		// The paper plots failed acquires per millisecond of run time
-		// (Y includes idle). Use the wall-clock window, defaults resolved.
-		wallMS := float64(ch.Cfg.Window.NS()) / 1e6
-		for _, lname := range []string{klock.Runqlk, klock.Memlock, klock.Ifree} {
-			st := ch.Sim.K.Locks.FamilyStats(lname)
-			out = append(out, Figure11Point{
-				NCPU: n, Lock: lname,
-				FailedPerMS:   float64(st.Failed) / wallMS,
-				AcquiresPerMS: float64(st.Acquires) / wallMS,
-			})
-		}
-		// Aggregate user locks (the mp3d cells/barrier).
-		var fails, acqs int64
-		for _, l := range ch.Sim.K.UserLocks {
-			st := l.ComputeStats()
-			fails += st.Failed
-			acqs += st.Acquires
-		}
-		out = append(out, Figure11Point{NCPU: n, Lock: "mp3d user locks",
-			FailedPerMS: float64(fails) / wallMS, AcquiresPerMS: float64(acqs) / wallMS})
-	}
-	return out, batch, runs, nil
-}
-
-// Figure11 renders the contention sweep.
-func Figure11(points []Figure11Point) string {
-	t := metrics.NewTable("Figure 11: Lock contention vs number of CPUs (Multpgm)",
-		"CPUs", "Lock", "Failed acq/ms", "Acq/ms")
-	for _, p := range points {
-		t.AddRow(p.NCPU, p.Lock, fmt.Sprintf("%.2f", p.FailedPerMS), fmt.Sprintf("%.2f", p.AcquiresPerMS))
-	}
-	t.Note("paper: contention (especially Runqlk) grows steadily with the CPU count")
-	return t.String()
-}
-
 // All renders every table and figure from one Set.
 func All(s *Set) string {
+	batch := &Batch{Runs: []*core.Characterization{s.Pmake, s.Multpgm, s.Oracle}, Parallelism: s.Parallelism}
 	var b strings.Builder
 	for _, sec := range Sections {
-		b.WriteString(sec.Render(s))
+		b.WriteString(sec.Render(batch))
 		b.WriteString("\n")
 	}
 	return b.String()
 }
 
-// Section is one table or figure All renders, under its charos -exp name.
-// Static sections (table3, table11) ignore the set and render from nil.
-type Section struct {
-	Name   string
-	Render func(*Set) string
-}
-
-// Sections are All's sections in paper order.
-var Sections = []Section{
-	{"table1", Table1}, {"figure1", Figure1}, {"figure2", Figure2},
-	{"figure3", Figure3}, {"figure4", Figure4}, {"figure5", Figure5},
-	{"figure7", Figure7}, {"table3", func(*Set) string { return Table3() }},
-	{"figure8", Figure8}, {"table4", Table4}, {"table5", Table5},
-	{"table6", Table6}, {"table7", Table7}, {"figure9", Figure9},
-	{"table9", Table9}, {"figure10", Figure10}, {"table10", Table10},
-	{"table11", func(*Set) string { return Table11() }}, {"table12", Table12},
+// Sections are All's sections in paper order, each its own charos -exp
+// entry. The static ones (table3, table11) run nothing.
+var Sections = []Experiment{
+	section("table1", "Table 1 (workload characteristics)", Table1),
+	section("figure1", "Figure 1 (times and misses in the basic repeating pattern)", Figure1),
+	section("figure2", "Figure 2 (frequency of OS operations)", Figure2),
+	section("figure3", "Figure 3 (misses and cycles per OS invocation)", Figure3),
+	section("figure4", "Figure 4 (OS instruction misses by class)", Figure4),
+	section("figure5", "Figure 5 (self-interference I-misses by OS routine)", Figure5),
+	section("figure7", "Figure 7 (OS data misses by class)", Figure7),
+	{Name: "table3", Paper: "Table 3 (data structures behind OS sharing misses)",
+		Render: func(*Batch) string { return Table3() }},
+	section("figure8", "Figure 8 (OS sharing misses by data structure)", Figure8),
+	section("table4", "Table 4 (process-migration misses and stall)", Table4),
+	section("table5", "Table 5 (migration misses by operation)", Table5),
+	section("table6", "Table 6 (block-operation misses and stall)", Table6),
+	section("table7", "Table 7 (sizes of blocks copied and cleared)", Table7),
+	section("figure9", "Figure 9 (OS misses by high-level operation)", Figure9),
+	section("table9", "Table 9 (stall components of OS misses)", Table9),
+	section("figure10", "Figure 10 (application misses induced by the OS)", Figure10),
+	section("table10", "Table 10 (stall from OS synchronization accesses)", Table10),
+	{Name: "table11", Paper: "Table 11 (functions of the most-acquired locks)",
+		Render: func(*Batch) string { return Table11() }},
+	section("table12", "Table 12 (most frequently acquired locks in Pmake)", Table12),
 }

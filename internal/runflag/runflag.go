@@ -1,10 +1,10 @@
 // Package runflag is the command-line surface the simulating binaries
 // (charos, sweep) share: -window, -seed, -check, -parallel, -timeout,
 // -cpuprofile, -memprofile, and the -machine preset with its geometry
-// overrides. A binary registers them beside its own flags,
-// resolves them after Parse into the validated base core.Config, runs
-// under Main (worker pool, -timeout context, profiling) and ends with
-// Finish.
+// overrides. A binary registers them beside its own flags, resolves them
+// after Parse into a registry entry's validated base core.Config, and
+// runs the entry under Main (worker pool, -timeout context, profiling)
+// through Exec, which ends with Finish.
 package runflag
 
 import (
@@ -58,11 +58,11 @@ func Register(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// Config resolves the machine, -window, -seed and -check into the base
-// configuration, lets the binary set its own fields through
-// adjust (nil for none) and validates the result. Nothing has run yet, so
-// every error is a usage error.
-func (f *Flags) Config(adjust func(*core.Config) error) (core.Config, error) {
+// Config resolves the machine, -window, -seed and -check into experiment
+// e's base configuration, lets the binary set its own fields through
+// adjust (nil for none) and validates the result and every run e derives
+// from it. Nothing has run yet, so every error is a usage error.
+func (f *Flags) Config(e report.Experiment, adjust func(*core.Config) error) (core.Config, error) {
 	machine, err := f.machine.Machine()
 	if err != nil {
 		return core.Config{}, err
@@ -74,7 +74,12 @@ func (f *Flags) Config(adjust func(*core.Config) error) (core.Config, error) {
 			return core.Config{}, err
 		}
 	}
-	return cfg, cfg.Validate()
+	for _, c := range append([]core.Config{cfg}, e.Runs(cfg)...) {
+		if err := c.Validate(); err != nil {
+			return core.Config{}, err
+		}
+	}
+	return cfg, nil
 }
 
 // Run is what a binary's body runs under: the -timeout context and the
@@ -119,6 +124,45 @@ func (f *Flags) Main(resolve func() error, body func(Run) int) int {
 	return body(r)
 }
 
+// Exec runs experiment e from base and ends the invocation: stdout is the
+// entry's rendering, stderr the batch's timing table with the rendering's
+// own wall-clock (it runs after the simulations, so no run's covers it),
+// and the exit code Finish's over every run. A static entry only renders.
+func (r Run) Exec(e report.Experiment, base core.Config) int {
+	if base.Inject != nil && !base.Check {
+		fmt.Fprintln(os.Stderr, "note: -inject without -check perturbs the run unvalidated")
+	}
+	if e.Configs == nil {
+		fmt.Print(e.Render(nil))
+		return 0
+	}
+	fmt.Fprintf(os.Stderr, "running -exp %s (window %d cycles ≈ %.0f ms at 33 MHz, %d workers)...\n",
+		e.Name, base.Window, float64(base.Window.NS())/1e6, r.Opts.Parallelism)
+	if base.Inject != nil {
+		fmt.Fprintf(os.Stderr, "fault injection on: %s\n", base.Inject.Modes())
+	}
+	b, err := e.Run(r.Ctx, base, r.Opts)
+	if err != nil {
+		// The structured cancellation carries its provenance: canonical
+		// config hash, seed, and the simulated cycle reached.
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	start := time.Now()
+	out := e.Render(b)
+	b.Stats.Post, b.Stats.PostLabel = time.Since(start), "rendering -exp "+e.Name
+	fmt.Print(out)
+	fmt.Fprint(os.Stderr, b.Stats.Table())
+	named := make([]Named, len(b.Runs))
+	for i, ch := range b.Runs {
+		named[i] = Named{Name: fmt.Sprintf("%s on %s", b.Stats.Runs[i].Label, ch.Cfg.Machine), Ch: ch}
+		if ch.Sim.Inj != nil {
+			fmt.Fprintf(os.Stderr, "faults delivered (%s): %v\n", named[i].Name, ch.Sim.Inj.Stats)
+		}
+	}
+	return Finish(named...)
+}
+
 func writeHeapProfile(path string) {
 	f, err := os.Create(path)
 	if err == nil {
@@ -135,11 +179,6 @@ func writeHeapProfile(path string) {
 type Named struct {
 	Name string
 	Ch   *core.Characterization
-}
-
-// Workloads names a set's three runs in paper order.
-func Workloads(s *report.Set) []Named {
-	return []Named{{"Pmake", s.Pmake}, {"Multpgm", s.Multpgm}, {"Oracle", s.Oracle}}
 }
 
 // Finish ends an invocation on stderr: every run's invariant violations

@@ -13,6 +13,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/check"
 	"repro/internal/core"
+	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/sim"
 )
@@ -32,7 +33,7 @@ func parse(t *testing.T, args ...string) *Flags {
 func TestConfigResolvesSharedFlags(t *testing.T) {
 	f := parse(t, "-window", "2M", "-seed", "23", "-check",
 		"-machine", "4d380", "-dcache-l2", "1M")
-	cfg, err := f.Config(func(c *core.Config) error { c.NCPU = 2; return nil })
+	cfg, err := f.Config(report.Experiment{}, func(c *core.Config) error { c.NCPU = 2; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestDocumentedBinariesExist(t *testing.T) {
 // canonicalizes, and hashes, exactly as the zero config does, so every
 // golden digest of a default command holds.
 func TestDefaultConfigIsTheDefaultRun(t *testing.T) {
-	cfg, err := parse(t).Config(nil)
+	cfg, err := parse(t).Config(report.Experiment{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestConfigUsageErrors(t *testing.T) {
 		{nil, func(c *core.Config) error { c.NCPU, c.CollectIResim = 300, true; return nil }, "resim streams"},
 		{nil, func(*core.Config) error { return fmt.Errorf("own flag") }, "own flag"},
 	} {
-		_, err := parse(t, tc.args...).Config(tc.adjust)
+		_, err := parse(t, tc.args...).Config(report.Experiment{}, tc.adjust)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%v: err %v, want %q", tc.args, err, tc.want)
 		}
@@ -137,7 +138,7 @@ func TestMainPassesThePoolAndReportsUsageErrors(t *testing.T) {
 	if note := stderrOf(t, func() { parse(t).Main(func() error { return nil }, func(Run) int { return 0 }) }); note != "" {
 		t.Errorf("stderr %q without -sim-workers, want nothing", note)
 	}
-	cfg, err := f.Config(nil)
+	cfg, err := f.Config(report.Experiment{}, nil)
 	if err != nil || cfg.Canonical() != (core.Config{}).Canonical() {
 		t.Errorf("-sim-workers reached the config: %+v, %v", cfg, err)
 	}
@@ -189,5 +190,30 @@ func TestFinish(t *testing.T) {
 		if strings.Contains(b.String(), "cycle 10 ") || strings.Contains(b.String(), "invariant checker:") && tc.code != 0 {
 			t.Errorf("%s: listed past the cap or claimed a clean run:\n%s", tc.name, b.String())
 		}
+	}
+}
+
+// TestProfiles: -cpuprofile and -memprofile each write a gzip-compressed
+// pprof file, and an unwritable -cpuprofile path is a usage error that
+// runs nothing.
+func TestProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	f := parse(t, "-cpuprofile", cpu, "-memprofile", mem)
+	if code := f.Main(func() error { return nil }, func(Run) int { return 0 }); code != 0 {
+		t.Fatalf("Main exited %d", code)
+	}
+	for _, path := range []string{cpu, mem} {
+		b, err := os.ReadFile(path)
+		if err != nil || len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+			t.Errorf("%s: %d bytes, err %v; want a non-empty gzip pprof file", filepath.Base(path), len(b), err)
+		}
+	}
+	bad := parse(t, "-cpuprofile", filepath.Join(dir, "missing", "cpu.pprof"))
+	ran := false
+	var code int
+	msg := stderrOf(t, func() { code = bad.Main(func() error { return nil }, func(Run) int { ran = true; return 0 }) })
+	if code != 2 || ran || msg == "" {
+		t.Errorf("unwritable -cpuprofile: exit %d, body ran %t, stderr %q; want 2, no run and an error", code, ran, msg)
 	}
 }

@@ -15,7 +15,7 @@ import (
 
 func TestRunOnePanicIsolation(t *testing.T) {
 	cfg := core.Config{Workload: workload.Pmake, Window: 400_000, Warmup: 200_000, Seed: 5}
-	res := RunOneMonitored(context.Background(), cfg, nil, func() { panic("boom") })
+	res := RunOneMonitored(context.Background(), cfg, nil, nil, func() { panic("boom") })
 	if res.Ch != nil {
 		t.Fatal("panicked run still produced a characterization")
 	}
@@ -91,7 +91,7 @@ func TestMidRunCancelNoLeak(t *testing.T) {
 				}
 				cancel()
 			}()
-		})
+		}, nil)
 		cancel()
 		if res.Ch != nil {
 			t.Fatal("canceled run still produced a characterization")
@@ -131,7 +131,7 @@ func TestExperimentsContextPreCanceled(t *testing.T) {
 	cancel()
 	cfgs := smallCfgs()
 	for _, par := range []int{1, 2} {
-		res, batch := ExperimentsContext(ctx, cfgs, Options{Parallelism: par})
+		res, batch := ExperimentsContext(ctx, cfgs, nil, Options{Parallelism: par})
 		for i, r := range res {
 			if r.Ch != nil {
 				t.Errorf("par %d: run %d completed under a canceled context", par, i)

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/arch"
+	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/metrics"
 )
@@ -65,37 +66,6 @@ type PanicError struct {
 
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("run panicked (%s): %v", e.Provenance, e.Value)
-}
-
-// ForEachContext is ForEach with cooperative cancellation: indexes not
-// yet started when ctx is canceled are skipped (fn never sees them), and
-// the skip is reported through the returned error — nil only if every
-// index ran. fn receives ctx to thread into context-aware work.
-func ForEachContext(ctx context.Context, n int, opts Options, fn func(ctx context.Context, i int)) error {
-	var skipped int64
-	var mu sync.Mutex
-	ForEach(n, opts, func(i int) {
-		if ctx.Err() != nil {
-			mu.Lock()
-			skipped++
-			mu.Unlock()
-			return
-		}
-		fn(ctx, i)
-	})
-	if skipped > 0 {
-		return fmt.Errorf("runner: %d of %d jobs not started: %w", skipped, n, context.Cause(ctx))
-	}
-	return nil
-}
-
-// MapContext fans fn across the pool under ctx. Slots whose index was
-// skipped because ctx was canceled hold T's zero value, and the skip is
-// reported through the error.
-func MapContext[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Context, i int) T) ([]T, error) {
-	out := make([]T, n)
-	err := ForEachContext(ctx, n, opts, func(ctx context.Context, i int) { out[i] = fn(ctx, i) })
-	return out, err
 }
 
 // ForEach runs fn(0..n-1) on a bounded worker pool and returns when all
@@ -150,11 +120,12 @@ type Result struct {
 // isolation: a panic anywhere in the pipeline comes back as a *PanicError
 // in Result.Err instead of unwinding into the caller. onStart (if non-nil)
 // receives the run's simulated-cycle heartbeat function just before
-// simulation begins — the service watchdog feeds on it. The optional
-// preRun hooks fire inside the recovery scope before the simulation
-// starts — the service's test hooks use them to force failures down the
-// production error path.
-func RunOneMonitored(ctx context.Context, cfg core.Config, onStart func(progress func() arch.Cycles), preRun ...func()) (res Result) {
+// simulation begins — the service watchdog feeds on it. The run feeds its
+// traced window to sinks (see core.RunMonitored). The optional preRun
+// hooks fire inside the recovery scope before the simulation starts — the
+// service's test hooks use them to force failures down the production
+// error path.
+func RunOneMonitored(ctx context.Context, cfg core.Config, onStart func(progress func() arch.Cycles), sinks []bus.Recorder, preRun ...func()) (res Result) {
 	canonical := cfg.Canonical()
 	var progress func() arch.Cycles
 	t0 := time.Now()
@@ -183,7 +154,7 @@ func RunOneMonitored(ctx context.Context, cfg core.Config, onStart func(progress
 		if onStart != nil {
 			onStart(p)
 		}
-	})
+	}, sinks...)
 	st := metrics.RunStats{Label: runLabel(canonical), Wall: time.Since(t0)}
 	if err != nil {
 		return Result{Err: err, Stats: st}
@@ -209,7 +180,7 @@ func RunOneMonitored(ctx context.Context, cfg core.Config, onStart func(progress
 // A panicking config surfaces as that run's Result.Err; the rest of the
 // batch completes normally.
 func Experiments(cfgs []core.Config, opts Options) ([]Result, metrics.BatchStats) {
-	return ExperimentsContext(context.Background(), cfgs, opts)
+	return ExperimentsContext(context.Background(), cfgs, nil, opts)
 }
 
 // ExperimentsContext is Experiments under a context: a canceled or
@@ -218,7 +189,9 @@ func Experiments(cfgs []core.Config, opts Options) ([]Result, metrics.BatchStats
 // submitted config gets a terminal Result either way, in submission
 // order. A pooled batch starts its runs longest-first (see longestFirst),
 // so the slots a cancel reaches before they start are the cheapest ones.
-func ExperimentsContext(ctx context.Context, cfgs []core.Config, opts Options) ([]Result, metrics.BatchStats) {
+// Run i feeds its traced window to sinks[i]; sinks is nil or holds one
+// (possibly empty) list per config.
+func ExperimentsContext(ctx context.Context, cfgs []core.Config, sinks [][]bus.Recorder, opts Options) ([]Result, metrics.BatchStats) {
 	n := len(cfgs)
 	w := opts.workers(n)
 	serial := w == 1
@@ -233,7 +206,11 @@ func ExperimentsContext(ctx context.Context, cfgs []core.Config, opts Options) (
 		if serial {
 			runtime.ReadMemStats(&m0)
 		}
-		out[i] = RunOneMonitored(ctx, cfgs[i], nil)
+		var own []bus.Recorder
+		if sinks != nil {
+			own = sinks[i]
+		}
+		out[i] = RunOneMonitored(ctx, cfgs[i], nil, own)
 		if serial && out[i].Err == nil {
 			var m1 runtime.MemStats
 			runtime.ReadMemStats(&m1)

@@ -174,9 +174,6 @@ func NewAccumulator(sched Schedule, window arch.Cycles) *Accumulator {
 // difference of the classifier's counts).
 func (a *Accumulator) Add(c Counts) { a.samples = append(a.samples, c) }
 
-// Samples returns how many measured intervals have been recorded.
-func (a *Accumulator) Samples() int { return len(a.samples) }
-
 // Estimate extrapolates the collected samples to whole-window totals.
 func (a *Accumulator) Estimate() *Estimate {
 	e := &Estimate{

@@ -607,7 +607,7 @@ func (s *Server) execute(job *Job) {
 		job.mu.Lock()
 		job.progress = p
 		job.mu.Unlock()
-	}, hooks...)
+	}, nil, hooks...)
 	job.mu.Lock()
 	job.mcps = res.Stats.MCyclesPerSec
 	job.mu.Unlock()

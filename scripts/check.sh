@@ -163,6 +163,14 @@ echo "== geometry sweep smoke (sweep -exp geometry, checker on)"
     grep -q '^invariant checker: [1-9][0-9]* checks, 0 violations$' || {
     echo "FAIL: sweep -exp geometry did not end with 0 violations" >&2; exit 1; }
 
+echo "== sweep is a shim (sweep -exp figure11|geometry prints what charos prints)"
+for exp in figure11 geometry; do
+    "$smoke/sweep" -exp "$exp" -window 1M >"$smoke/shim.out" 2>/dev/null
+    "$smoke/charos" -exp "$exp" -window 1M >"$smoke/registry.out" 2>/dev/null
+    cmp -s "$smoke/shim.out" "$smoke/registry.out" || {
+        echo "FAIL: sweep -exp $exp stdout differs from charos -exp $exp" >&2; exit 1; }
+done
+
 echo "== charosd smoke (panic isolation, 429 shed, SIGTERM drain)"
 caddr=127.0.0.1:18416
 "$smoke/charosd" -addr "$caddr" -workers 1 -queue 1 -test-hooks \
