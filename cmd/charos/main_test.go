@@ -76,6 +76,8 @@ func TestResolveUsageErrors(t *testing.T) {
 		{[]string{"-exp", "table11", "-check"}, "-check and -inject do not apply"},
 		{[]string{"-exp", "table3", "-inject", "evict"}, "-check and -inject do not apply"},
 		{[]string{"-exp", "table11", "-inject", "all"}, "-check and -inject do not apply"},
+		{[]string{"-exp", "all", "-ncpu", "300"}, "resim streams cover at most 256 CPUs, not 300"},
+		{[]string{"-exp", "figure6", "-ncpu", "300"}, "resim streams cover at most 256 CPUs, not 300"},
 	} {
 		f, err := parse(tc.args)
 		if err == nil {

@@ -215,6 +215,12 @@ func (s *System) SetReference(ref bool) {
 	}
 }
 
+// ReleasePresence drops the snoop presence filter, which no report reads.
+// From then on the system takes the exact full-snoop paths, as beyond
+// maxPresenceCPUs; a finished run calls it so its kept simulator holds
+// only the caches.
+func (s *System) ReleasePresence() { s.pres = nil }
+
 // SetRecorder replaces the transaction recorder (used when the monitor is
 // attached after construction).
 func (s *System) SetRecorder(rec Recorder) { s.rec = rec }

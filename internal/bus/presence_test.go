@@ -2,9 +2,11 @@ package bus
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/check"
 )
 
 // presencePool builds a set of block addresses engineered to collide: four
@@ -158,5 +160,55 @@ func TestWritePingPongNoAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("coherence ping-pong allocates %.1f times per round, want 0", avg)
+	}
+}
+
+// TestReleasedPresenceSameLines: a system whose presence filter is released
+// part-way through a random read/write/DMA/evict stream takes the full
+// snoop paths from then on, and keeps every CPU's line state and the bus
+// statistics equal to a twin that keeps its filter, under both protocols.
+func TestReleasedPresenceSameLines(t *testing.T) {
+	pool := presencePool()
+	for _, proto := range []Protocol{WriteInvalidate, WriteUpdate} {
+		kept, released := NewSystem(testMachine(4), nil), NewSystem(testMachine(4), nil)
+		kept.Proto, released.Proto = proto, proto
+		rng := rand.New(rand.NewSource(47))
+		now := arch.Cycles(0)
+		want, got := make([]check.Line, 4), make([]check.Line, 4)
+		for step := 0; step < 4000; step++ {
+			if step == 1000 {
+				released.ReleasePresence()
+				if released.pres != nil {
+					t.Fatal("ReleasePresence kept the filter")
+				}
+			}
+			c := arch.CPUID(rng.Intn(4))
+			a := pool[rng.Intn(len(pool))]
+			op, blocks, write := rng.Intn(10), 1+rng.Intn(3), rng.Intn(2) == 0
+			for _, s := range []*System{kept, released} {
+				switch {
+				case op < 4:
+					s.Read(c, a, now)
+				case op < 8:
+					s.Write(c, a, now)
+				case op < 9:
+					s.Bypass(c, a, blocks, write, now)
+				default:
+					s.InjectEvict(c, a, now)
+				}
+			}
+			now += arch.Cycles(1 + rng.Intn(50))
+			for _, b := range pool {
+				kept.Lines(b, want)
+				released.Lines(b, got)
+				if !slices.Equal(got, want) {
+					t.Fatalf("protocol %v step %d: addr %#x lines %v after release, %v with the filter",
+						proto, step, uint32(b), got, want)
+				}
+			}
+		}
+		if kept.Stats != released.Stats {
+			t.Errorf("protocol %v: bus stats %+v after release, %+v with the filter", proto, released.Stats, kept.Stats)
+		}
 	}
 }

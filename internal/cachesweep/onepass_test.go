@@ -1,6 +1,7 @@
 package cachesweep_test
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -121,4 +122,27 @@ func FuzzFigure6(f *testing.F) {
 		stream, ncpu := randomStream(seed)
 		checkOnePass(t, stream, ncpu)
 	})
+}
+
+// TestSweeperSinkMatchesStoredStream: a Sweeper subscribed to a run's
+// I-miss stream ends with the figure of the stream the same run stores, on
+// every workload at two seeds.
+func TestSweeperSinkMatchesStoredStream(t *testing.T) {
+	for _, kind := range []workload.Kind{workload.Pmake, workload.Multpgm, workload.Oracle} {
+		for _, seed := range []int64{1, 23} {
+			cfg := core.Config{Workload: kind, Window: 2_000_000, Seed: seed, CollectIResim: true}
+			n := cfg.Canonical().NCPU
+			sweep := cachesweep.NewSweeper(n)
+			ch, err := core.RunMonitored(context.Background(), cfg, nil, sweep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ch.Trace.IResim) == 0 {
+				t.Fatalf("%v seed %d: empty I-miss stream", kind, seed)
+			}
+			if got, want := sweep.Result(), cachesweep.Figure6(ch.Trace.IResim, n); !reflect.DeepEqual(got, want) {
+				t.Errorf("%v seed %d: online sweep\n%+v\nstored stream's\n%+v", kind, seed, got, want)
+			}
+		}
+	}
 }

@@ -9,8 +9,9 @@
 // cache, a two-way 64 KB cache cannot be simulated (the paper notes the
 // same restriction).
 //
-// Figure6 computes every configuration in one pass over the stream through
-// tag-only arrays (DESIGN.md §11). Simulate, Sweep and InvalBound replay the
+// Sweeper computes every configuration in one pass over the stream through
+// tag-only arrays (DESIGN.md §11), online as a run classifies its misses or
+// over a stored stream (Figure6). Simulate, Sweep and InvalBound replay the
 // stream through the full cache.Cache model one configuration at a time;
 // they are the reference the one-pass sweep is tested against.
 package cachesweep
@@ -160,11 +161,11 @@ func Figure6Configs() (dm, tw []Config) {
 type sweepCPU struct {
 	dm   [][]uint32 // per direct-mapped size, smallest first: one tag per set
 	tw   [][]uint32 // per two-way size: two tags per set, most recent first
-	seen []uint64   // the infinite cache: one bit per block
+	seen []uint64   // the infinite cache: one bit per block, grown on demand
 }
 
-func newSweepCPU(dm, tw []Config, maxBlock uint32) sweepCPU {
-	c := sweepCPU{seen: make([]uint64, maxBlock/64+1)}
+func newSweepCPU(dm, tw []Config) sweepCPU {
+	var c sweepCPU
 	for _, cfg := range dm {
 		c.dm = append(c.dm, make([]uint32, cfg.Size/arch.BlockSize))
 	}
@@ -185,72 +186,107 @@ func (c *sweepCPU) flush() {
 	clear(c.seen)
 }
 
-// Figure6 computes the whole figure from a classified trace in one pass
-// over the stream: every event is fed to all of its CPU's direct-mapped
-// sizes, two-way sizes and the infinite cache before the next is read. The
-// result equals {Sweep(dm), Sweep(tw), InvalBound} exactly (DESIGN.md §11
-// has the argument; TestFigure6OnePassMatchesReference the evidence).
-func Figure6(stream []trace.IResimEvent, ncpu int) Figure6Result {
+// Sweeper is Figure 6 computed online: every event is fed to all of its
+// CPU's direct-mapped sizes, two-way sizes and the infinite cache before
+// the next is read. After the stream, Result equals {Sweep(dm), Sweep(tw),
+// InvalBound} of it exactly (DESIGN.md §11 has the argument;
+// TestFigure6OnePassMatchesReference the evidence). A run attaches one to
+// its classifier's I-miss stream (trace.IMissSink), so no stream is
+// stored; a CPU's tag arrays, about 1 MB, are allocated at its first
+// event and dropped by End.
+type Sweeper struct {
+	dm, tw         []Config
+	cpus           []sweepCPU
+	dmMiss, twMiss []int64
+	infMiss        int64
+	baseline       int64
+}
+
+// NewSweeper returns the sweep of an ncpu-processor machine's stream.
+func NewSweeper(ncpu int) *Sweeper {
 	dm, tw := Figure6Configs()
-	var maxBlock uint32
+	return &Sweeper{dm: dm, tw: tw, cpus: make([]sweepCPU, ncpu),
+		dmMiss: make([]int64, len(dm)), twMiss: make([]int64, len(tw))}
+}
+
+// Figure6 computes the whole figure from a classified trace's stored
+// stream: the Sweeper fed the stream in one pass.
+func Figure6(stream []trace.IResimEvent, ncpu int) Figure6Result {
+	s := NewSweeper(ncpu)
 	for _, e := range stream {
-		maxBlock = max(maxBlock, e.Block)
+		s.Add(e)
 	}
-	cpus := make([]sweepCPU, ncpu)
-	for i := range cpus {
-		cpus[i] = newSweepCPU(dm, tw, maxBlock)
+	return s.Result()
+}
+
+// Add feeds one event of the stream.
+func (s *Sweeper) Add(e trace.IResimEvent) {
+	if e.Flush {
+		for i := range s.cpus {
+			s.cpus[i].flush()
+		}
+		return
 	}
-	dmMiss, twMiss := make([]int64, len(dm)), make([]int64, len(tw))
-	var infMiss, baseline int64
-	for _, e := range stream {
-		if e.Flush {
-			for i := range cpus {
-				cpus[i].flush()
-			}
+	var os int64
+	if e.OS {
+		os = 1
+	}
+	s.baseline += os
+	c, tag := &s.cpus[e.CPU], e.Block+1
+	if c.dm == nil {
+		*c = newSweepCPU(s.dm, s.tw)
+	}
+	// Smallest first, stopping at the first hit: the sizes share one
+	// stream, index by bit selection and are only ever emptied together,
+	// so a block resident at one size is resident at every larger one,
+	// and a direct-mapped hit changes no state.
+	for k, t := range c.dm {
+		set := e.Block & uint32(len(t)-1)
+		if t[set] == tag {
+			break
+		}
+		t[set] = tag
+		s.dmMiss[k] += os
+	}
+	// A most-recent-first pair is cache.Cache's "invalid way first, else
+	// LRU" when ways are only ever invalidated all at once: the second
+	// entry is the empty way if there is one, else the LRU.
+	for k, t := range c.tw {
+		set := 2 * (e.Block & uint32(len(t)/2-1))
+		if t[set] == tag {
 			continue
 		}
-		var os int64
-		if e.OS {
-			os = 1
+		if t[set+1] != tag {
+			s.twMiss[k] += os
 		}
-		baseline += os
-		c, tag := &cpus[e.CPU], e.Block+1
-		// Smallest first, stopping at the first hit: the sizes share one
-		// stream, index by bit selection and are only ever emptied
-		// together, so a block resident at one size is resident at every
-		// larger one, and a direct-mapped hit changes no state.
-		for k, t := range c.dm {
-			set := e.Block & uint32(len(t)-1)
-			if t[set] == tag {
-				break
-			}
-			t[set] = tag
-			dmMiss[k] += os
-		}
-		// A most-recent-first pair is cache.Cache's "invalid way first,
-		// else LRU" when ways are only ever invalidated all at once: the
-		// second entry is the empty way if there is one, else the LRU.
-		for k, t := range c.tw {
-			set := 2 * (e.Block & uint32(len(t)/2-1))
-			if t[set] == tag {
-				continue
-			}
-			if t[set+1] != tag {
-				twMiss[k] += os
-			}
-			t[set], t[set+1] = tag, t[set]
-		}
-		if w, bit := e.Block/64, uint64(1)<<(e.Block%64); c.seen[w]&bit == 0 {
-			c.seen[w] |= bit
-			infMiss += os
-		}
+		t[set], t[set+1] = tag, t[set]
 	}
-	res := Figure6Result{InvalBoundMisses: infMiss, InvalBoundRel: relative(infMiss, baseline)}
-	for k, cfg := range dm {
-		res.DirectMapped = append(res.DirectMapped, Point{Config: cfg, OSMisses: dmMiss[k], Relative: relative(dmMiss[k], baseline)})
+	w, bit := int(e.Block/64), uint64(1)<<(e.Block%64)
+	if w >= len(c.seen) {
+		// A block past the bitmap has never been seen: grow it with
+		// zeros, which leaves every earlier answer as it was.
+		c.seen = append(c.seen, make([]uint64, w+1-len(c.seen))...)
 	}
-	for k, cfg := range tw {
-		res.TwoWay = append(res.TwoWay, Point{Config: cfg, OSMisses: twMiss[k], Relative: relative(twMiss[k], baseline)})
+	if c.seen[w]&bit == 0 {
+		c.seen[w] |= bit
+		s.infMiss += os
+	}
+}
+
+// End implements trace.IMissSink: the stream is over, so the tag arrays
+// are dropped. The counts Result reads are kept.
+func (s *Sweeper) End() { s.cpus = nil }
+
+var _ trace.IMissSink = (*Sweeper)(nil)
+
+// Result is the figure of the stream fed so far.
+func (s *Sweeper) Result() Figure6Result {
+	res := Figure6Result{InvalBoundMisses: s.infMiss, InvalBoundRel: relative(s.infMiss, s.baseline)}
+	for k, cfg := range s.dm {
+		res.DirectMapped = append(res.DirectMapped, Point{Config: cfg, OSMisses: s.dmMiss[k], Relative: relative(s.dmMiss[k], s.baseline)})
+	}
+	for k, cfg := range s.tw {
+		res.TwoWay = append(res.TwoWay, Point{Config: cfg, OSMisses: s.twMiss[k], Relative: relative(s.twMiss[k], s.baseline)})
 	}
 	return res
 }

@@ -1,6 +1,7 @@
 package cachesweep
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/trace"
@@ -202,5 +203,38 @@ func TestDSweepUpgradeInvalidatesWithoutFill(t *testing.T) {
 	}
 	if pts[0].OSSharing != 1 {
 		t.Errorf("sharing = %d, want 1", pts[0].OSSharing)
+	}
+}
+
+// TestSweeperHoldsArraysOnlyWhileFed: a new Sweeper holds no tag arrays, a
+// CPU gets its own at its first event, End drops them all, and the result
+// is the same before and after End.
+func TestSweeperHoldsArraysOnlyWhileFed(t *testing.T) {
+	s := NewSweeper(4)
+	for i, c := range s.cpus {
+		if c.dm != nil || c.tw != nil || c.seen != nil {
+			t.Fatalf("a new Sweeper holds CPU %d's arrays", i)
+		}
+	}
+	s.Add(ev(7, 2, true))
+	s.Add(trace.IResimEvent{Flush: true})
+	s.Add(ev(7, 2, true))
+	s.Add(ev(1<<20, 2, false))
+	for i, c := range s.cpus {
+		if fed := i == 2; (c.dm != nil) != fed {
+			t.Errorf("CPU %d holds tag arrays %t, want %t", i, c.dm != nil, fed)
+		}
+	}
+	before := s.Result()
+	s.End()
+	if s.cpus != nil {
+		t.Error("End left the tag arrays in place")
+	}
+	if after := s.Result(); !reflect.DeepEqual(before, after) {
+		t.Errorf("End changed the result: %+v, then %+v", before, after)
+	}
+	if before.DirectMapped[0].OSMisses != 2 || before.InvalBoundMisses != 2 {
+		t.Errorf("64KB misses %d and infinite-cache misses %d, want 2 and 2 (one flush between two fills)",
+			before.DirectMapped[0].OSMisses, before.InvalBoundMisses)
 	}
 }

@@ -256,14 +256,20 @@ func RunContext(ctx context.Context, cfg Config) (*Characterization, error) {
 	return RunMonitored(ctx, cfg, nil)
 }
 
+// Sink is a post-processor a run feeds on its classifier's goroutine: a
+// bus.Recorder takes the traced window's transactions in bus order, after
+// the classifier; a trace.IMissSink takes the classifier's I-miss stream
+// (Figure 6's). A sink may be both, and must be at least one.
+type Sink any
+
 // RunMonitored is RunContext plus a progress probe: just before the
 // simulation starts, onStart (if non-nil) receives a function that
 // reports the simulated cycle most recently reached, safe to call from
 // other goroutines for the life of the run. Watchdogs use it as the
-// per-run heartbeat to tell slow from wedged. Each sink is fed the
-// traced window's transactions in bus order after the classifier, on the
-// classifier's goroutine; a sink on a NoTrace config panics.
-func RunMonitored(ctx context.Context, cfg Config, onStart func(progress func() arch.Cycles), sinks ...bus.Recorder) (*Characterization, error) {
+// per-run heartbeat to tell slow from wedged. Each sink is fed what it
+// takes (see Sink); a sink on a NoTrace config, or one that takes
+// neither, panics.
+func RunMonitored(ctx context.Context, cfg Config, onStart func(progress func() arch.Cycles), sinks ...Sink) (*Characterization, error) {
 	cfg = cfg.withDefaults()
 	canceled := func(cycle arch.Cycles) *CanceledError {
 		cause := context.Cause(ctx)
@@ -306,7 +312,20 @@ func RunMonitored(ctx context.Context, cfg Config, onStart func(progress func() 
 		cl = newClassifier(s.K.T, s.K.L, cfg.NCPU)
 		cl.CollectIResim = cfg.CollectIResim
 		cl.CollectDResim = cfg.CollectDResim
-		recs = append([]bus.Recorder{cl}, sinks...)
+		recs = []bus.Recorder{cl}
+		for _, sink := range sinks {
+			rec, isRec := sink.(bus.Recorder)
+			im, isIMiss := sink.(trace.IMissSink)
+			if !isRec && !isIMiss {
+				panic(fmt.Sprintf("core: sink %T takes neither transactions nor I-misses", sink))
+			}
+			if isRec {
+				recs = append(recs, rec)
+			}
+			if isIMiss {
+				cl.SubscribeIMisses(im)
+			}
+		}
 		if streaming {
 			// The classifier and the sinks run behind the chunk pipe
 			// on its own goroutine, fed every transaction in bus
@@ -376,10 +395,12 @@ func RunMonitored(ctx context.Context, cfg Config, onStart func(progress func() 
 		ch.Sampled = acc.Estimate()
 	}
 	// The run is over: cut every edge from the kept simulator to state
-	// no report reads, so the classifier and the checker's shadow pages
-	// are collected while the Characterization lives on.
+	// no report reads, so the classifier, the bus's snoop presence filter
+	// and the checker's shadow pages are collected while the
+	// Characterization lives on.
 	s.Stream, s.OnMeasure = nil, nil
 	s.Bus.SetRecorder(nil)
+	s.Bus.ReleasePresence()
 	if s.Chk != nil {
 		s.Chk.Finish()
 	}

@@ -411,3 +411,14 @@ func TestSinkOnNoTracePanics(t *testing.T) {
 	}()
 	RunMonitored(context.Background(), Config{NoTrace: true, Window: 100_000}, nil, &monitor.Discard{})
 }
+
+// TestSinkOfNeitherKindPanics: a sink must take transactions, I-misses or
+// both; anything else would be fed nothing.
+func TestSinkOfNeitherKindPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("a sink that is neither a bus.Recorder nor a trace.IMissSink did not panic")
+		}
+	}()
+	RunMonitored(context.Background(), Config{Window: 100_000}, nil, 42)
+}

@@ -15,8 +15,9 @@ import (
 
 // TestFinishedRunHoldsNoRunState pins what a returned Characterization
 // keeps: the simulator has no edge left to the classifier (Stream, the
-// sampled path's OnMeasure), the checker keeps its counts but no shadow
-// pages, and the buffered run's trace is intact. The classifier must then
+// sampled path's OnMeasure), the bus no snoop presence filter, the checker
+// keeps its counts but no shadow pages, and the buffered run's trace is
+// intact. The classifier must then
 // be garbage — a finalizer on it fires — which also proves the bus
 // recorder was detached.
 func TestFinishedRunHoldsNoRunState(t *testing.T) {
@@ -45,6 +46,11 @@ func TestFinishedRunHoldsNoRunState(t *testing.T) {
 			if s.Stream != nil || s.OnMeasure != nil {
 				t.Errorf("finished run still wired to its classifier: Stream %v, OnMeasure set %t",
 					s.Stream != nil, s.OnMeasure != nil)
+			}
+			// The filter is unexported; reflect reads it as it reads the
+			// checker's pages below.
+			if !reflect.ValueOf(s.Bus).Elem().FieldByName("pres").IsNil() {
+				t.Error("the bus still holds its presence filter after the run")
 			}
 			if cfg.Check {
 				if s.Chk == nil || s.Chk.Checks == 0 {

@@ -320,8 +320,8 @@ func New(cfg Config) *Kernel {
 		Rand:      rand.New(rand.NewSource(cfg.Seed)),
 		procs:     make([]*Proc, kmem.NumProcs),
 		sleepQ:    make(map[SleepChan][]*Proc),
-		fileCache: make(map[fileKey]uint32),
-		frameFile: make(map[uint32]fileKey),
+		fileCache: make(map[fileKey]uint32, cfg.PrefillCachedFrames),
+		frameFile: make(map[uint32]fileKey, cfg.PrefillCachedFrames),
 		textCache: make(map[int][]uint32),
 		frameText: make(map[uint32][2]int),
 		textRef:   make(map[int]int),

@@ -189,3 +189,28 @@ func splitLines(s string) []string {
 	}
 	return append(out, s[start:])
 }
+
+// TestRegistryFigure6IsSwept: the registry's all and figure6 entries sweep
+// Figure 6 online, so no run of theirs stores its I-miss stream, and they
+// render what Figure6 renders from the stored streams of the same runs.
+func TestRegistryFigure6IsSwept(t *testing.T) {
+	base := core.Config{Window: 600_000, Warmup: 300_000, Seed: 11}
+	stored := base
+	stored.CollectIResim = true
+	want := Figure6(RunSetParallel(stored, runner.Options{}))
+	for _, name := range []string{"all", "figure6"} {
+		e, _ := Lookup(name)
+		b, err := e.Run(context.Background(), base, runner.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ch := range b.Runs {
+			if ch.Trace.IResim != nil {
+				t.Errorf("-exp %s: the %v run stored %d I-miss events", name, ch.Cfg.Workload, len(ch.Trace.IResim))
+			}
+		}
+		if got := e.Render(b); !strings.HasSuffix(got, want) {
+			t.Errorf("-exp %s does not end in the stored streams' Figure 6:\n%s\nwant suffix\n%s", name, got, want)
+		}
+	}
+}

@@ -7,13 +7,14 @@ import (
 	"strings"
 
 	"repro/internal/arch"
-	"repro/internal/bus"
+	"repro/internal/cachesweep"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/klock"
 	"repro/internal/machineflag"
 	"repro/internal/metrics"
 	"repro/internal/runner"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -23,25 +24,24 @@ import (
 // reader that renders the finished batch to stdout. A static entry has no
 // Configs: it renders from nil without simulating. CPUs, when set, are the
 // entry's own CPU counts: each config runs once per count, and -ncpu does
-// not apply. Sampled marks the entry that renders a sampled run's
-// estimate; the others print exact classification tables.
+// not apply. Sinks builds a run's sinks (core.Sink); its error names a
+// run they cannot cover. Sampled marks the entry that renders a sampled
+// run's estimate; the others print exact classification tables.
 type Experiment struct {
 	Name, Paper string
 	Configs     func(base core.Config) []core.Config
 	CPUs        []int
-	Sinks       func(cfg core.Config) []bus.Recorder
+	Sinks       func(cfg core.Config) ([]core.Sink, error)
 	Render      func(b *Batch) string
 	Sampled     bool
 }
 
 // Batch is an experiment's finished runs and each run's sinks, in Runs
-// order, with the batch's timing record. Parallelism is carried into the
-// renderers' own fan-outs (Figure 6).
+// order, with the batch's timing record.
 type Batch struct {
-	Runs        []*core.Characterization
-	Sinks       [][]bus.Recorder
-	Stats       metrics.BatchStats
-	Parallelism int
+	Runs  []*core.Characterization
+	Sinks [][]core.Sink
+	Stats metrics.BatchStats
 }
 
 // Runs are the entry's run configurations from base: Configs' runs, each
@@ -64,16 +64,39 @@ func (e Experiment) Runs(base core.Config) []core.Config {
 	return out
 }
 
+// Validate names what makes base unrunnable for the entry: base itself,
+// one of the runs derived from it, or a run its sinks cannot cover.
+// Nothing simulates, so every error is a usage error.
+func (e Experiment) Validate(base core.Config) error {
+	if err := base.Validate(); err != nil {
+		return err
+	}
+	for _, c := range e.Runs(base) {
+		if err := c.Validate(); err != nil {
+			return err
+		}
+		if e.Sinks != nil {
+			if _, err := e.Sinks(c); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // Run executes the entry's runs from base on one pooled batch, each
 // feeding its own sinks. Output rendered from the batch is byte-identical
 // on any worker count. A canceled context or a panicking run returns the
 // first run's structured error.
 func (e Experiment) Run(ctx context.Context, base core.Config, opts runner.Options) (*Batch, error) {
 	cfgs := e.Runs(base)
-	b := &Batch{Sinks: make([][]bus.Recorder, len(cfgs)), Parallelism: opts.Parallelism}
+	b := &Batch{Sinks: make([][]core.Sink, len(cfgs))}
 	for i, c := range cfgs {
 		if e.Sinks != nil {
-			b.Sinks[i] = e.Sinks(c)
+			var err error
+			if b.Sinks[i], err = e.Sinks(c); err != nil {
+				return nil, err
+			}
 		}
 	}
 	var res []runner.Result
@@ -89,7 +112,7 @@ func (e Experiment) Run(ctx context.Context, base core.Config, opts runner.Optio
 
 // set is a workload entry's batch as the sections read it.
 func (b *Batch) set() *Set {
-	return &Set{Pmake: b.Runs[0], Multpgm: b.Runs[1], Oracle: b.Runs[2], Parallelism: b.Parallelism}
+	return &Set{Pmake: b.Runs[0], Multpgm: b.Runs[1], Oracle: b.Runs[2]}
 }
 
 // Lookup returns the registry entry named name.
@@ -103,15 +126,15 @@ func Lookup(name string) (Experiment, bool) {
 
 // Experiments is the registry: every -exp name, in README order.
 var Experiments = slices.Concat([]Experiment{
-	{Name: "all", Paper: "Everything: every table and figure", Configs: withIResim,
-		Render: func(b *Batch) string { return All(b.set()) + Figure6(b.set()) }},
+	{Name: "all", Paper: "Everything: every table and figure", Configs: workloads, Sinks: iMissSweep,
+		Render: func(b *Batch) string { return All(b.set()) + sweptFigure6(b) }},
 	{Name: "report", Paper: "Per-workload run reports (with -sample, the sampled estimate)",
 		Configs: workloads, Sampled: true, Render: func(b *Batch) string {
 			return Single(b.Runs[0]) + Single(b.Runs[1]) + Single(b.Runs[2])
 		}},
 }, Sections, []Experiment{
 	{Name: "figure6", Paper: "Figure 6 (I-cache size and associativity sweep)",
-		Configs: withIResim, Render: func(b *Batch) string { return Figure6(b.set()) }},
+		Configs: workloads, Sinks: iMissSweep, Render: sweptFigure6},
 	section("locks", "Tables 10-12 plus every kernel lock family", Locks),
 	{Name: "section6", Paper: "§6 cluster study (Multpgm, 4 clusters of 2)",
 		Configs: multpgm(false), CPUs: []int{8}, Sinks: clusterLadder, Render: section6},
@@ -138,11 +161,23 @@ func workloads(base core.Config) []core.Config {
 	return cfgs
 }
 
-// withIResim is the standard set recording the I-miss streams Figure 6
-// sweeps.
-func withIResim(base core.Config) []core.Config {
-	base.CollectIResim = true
-	return workloads(base)
+// iMissSweep is Figure 6's sink: the one-pass sweep fed the run's I-miss
+// stream as the classifier produces it, so no stream is stored.
+func iMissSweep(cfg core.Config) ([]core.Sink, error) {
+	n := cfg.Canonical().NCPU
+	if n > trace.MaxResimCPUs {
+		return nil, fmt.Errorf("resim streams cover at most %d CPUs, not %d", trace.MaxResimCPUs, n)
+	}
+	return []core.Sink{cachesweep.NewSweeper(n)}, nil
+}
+
+// sweptFigure6 renders Figure 6 from the sweeps the standard set's runs fed.
+func sweptFigure6(b *Batch) string {
+	var out strings.Builder
+	for i, name := range setNames {
+		out.WriteString(figure6Table(name, b.Sinks[i][0].(*cachesweep.Sweeper).Result()))
+	}
+	return out.String()
 }
 
 // multpgm is one Multpgm run of base; noTrace keeps only the lock
@@ -156,8 +191,8 @@ func multpgm(noTrace bool) func(core.Config) []core.Config {
 
 // clusterLadder is the §6 policy ladder on the run's machine, a sink of
 // the run's streaming pipeline.
-func clusterLadder(cfg core.Config) []bus.Recorder {
-	return []bus.Recorder{cluster.NewStudy(cfg.Canonical().Machine, 2)}
+func clusterLadder(cfg core.Config) ([]core.Sink, error) {
+	return []core.Sink{cluster.NewStudy(cfg.Canonical().Machine, 2)}, nil
 }
 
 // section6 renders the ladder the run fed.
@@ -197,15 +232,17 @@ func figure11(b *Batch) string {
 // geometryConfigs are the data-cache sweep's runs, each under the
 // invariant checker: the base machine recording its data-miss stream for
 // the §4.2.2 replay, a full-system re-run at each direct-mapped point of
-// core.DefaultDSweepConfigs (the replay caches cannot model
-// associativity), and the 8-CPU / 64 MB 4d380 preset end to end.
+// core.DefaultDSweepConfigs (the replay caches cannot model associativity)
+// other than the base machine's own coherence-level cache, whose re-run
+// would be the baseline again, and the 8-CPU / 64 MB 4d380 preset end to
+// end.
 func geometryConfigs(base core.Config) []core.Config {
 	base.Check = true
 	baseline := base
 	baseline.CollectDResim = true
 	cfgs := []core.Config{baseline}
 	for _, c := range core.DefaultDSweepConfigs() {
-		if c.Assoc == 1 {
+		if c.Assoc == 1 && !sameL2(base, c) {
 			dc := base
 			dc.Machine.DCacheL2Size, dc.Machine.DCacheL2Assoc = c.Size, c.Assoc
 			cfgs = append(cfgs, dc)
@@ -216,11 +253,17 @@ func geometryConfigs(base core.Config) []core.Config {
 	return append(cfgs, base)
 }
 
+// sameL2 reports whether c is the coherence-level cache of cfg's machine.
+func sameL2(cfg core.Config, c cachesweep.Config) bool {
+	m := cfg.Canonical().Machine
+	return m.DCacheL2Size == c.Size && m.DCacheL2Assoc == c.Assoc
+}
+
 // geometry prints the two relative-miss curves of the data-cache sweep
 // side by side — the baseline's miss stream replayed against each cache
 // configuration (the paper's trace-driven method) and the direct re-runs
-// with the coherence-level cache resized — then the 4d380 preset's
-// headline numbers.
+// with the coherence-level cache resized, the baseline standing for the
+// re-run at its own cache — then the 4d380 preset's headline numbers.
 func geometry(b *Batch) string {
 	base, big := b.Runs[0], b.Runs[len(b.Runs)-1]
 	direct := b.Runs[1 : len(b.Runs)-1]
@@ -228,10 +271,8 @@ func geometry(b *Batch) string {
 	cfgs := core.DefaultDSweepConfigs()
 	replay := base.DCacheSweep(cfgs)
 	var directBase int64
-	for _, ch := range direct {
-		if ch.Cfg.Machine.DCacheL2Size == m.DCacheL2Size && ch.Cfg.Machine.DCacheL2Assoc == m.DCacheL2Assoc {
-			directBase = ch.Trace.ClassSum(1, 0)
-		}
+	if slices.ContainsFunc(cfgs, func(c cachesweep.Config) bool { return c.Assoc == 1 && sameL2(base.Cfg, c) }) {
+		directBase = base.Trace.ClassSum(1, 0)
 	}
 
 	var w strings.Builder
@@ -245,8 +286,11 @@ func geometry(b *Batch) string {
 			fmt.Fprintf(&w, " %14s %9s\n", "-", "-")
 			continue
 		}
-		misses := direct[0].Trace.ClassSum(1, 0)
-		direct = direct[1:]
+		misses := directBase
+		if !sameL2(base.Cfg, c) {
+			misses = direct[0].Trace.ClassSum(1, 0)
+			direct = direct[1:]
+		}
 		rel := 0.0
 		if directBase > 0 {
 			rel = float64(misses) / float64(directBase)

@@ -26,8 +26,8 @@ type Set struct {
 	Pmake   *core.Characterization
 	Multpgm *core.Characterization
 	Oracle  *core.Characterization
-	// Parallelism is carried into the re-simulation fan-outs (Figure 6);
-	// <= 0 means GOMAXPROCS.
+	// Parallelism is carried into Figure6's fan-out over the stored
+	// streams; <= 0 means GOMAXPROCS.
 	Parallelism int
 }
 
@@ -43,7 +43,9 @@ func RunSetParallel(cfg core.Config, opts runner.Options) *Set {
 		// after the rest of the batch has resolved.
 		panic(err)
 	}
-	return b.set()
+	s := b.set()
+	s.Parallelism = opts.Parallelism
+	return s
 }
 
 // Single renders one run as a compact deterministic report: the header
@@ -131,10 +133,13 @@ func writeSampled(b *strings.Builder, ch *core.Characterization) {
 
 // each iterates the set in paper order.
 func (s *Set) each(f func(name string, ch *core.Characterization)) {
-	f("Pmake", s.Pmake)
-	f("Multpgm", s.Multpgm)
-	f("Oracle", s.Oracle)
+	for i, ch := range []*core.Characterization{s.Pmake, s.Multpgm, s.Oracle} {
+		f(setNames[i], ch)
+	}
 }
+
+// setNames are the standard set's workloads, in run order.
+var setNames = [3]string{"Pmake", "Multpgm", "Oracle"}
 
 // paperTable1 rows: user, sys, idle, OS-miss share, stall all/os/os+ind.
 var paperTable1 = map[string][7]float64{
@@ -323,38 +328,41 @@ func Figure5(s *Set) string {
 	return t.String()
 }
 
-// Figure6 renders the I-cache size/associativity sweep: one pass over each
-// workload's I-miss stream, one job per workload on the set's worker pool.
+// Figure6 renders the I-cache size/associativity sweep from the set's
+// stored I-miss streams (CollectIResim): one pass over each workload's
+// stream, one job per workload on the set's worker pool.
 func Figure6(s *Set) string {
-	var names []string
 	var chs []*core.Characterization
-	s.each(func(name string, ch *core.Characterization) {
-		names, chs = append(names, name), append(chs, ch)
-	})
+	s.each(func(_ string, ch *core.Characterization) { chs = append(chs, ch) })
 	results := runner.Map(len(chs), runner.Options{Parallelism: s.Parallelism},
 		func(i int) cachesweep.Figure6Result { return chs[i].Figure6() })
 	var b strings.Builder
-	for w, res := range results {
-		t := metrics.NewTable(fmt.Sprintf("Figure 6 (%s): OS I-miss rate relative to the 64KB direct-mapped cache", names[w]),
-			"Size", "DM", "2-way", "Inval bound (DM floor)")
-		for i, p := range res.DirectMapped {
-			tw := "-"
-			for _, q := range res.TwoWay {
-				if q.Size == p.Size {
-					tw = fmt.Sprintf("%.2f", q.Relative)
-				}
-			}
-			bound := ""
-			if i == len(res.DirectMapped)-1 {
-				bound = fmt.Sprintf("%.2f", res.InvalBoundRel)
-			}
-			t.AddRow(fmt.Sprintf("%dKB", p.Size/1024), fmt.Sprintf("%.2f", p.Relative), tw, bound)
-		}
-		t.Note("paper: 2-way gives a noticeable drop; Pmake/Multpgm saturate by 256KB " +
-			"(invalidation-bound); Oracle keeps dropping to 1MB")
-		b.WriteString(t.String())
+	for i, name := range setNames {
+		b.WriteString(figure6Table(name, results[i]))
 	}
 	return b.String()
+}
+
+// figure6Table renders one workload's Figure 6 sweep.
+func figure6Table(name string, res cachesweep.Figure6Result) string {
+	t := metrics.NewTable(fmt.Sprintf("Figure 6 (%s): OS I-miss rate relative to the 64KB direct-mapped cache", name),
+		"Size", "DM", "2-way", "Inval bound (DM floor)")
+	for i, p := range res.DirectMapped {
+		tw := "-"
+		for _, q := range res.TwoWay {
+			if q.Size == p.Size {
+				tw = fmt.Sprintf("%.2f", q.Relative)
+			}
+		}
+		bound := ""
+		if i == len(res.DirectMapped)-1 {
+			bound = fmt.Sprintf("%.2f", res.InvalBoundRel)
+		}
+		t.AddRow(fmt.Sprintf("%dKB", p.Size/1024), fmt.Sprintf("%.2f", p.Relative), tw, bound)
+	}
+	t.Note("paper: 2-way gives a noticeable drop; Pmake/Multpgm saturate by 256KB " +
+		"(invalidation-bound); Oracle keeps dropping to 1MB")
+	return t.String()
 }
 
 // Figure7 renders the OS data-miss classification.
@@ -703,7 +711,7 @@ func Locks(s *Set) string {
 
 // All renders every table and figure from one Set.
 func All(s *Set) string {
-	batch := &Batch{Runs: []*core.Characterization{s.Pmake, s.Multpgm, s.Oracle}, Parallelism: s.Parallelism}
+	batch := &Batch{Runs: []*core.Characterization{s.Pmake, s.Multpgm, s.Oracle}}
 	var b strings.Builder
 	for _, sec := range Sections {
 		b.WriteString(sec.Render(batch))

@@ -60,8 +60,9 @@ func Register(fs *flag.FlagSet) *Flags {
 
 // Config resolves the machine, -window, -seed and -check into experiment
 // e's base configuration, lets the binary set its own fields through
-// adjust (nil for none) and validates the result and every run e derives
-// from it. Nothing has run yet, so every error is a usage error.
+// adjust (nil for none) and validates the result for e (see
+// report.Experiment.Validate). Nothing has run yet, so every error is a
+// usage error.
 func (f *Flags) Config(e report.Experiment, adjust func(*core.Config) error) (core.Config, error) {
 	machine, err := f.machine.Machine()
 	if err != nil {
@@ -74,10 +75,8 @@ func (f *Flags) Config(e report.Experiment, adjust func(*core.Config) error) (co
 			return core.Config{}, err
 		}
 	}
-	for _, c := range append([]core.Config{cfg}, e.Runs(cfg)...) {
-		if err := c.Validate(); err != nil {
-			return core.Config{}, err
-		}
+	if err := e.Validate(cfg); err != nil {
+		return core.Config{}, err
 	}
 	return cfg, nil
 }

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"repro/internal/arch"
-	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/metrics"
 )
@@ -125,7 +124,7 @@ type Result struct {
 // hooks fire inside the recovery scope before the simulation starts — the
 // service's test hooks use them to force failures down the production
 // error path.
-func RunOneMonitored(ctx context.Context, cfg core.Config, onStart func(progress func() arch.Cycles), sinks []bus.Recorder, preRun ...func()) (res Result) {
+func RunOneMonitored(ctx context.Context, cfg core.Config, onStart func(progress func() arch.Cycles), sinks []core.Sink, preRun ...func()) (res Result) {
 	canonical := cfg.Canonical()
 	var progress func() arch.Cycles
 	t0 := time.Now()
@@ -191,7 +190,7 @@ func Experiments(cfgs []core.Config, opts Options) ([]Result, metrics.BatchStats
 // so the slots a cancel reaches before they start are the cheapest ones.
 // Run i feeds its traced window to sinks[i]; sinks is nil or holds one
 // (possibly empty) list per config.
-func ExperimentsContext(ctx context.Context, cfgs []core.Config, sinks [][]bus.Recorder, opts Options) ([]Result, metrics.BatchStats) {
+func ExperimentsContext(ctx context.Context, cfgs []core.Config, sinks [][]core.Sink, opts Options) ([]Result, metrics.BatchStats) {
 	n := len(cfgs)
 	w := opts.workers(n)
 	serial := w == 1
@@ -206,7 +205,7 @@ func ExperimentsContext(ctx context.Context, cfgs []core.Config, sinks [][]bus.R
 		if serial {
 			runtime.ReadMemStats(&m0)
 		}
-		var own []bus.Recorder
+		var own []core.Sink
 		if sinks != nil {
 			own = sinks[i]
 		}
@@ -254,7 +253,13 @@ func longestFirst(cfgs []core.Config, w int) []int {
 	return order
 }
 
-// runLabel names a run for the timing table.
+// runLabel names a run for the timing table: workload, CPU count and seed,
+// plus the coherence-level cache when it is not the measured machine's, so
+// the runs of a geometry sweep are told apart.
 func runLabel(c core.Config) string {
-	return fmt.Sprintf("%s/ncpu%d/seed%d", c.Workload, c.NCPU, c.Seed)
+	label := fmt.Sprintf("%s/ncpu%d/seed%d", c.Workload, c.NCPU, c.Seed)
+	if m, d := c.Machine, arch.Default(); m.DCacheL2Size != d.DCacheL2Size || m.DCacheL2Assoc != d.DCacheL2Assoc {
+		label += fmt.Sprintf("/L2=%s/%dw", arch.SizeString(m.DCacheL2Size), m.DCacheL2Assoc)
+	}
+	return label
 }

@@ -179,8 +179,17 @@ type IResimEvent struct {
 	Flush bool
 }
 
+// IMissSink is a subscriber to a classifier's I-miss stream (see
+// Classifier.SubscribeIMisses): Add receives each event Result.IResim
+// would hold, in the same order, on the goroutine that feeds the
+// classifier; Finish calls End once the stream is over.
+type IMissSink interface {
+	Add(IResimEvent)
+	End()
+}
+
 // MaxResimCPUs is the largest machine whose resim streams can be
-// collected: the events carry the CPU in one byte.
+// collected or subscribed to: the events carry the CPU in one byte.
 const MaxResimCPUs = 1 << 8
 
 // resimChunk is the capacity of one chunk of a resim stream (256 KB).
@@ -337,6 +346,9 @@ type Classifier struct {
 	CollectDResim bool
 	iResim        resimStream[IResimEvent]
 	dResim        resimStream[DResimEvent]
+	// iSinks are the I-miss stream's subscribers besides the stored
+	// stream (nil when there are none).
+	iSinks []IMissSink
 
 	res *Result
 }
@@ -443,6 +455,23 @@ func (c *Classifier) Record(t bus.Txn) { c.Feed(t) }
 
 var _ bus.Recorder = (*Classifier)(nil)
 
+// SubscribeIMisses adds sink to the subscribers of the I-miss stream: from
+// the next transaction on, it receives every fill and flush marker that
+// CollectIResim would store. Subscribe before feeding, and only on a
+// machine of at most MaxResimCPUs processors.
+func (c *Classifier) SubscribeIMisses(sink IMissSink) { c.iSinks = append(c.iSinks, sink) }
+
+// iMiss hands one event of the I-miss stream to its subscribers: the
+// stored stream (CollectIResim) and each subscribed sink.
+func (c *Classifier) iMiss(e IResimEvent) {
+	if c.CollectIResim {
+		c.iResim.add(e)
+	}
+	for _, s := range c.iSinks {
+		s.Add(e)
+	}
+}
+
 // CountsSnapshot returns a copy of the running class-count cube. Core
 // snapshots it at the measured-interval boundaries of a sampling schedule
 // and differences the copies: each delta is one interval's tally.
@@ -464,11 +493,14 @@ func (c *Classifier) MirrorResident(cpu arch.CPUID, instr bool, set int) (block 
 	return b, b != noBlock
 }
 
-// Finish adds each CPU's open OS invocation to the Timeline, resolves the
-// dense interned tallies into the string-keyed Result maps (only non-zero
-// entries get keys, matching the lazy map semantics of the buffered
-// pipeline), and returns the result.
+// Finish ends the I-miss stream for its subscribers, adds each CPU's open
+// OS invocation to the Timeline, resolves the dense interned tallies into
+// the string-keyed Result maps (only non-zero entries get keys, matching
+// the lazy map semantics of the buffered pipeline), and returns the result.
 func (c *Classifier) Finish() *Result {
+	for _, s := range c.iSinks {
+		s.End()
+	}
 	c.res.Malformed = c.dec.Malformed
 	c.res.IResim, c.res.DResim = c.iResim.flat(), c.dResim.flat()
 	for _, cs := range c.cpus {
@@ -589,8 +621,8 @@ func (c *Classifier) event(rec monitor.Record) {
 // block gets the Inval cause.
 func (c *Classifier) icacheInval(frame uint32) {
 	_ = frame // the flush is total; the frame only identifies the cause
-	if c.CollectIResim {
-		c.iResim.add(IResimEvent{Flush: true})
+	if c.CollectIResim || c.iSinks != nil {
+		c.iMiss(IResimEvent{Flush: true})
 	}
 	for q := 0; q < c.ncpu; q++ {
 		cs := c.cpus[q]
@@ -646,11 +678,11 @@ func (c *Classifier) miss(t bus.Txn) {
 			Inval: t.Kind == bus.TxnReadEx,
 		})
 	}
-	if instr && c.CollectIResim {
+	if instr && (c.CollectIResim || c.iSinks != nil) {
 		// Idle-loop fills warm the simulated caches but are excluded
 		// from the OS miss counts (OS=false), matching the idle
 		// exclusion of every other statistic.
-		c.iResim.add(IResimEvent{
+		c.iMiss(IResimEvent{
 			Block: block, CPU: uint8(t.CPU),
 			OS: cs.mode != arch.ModeIdle && c.osMode(cs, t.Addr),
 		})

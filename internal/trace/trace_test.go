@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -403,5 +404,64 @@ func TestResimStreamChunks(t *testing.T) {
 				t.Fatalf("%d events: event %d is %+v, want %+v", n, i, e, want)
 			}
 		}
+	}
+}
+
+// recordingSink is an IMissSink that keeps what it is fed.
+type recordingSink struct {
+	events []IResimEvent
+	ends   int
+}
+
+func (r *recordingSink) Add(e IResimEvent) { r.events = append(r.events, e) }
+func (r *recordingSink) End()              { r.ends++ }
+
+// TestIMissSubscriberSeesStoredStream: a subscriber to the I-miss stream is
+// fed exactly the sequence CollectIResim stores — application and kernel
+// fills, an idle-loop fill (OS false), the flush marker of an I-cache
+// invalidation, and no data fills — and Finish ends its stream once.
+func TestIMissSubscriberSeesStoredStream(t *testing.T) {
+	kt, l := newEnv()
+	frame := kmem.FirstUserFrame + 3
+	code, ktext := arch.FrameAddr(frame), l.KernelText.Base
+	block := func(a arch.PAddr) uint32 { return uint32(a) >> arch.BlockShift }
+	txns := cat(
+		esc(0, monitor.EvPageAlloc, 9, frame, uint32(kmem.FrameCode)),
+		[]bus.Txn{read(0, code, 10)}, // application code fetch
+		enterOS(1, kernel.OpOtherSyscall, 11),
+		[]bus.Txn{read(1, ktext, 12), read(1, l.RunQueue.Base, 13)}, // kernel fetch, then a data fill
+		esc(1, monitor.EvEnterIdle, 14),
+		[]bus.Txn{read(1, ktext+arch.BlockSize, 15)}, // idle-loop fetch
+		esc(1, monitor.EvExitIdle, 16),
+		esc(2, monitor.EvICacheInval, 17, frame),
+		[]bus.Txn{read(0, code, 18), read(1, ktext, 19)},
+	)
+	want := []IResimEvent{
+		{Block: block(code), CPU: 0},
+		{Block: block(ktext), CPU: 1, OS: true},
+		{Block: block(ktext + arch.BlockSize), CPU: 1},
+		{Flush: true},
+		{Block: block(code), CPU: 0},
+		{Block: block(ktext), CPU: 1, OS: true},
+	}
+	c := NewClassifier(kt, l, 4)
+	c.CollectIResim = true
+	var sink recordingSink
+	c.SubscribeIMisses(&sink)
+	for _, tx := range txns {
+		c.Feed(tx)
+	}
+	if sink.ends != 0 {
+		t.Fatal("the stream ended before Finish")
+	}
+	r := c.Finish()
+	if sink.ends != 1 {
+		t.Errorf("Finish ended the stream %d times, want once", sink.ends)
+	}
+	if !slices.Equal(r.IResim, want) {
+		t.Errorf("stored stream %+v, want %+v", r.IResim, want)
+	}
+	if !slices.Equal(sink.events, r.IResim) {
+		t.Errorf("subscriber saw %+v, the stored stream is %+v", sink.events, r.IResim)
 	}
 }

@@ -61,6 +61,17 @@ go run -race ./cmd/charos -exp report -check -window 1M -parallel 3 2>&1 >/dev/n
     grep -q '^invariant checker: [1-9][0-9]* checks, 0 violations$' || {
     echo "FAIL: charos -check -parallel 3 under -race did not end with 0 violations" >&2; exit 1; }
 
+echo "== online Figure 6 sweeps under the race detector (charos -exp figure6 -parallel 2)"
+# Each run's sweep is fed on its classifier goroutine and read by the
+# renderer after the batch; the race detector fails the run on any access
+# that is not ordered, and the report must equal a plain build's.
+raced=$(go run -race ./cmd/charos -exp figure6 -window 1M -parallel 2 2>/dev/null)
+plain=$(go run ./cmd/charos -exp figure6 -window 1M -parallel 2 2>/dev/null)
+if [ "$raced" != "$plain" ]; then
+    echo "FAIL: charos -exp figure6 under -race differs from a plain build" >&2
+    exit 1
+fi
+
 echo "== fuzz the input surfaces and the one-pass Figure 6 sweep (5s each)"
 go test -run '^$' -fuzz '^FuzzParseCycles$' -fuzztime 5s ./internal/machineflag
 go test -run '^$' -fuzz '^FuzzSampleParse$' -fuzztime 5s ./internal/sample
